@@ -4,7 +4,6 @@ from __future__ import annotations
 from .dcop import (
     BinaryConstraint,
     DcopProblem,
-    UnaryConstraint,
     brute_force_optimum,
     total_cost,
 )
@@ -25,7 +24,7 @@ from .incidents import (
 )
 from .network import GridNetwork, build_grid, travel_time
 from .scenarios import RunResult, Scenario, materialize, run_policy
-from .solvers import SolverConfig, SolveTrace, monte_carlo_compare, solve
+from .solvers import SolverConfig, SolveTrace, solve
 from .uav import (
     DelayBelief,
     UavState,
@@ -38,7 +37,7 @@ from .uav import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryConstraint", "DcopProblem", "UnaryConstraint",
+    "BinaryConstraint", "DcopProblem",
     "brute_force_optimum", "total_cost",
     "ErvState", "StageContext", "build_erv_problem", "unary_cost",
     "DependencyKernel", "PrimaryProbField", "default_kernel",
@@ -47,7 +46,7 @@ __all__ = [
     "sample_incident",
     "GridNetwork", "build_grid", "travel_time",
     "RunResult", "Scenario", "materialize", "run_policy",
-    "SolverConfig", "SolveTrace", "monte_carlo_compare", "solve",
+    "SolverConfig", "SolveTrace", "solve",
     "DelayBelief", "UavState", "assimilate", "build_uav_problem",
     "cooperation_effect", "priority_benefit",
     "__version__",

@@ -1,16 +1,20 @@
 """Constraint-optimization problem container and exact baseline.
 
-A problem holds one variable per agent, each with a finite cell domain, plus
-unary and binary cost functions. math.inf (or -inf under maximize) is the
-hard-conflict sentinel; float arithmetic makes it absorbing for free. Unary
-constraints exist because single-agent sub-teams still need priced choices.
+A problem holds one variable per agent, each with a finite domain of distinct
+values, plus cost tables indexed by domain position: a unary vector per agent
+(one cost per value of its own domain; an agent without one costs 0) and
+binary tables of shape (len(domains[a]), len(domains[b])). math.inf (or -inf
+under maximize) is the hard-conflict sentinel; float arithmetic makes it
+absorbing for free.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Hashable
+
+import numpy as np
 
 from .errors import CapExceededError, InputError
 
@@ -22,44 +26,51 @@ BRUTE_FORCE_CAP = 10**6
 
 
 @dataclass
-class UnaryConstraint:
-    agent: AgentId
-    cost: Callable[[Value], float]
-
-
-@dataclass
 class BinaryConstraint:
     a: AgentId
     b: AgentId
-    cost: Callable[[Value, Value], float]
+    table: np.ndarray  # [position in domains[a], position in domains[b]]
 
 
 @dataclass
 class DcopProblem:
     agents: list
     domains: dict            # AgentId -> list[Value]
-    unary: list[UnaryConstraint] = field(default_factory=list)
+    unary: dict = field(default_factory=dict)   # AgentId -> np.ndarray
     binary: list[BinaryConstraint] = field(default_factory=list)
     sense: str = "min"       # "min" or "max"
+    # AgentId -> {value: position in its domain}
+    index: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise InputError(f"sense must be min or max, got {self.sense!r}")
         if len(set(self.agents)) != len(self.agents):
             raise InputError("duplicate agent ids")
+        self.index = {}
         for a in self.agents:
             dom = self.domains.get(a)
             if not dom:
                 raise InputError(f"agent {a!r} has an empty domain")
-        declared = set(self.agents)
-        for c in self.unary:
-            if c.agent not in declared:
-                raise InputError(f"unary constraint on undeclared agent {c.agent!r}")
+            self.index[a] = {v: i for i, v in enumerate(dom)}
+            if len(self.index[a]) != len(dom):
+                raise InputError(f"agent {a!r} has repeated domain values")
+        for a in self.unary:
+            if a not in self.index:
+                raise InputError(f"unary costs for undeclared agent {a!r}")
+        self.unary = {
+            a: _shaped(vec, (len(self.domains[a]),), f"unary[{a!r}]")
+            for a, vec in self.unary.items()
+        }
         for c in self.binary:
-            if c.a not in declared or c.b not in declared:
+            if c.a not in self.index or c.b not in self.index:
                 raise InputError("binary constraint on undeclared agent")
             if c.a == c.b:
                 raise InputError("binary constraint must join two distinct agents")
+            c.table = _shaped(
+                c.table, (len(self.domains[c.a]), len(self.domains[c.b])),
+                f"binary table {c.a!r}-{c.b!r}",
+            )
 
     def neighbors(self, agent: AgentId) -> list:
         seen = []
@@ -70,17 +81,39 @@ class DcopProblem:
         return seen
 
 
+def _shaped(costs, shape: tuple, what: str) -> np.ndarray:
+    arr = np.asarray(costs, dtype=float)
+    if arr.shape != shape:
+        raise InputError(f"{what} has shape {arr.shape}, domains need {shape}")
+    return arr
+
+
+def all_different_table(dom_a: list, dom_b: list, sense: str = "min") -> np.ndarray:
+    """Conflict table: the hard sentinel where both agents take one non-None
+    value, 0 elsewhere (None is an idle slot that never conflicts)."""
+    conflict = math.inf if sense == "min" else -math.inf
+    return np.array([
+        [conflict if va is not None and va == vb else 0.0 for vb in dom_b]
+        for va in dom_a
+    ])
+
+
 def total_cost(p: DcopProblem, assignment: Assignment) -> float:
     """Objective value of a complete assignment."""
+    pos = {}
     for a in p.agents:
         if a not in assignment:
             raise InputError(f"assignment missing agent {a!r}")
+        i = p.index[a].get(assignment[a])
+        if i is None:
+            raise InputError(f"{assignment[a]!r} is outside {a!r}'s domain")
+        pos[a] = i
     total = 0.0
-    for c in p.unary:
-        total += c.cost(assignment[c.agent])
+    for a, vec in p.unary.items():
+        total += vec[pos[a]]
     for c in p.binary:
-        total += c.cost(assignment[c.a], assignment[c.b])
-    return total
+        total += c.table[pos[c.a], pos[c.b]]
+    return float(total)
 
 
 def search_space(p: DcopProblem) -> int:

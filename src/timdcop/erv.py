@@ -3,10 +3,9 @@
 Each planning stage, free ERVs become DCOP agents. A candidate cell is either
 an open-incident cell (dispatch, weight w_d on the expected incident delay)
 or a forecast-ranked relocation cell (weight w_r on one minus the expected
-incident probability next stage). The pairwise constraint forbids two ERVs on
-one cell and otherwise adds the endpoints' weighted costs; with a complete
-constraint graph each unary term is counted n-1 times, which rescales the
-objective without moving the argmin.
+incident probability next stage). Each free ERV gets a unary cost vector over
+the candidate cells, and one shared all-different table on every pair forbids
+two ERVs on one cell.
 
 w_r defaults to 100x the largest current-stage dispatch cost so every open
 incident is served before any vehicle relocates.
@@ -19,11 +18,10 @@ delay uses the severity-averaged reference parameter set.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
-from .dcop import BinaryConstraint, DcopProblem, UnaryConstraint
-from .errors import InputError, ModelDomainError
+from .dcop import BinaryConstraint, DcopProblem, all_different_table
+from .errors import InputError
 from .forecast import DependencyKernel, PrimaryProbField, expected_probability
 from .incidents import Incident, TrafficParams, expected_delay, reference_params
 from .network import CellId, GridNetwork, travel_time
@@ -134,44 +132,6 @@ def _coverage_term(ctx: StageContext, cell: CellId,
     return total
 
 
-def lookahead_cost(ctx: StageContext, erv: ErvState,
-                   plan: tuple[CellId, ...]) -> float:
-    """Cost of an explicit position plan (d0, d1, ..., dh).
-
-    First element is priced like the stage-0 decision; each later element
-    adds probability-weighted expected delay for responding there from the
-    previous position. A leg that cannot be driven within one stage window is
-    infeasible. Stages where the vehicle is still busy contribute nothing and
-    pin the position in place.
-    """
-    if len(plan) != ctx.lookahead + 1:
-        raise InputError(
-            f"plan must have {ctx.lookahead + 1} positions, got {len(plan)}"
-        )
-    total = unary_cost(ctx, erv, plan[0])
-    pos = plan[0]
-    for t, cell in enumerate(plan[1:], start=1):
-        stage_time = ctx.stage_time + t * ctx.stage_gap
-        if not erv.is_free(stage_time):
-            if cell != pos:
-                raise ModelDomainError(
-                    f"{erv.id} is busy at stage +{t} and cannot move"
-                )
-            continue
-        hop = travel_time(ctx.net, pos, cell)
-        if hop > ctx.stage_gap + AVAIL_EPS:
-            raise ModelDomainError(
-                f"leg {pos}->{cell} needs {hop:.3f} h, above the "
-                f"{ctx.stage_gap:.3f} h stage window"
-            )
-        p = expected_probability(
-            ctx.field_, ctx.kernel, cell, ctx.stage_index + t
-        )
-        total += p * expected_delay(ctx.future_params, hop)
-        pos = cell
-    return total
-
-
 def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopProblem, StageContext]:
     """Stage DCOP for the free part of the fleet.
 
@@ -198,7 +158,7 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
             for t in range(1, ctx.lookahead + 1)
         ]
 
-    # price every (vehicle, cell) pair once; constraints then just look up
+    # a cell's look-ahead coverage is the same for every vehicle: price it once
     coverage = {cell: _coverage_term(ctx, cell, hotspots) for cell in domain} \
         if hotspots else {cell: 0.0 for cell in domain}
 
@@ -217,30 +177,22 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
         w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else ctx.w_d)
         resolved = replace(ctx, w_r=w_r)
 
-    cost_table: dict[tuple[str, CellId], float] = {}
-    for e in free:
-        for cell in domain:
-            cost_table[(e.id, cell)] = (
-                unary_cost(resolved, e, cell) + coverage[cell]
-            )
-
     agents = [e.id for e in free]
-    domains = {e.id: list(domain) for e in free}
-
-    problem = DcopProblem(agents=agents, domains=domains, sense="min")
-    if len(free) == 1:
-        eid = free[0].id
-        problem.unary.append(UnaryConstraint(
-            agent=eid, cost=lambda v, eid=eid: cost_table[(eid, v)]
-        ))
-    else:
-        for i, ea in enumerate(agents):
-            for eb in agents[i + 1:]:
-                def pair_cost(va, vb, ea=ea, eb=eb):
-                    if va == vb:
-                        return math.inf
-                    return cost_table[(ea, va)] + cost_table[(eb, vb)]
-                problem.binary.append(BinaryConstraint(a=ea, b=eb, cost=pair_cost))
+    unary = {
+        e.id: [unary_cost(resolved, e, cell) + coverage[cell] for cell in domain]
+        for e in free
+    }
+    conflict = all_different_table(domain, domain)
+    problem = DcopProblem(
+        agents=agents,
+        domains={eid: list(domain) for eid in agents},
+        unary=unary,
+        binary=[
+            BinaryConstraint(a=ea, b=eb, table=conflict)
+            for i, ea in enumerate(agents) for eb in agents[i + 1:]
+        ],
+        sense="min",
+    )
     return problem, resolved
 
 

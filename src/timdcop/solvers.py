@@ -1,25 +1,27 @@
-"""Synchronous local search over a DcopProblem: MGM and DSA-B.
+"""Synchronous local search over a DcopProblem: MGM and DSA.
 
 Both run the same barrier-round loop:
 
   1. seeded random initial assignment (conflict-avoiding when possible)
   2. agents exchange current values with neighbours
-  3. each agent computes its local cost under the snapshot
-  4. each agent scans its full domain for the best unilateral change
+  3. each agent computes its local cost vector under the snapshot: its unary
+     vector plus, for each binary table it is in, the column (or row) at the
+     neighbour's current value
+  4. its best unilateral change is the first lowest entry of that vector,
+     kept only when strictly better than its current value's entry
   5. move rule -- MGM: move iff own gain > 0 and strictly largest among
      neighbours (ties to the lowest agent id); DSA: move iff gain > 0 and
      an independent uniform draw falls below the activation threshold
   6. repeat for a fixed iteration count
 
-The DSA rule is labelled DSA-B (SolveTrace.variant == "dsa-b"), but it moves
-on a positive gain only, which is DSA-A's rule in Zhang et al. (2005). DSA-B
-also moves on a zero gain while the agent is in conflict, to an equal-cost
-alternative. On ERV stage problems that move cannot arise: an agent sharing a
-cell has infinite cost and a free cell to move to (the domain holds distinct
-cells, at least one per free vehicle), so its gain is positive. A probe of the
-100 stage problems of acceptance criterion 03 found 0 of 60,000 random
-agent-states, and 0 of the 27,000 states MGM and DSA(0.9) visit, with a zero
-gain and an equal-cost alternative.
+The DSA rule moves on a positive gain only, which is DSA-A's rule in Zhang et
+al. (2005). DSA-B also moves on a zero gain while the agent is in conflict, to
+an equal-cost alternative. On ERV stage problems that move cannot arise: an
+agent sharing a cell has infinite cost and a free cell to move to (the domain
+holds distinct cells, at least one per free vehicle), so its gain is positive.
+A probe of the 100 stage problems of acceptance criterion 03 found 0 of
+60,000 random agent-states, and 0 of the 27,000 states MGM and DSA(0.9)
+visit, with a zero gain and an equal-cost alternative.
 
 Moves within a round are computed against the same snapshot and applied
 together. The trace records the best-known objective after every round, so
@@ -28,10 +30,8 @@ assignment may oscillate but the reported best cannot.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class SolverConfig:
 @dataclass
 class SolveTrace:
     algorithm: str
-    variant: str                 # "mgm" | "dsa-b"
     sense: str
     best_costs: list[float]      # best-known objective after each round
     final_assignment: Assignment  # best assignment seen (the answer)
@@ -76,18 +75,6 @@ class SolveTrace:
     @property
     def final_cost(self) -> float:
         return self.best_costs[-1]
-
-
-def _local_tables(p: DcopProblem):
-    """Per-agent unary list and (constraint, other-agent, flipped) list."""
-    unary: dict[AgentId, list] = {a: [] for a in p.agents}
-    binary: dict[AgentId, list] = {a: [] for a in p.agents}
-    for c in p.unary:
-        unary[c.agent].append(c.cost)
-    for c in p.binary:
-        binary[c.a].append((c.cost, c.b, False))
-        binary[c.b].append((c.cost, c.a, True))
-    return unary, binary
 
 
 def _initial_assignment(
@@ -122,20 +109,18 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     flip = 1.0 if p.sense == "min" else -1.0
 
-    unary_of, binary_of = _local_tables(p)
     order = list(p.agents)
     # tie-break rank: position in the declared agent order (builders declare
     # agents sorted by id, so this is "lowest agent id")
     rank = {a: i for i, a in enumerate(order)}
     neighbors = {a: p.neighbors(a) for a in order}
-
-    def local(agent: AgentId, value: Value, snapshot: Assignment) -> float:
-        c = 0.0
-        for fn in unary_of[agent]:
-            c += fn(value)
-        for fn, other, flipped in binary_of[agent]:
-            c += fn(snapshot[other], value) if flipped else fn(value, snapshot[other])
-        return flip * c
+    # per agent: its unary vector, then (table with its values on the rows,
+    # other agent) for every binary constraint it is in, in declaration order
+    unary = {a: p.unary.get(a, np.zeros(len(p.domains[a]))) for a in order}
+    tables: dict[AgentId, list] = {a: [] for a in order}
+    for c in p.binary:
+        tables[c.a].append((c.table, c.b))
+        tables[c.b].append((c.table.T, c.a))
 
     current = _initial_assignment(p, rng)
     best_assignment = dict(current)
@@ -148,19 +133,24 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
 
     for _ in range(cfg.iterations):
         snapshot = dict(current)
+        pos = {a: p.index[a][snapshot[a]] for a in order}
         msgs = neighbor_count  # everyone broadcasts its value
 
         proposals: dict[AgentId, Value] = {}
         gains: dict[AgentId, float] = {}
         for a in order:
-            cur_cost = local(a, snapshot[a], snapshot)
-            best_val, best_cost = snapshot[a], cur_cost
-            for v in p.domains[a]:
-                c = local(a, v, snapshot)
-                if c < best_cost:
-                    best_val, best_cost = v, c
+            local = unary[a]
+            for table, other in tables[a]:
+                local = local + table[:, pos[other]]
+            local = flip * local
+            cur_cost = float(local[pos[a]])
+            j = int(np.argmin(local))
+            best_cost = float(local[j])
+            if best_cost < cur_cost:
+                proposals[a] = p.domains[a][j]
+            else:
+                proposals[a], best_cost = snapshot[a], cur_cost
             gains[a] = _gain(cur_cost, best_cost)
-            proposals[a] = best_val
 
         if cfg.algorithm == "mgm":
             msgs += neighbor_count  # gain broadcast round
@@ -195,7 +185,6 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
 
     return SolveTrace(
         algorithm=cfg.algorithm,
-        variant="dsa-b" if cfg.algorithm == "dsa" else "mgm",
         sense=p.sense,
         best_costs=best_costs,
         final_assignment=best_assignment,
@@ -204,55 +193,3 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
         round_messages=round_messages,
         messages=sum(round_messages),
     )
-
-
-def write_trace_csv(trace: SolveTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "best_cost", "moves", "messages"])
-        for i, (c, m, s) in enumerate(
-            zip(trace.best_costs, trace.moves, trace.round_messages), start=1
-        ):
-            w.writerow([i, repr(c), m, s])
-
-
-@dataclass
-class SolverStats:
-    label: str
-    final_costs: list[float]
-    mean: float
-    se: float
-
-
-def monte_carlo_compare(
-    problem_gen: Callable[[int], DcopProblem],
-    configs: list[SolverConfig],
-    trials: int,
-    seed: int = 0,
-) -> list[SolverStats]:
-    """Paired trials: every config solves the same generated instances.
-
-    Trial t uses problem_gen(seed + t) and one shared solver seed, so config
-    comparisons are paired sample by sample. Stats come back in config order
-    (labels may repeat; two identical configs yield identical statistics).
-    """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    costs: list[list[float]] = [[] for _ in configs]
-    for t in range(trials):
-        prob = problem_gen(seed + t)
-        solver_seed = seed * 1_000_003 + t
-        for i, cfg in enumerate(configs):
-            tr = solve(prob, replace(cfg, seed=solver_seed))
-            costs[i].append(tr.final_cost)
-    out: list[SolverStats] = []
-    for cfg, vals in zip(configs, costs):
-        arr = np.asarray(vals)
-        se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        out.append(SolverStats(
-            label=cfg.label,
-            final_costs=[float(x) for x in arr],
-            mean=float(arr.mean()),
-            se=se,
-        ))
-    return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcop import BinaryConstraint, DcopProblem, UnaryConstraint
+from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError, ModelDomainError
 from .network import CellId, GridNetwork, travel_time
 
@@ -86,30 +86,26 @@ def build_uav_problem(
     fleet = sorted(uavs, key=lambda u: u.id)
     cells = sorted(benefits)
 
-    util: dict[tuple[str, CellId | None], float] = {}
-    for u in fleet:
-        util[(u.id, None)] = 0.0
-        for c in cells:
-            util[(u.id, c)] = (
-                benefits[c] - benefit_per_hour * travel_time(net, u.cell, c)
-            )
-
+    domain = cells + [None]
     agents = [u.id for u in fleet]
-    domains = {u.id: list(cells) + [None] for u in fleet}
-    problem = DcopProblem(agents=agents, domains=domains, sense="max")
-    if len(fleet) == 1:
-        uid = fleet[0].id
-        problem.unary.append(UnaryConstraint(
-            agent=uid, cost=lambda v, uid=uid: util[(uid, v)]
-        ))
-    else:
-        for i, ua in enumerate(agents):
-            for ub in agents[i + 1:]:
-                def pair_util(va, vb, ua=ua, ub=ub):
-                    if va is not None and va == vb:
-                        return -math.inf
-                    return util[(ua, va)] + util[(ub, vb)]
-                problem.binary.append(BinaryConstraint(a=ua, b=ub, cost=pair_util))
+    unary = {
+        u.id: [
+            benefits[c] - benefit_per_hour * travel_time(net, u.cell, c)
+            for c in cells
+        ] + [0.0]
+        for u in fleet
+    }
+    conflict = all_different_table(domain, domain, sense="max")
+    problem = DcopProblem(
+        agents=agents,
+        domains={uid: list(domain) for uid in agents},
+        unary=unary,
+        binary=[
+            BinaryConstraint(a=ua, b=ub, table=conflict)
+            for i, ua in enumerate(agents) for ub in agents[i + 1:]
+        ],
+        sense="max",
+    )
     return problem
 
 

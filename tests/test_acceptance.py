@@ -19,7 +19,6 @@ from timdcop.cli import main as cli_main
 from timdcop.dcop import (
     BinaryConstraint,
     DcopProblem,
-    UnaryConstraint,
     brute_force_optimum,
     total_cost,
 )
@@ -58,22 +57,20 @@ def small_dcop(seed: int) -> DcopProblem:
                              replace=False).tolist())
         for a in agents
     }
-    p = DcopProblem(agents=agents, domains=domains, sense="min")
     uc = {(a, v): float(rng.uniform(0, 10)) for a in agents for v in domains[a]}
-    for a in agents:
-        p.unary.append(UnaryConstraint(agent=a, cost=lambda v, a=a: uc[(a, v)]))
+    unary = {a: [uc[(a, v)] for v in domains[a]] for a in agents}
+    binary = []
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
-            tbl = {
-                (va, vb): float(rng.uniform(0, 10))
-                for va in domains[a] for vb in domains[b]
-            }
-            def cost(va, vb, a=a, b=b, tbl=tbl):
-                if va == vb:
-                    return math.inf
-                return tbl[(va, vb)]
-            p.binary.append(BinaryConstraint(a=a, b=b, cost=cost))
-    return p
+            tbl = np.array([
+                [float(rng.uniform(0, 10)) for vb in domains[b]]
+                for va in domains[a]
+            ])
+            tbl[np.equal.outer(domains[a], domains[b])] = math.inf
+            binary.append(BinaryConstraint(a=a, b=b, table=tbl))
+    return DcopProblem(
+        agents=agents, domains=domains, unary=unary, binary=binary, sense="min"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from timdcop.dcop import (
     BinaryConstraint,
     DcopProblem,
-    UnaryConstraint,
+    all_different_table,
     brute_force_optimum,
     search_space,
     total_cost,
@@ -16,13 +17,17 @@ from timdcop.errors import CapExceededError, InputError
 
 
 def table_problem(costs: dict, agents, domains, sense="min") -> DcopProblem:
-    """Complete-graph problem over an explicit pairwise cost table."""
+    """Complete-graph problem: each pair table adds both endpoints' costs
+    and forbids equal values."""
     binary = []
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
-            def fn(va, vb, a=a, b=b):
-                return costs[(a, va)] + costs[(b, vb)] if va != vb else math.inf
-            binary.append(BinaryConstraint(a=a, b=b, cost=fn))
+            table = [
+                [costs[(a, va)] + costs[(b, vb)] if va != vb else math.inf
+                 for vb in domains]
+                for va in domains
+            ]
+            binary.append(BinaryConstraint(a=a, b=b, table=table))
     return DcopProblem(
         agents=list(agents),
         domains={a: list(domains) for a in agents},
@@ -52,8 +57,8 @@ def test_total_cost_sums_unary_and_binary():
     p = DcopProblem(
         agents=["a", "b"],
         domains={"a": [0, 1], "b": [0, 1]},
-        unary=[UnaryConstraint(agent="a", cost=lambda v: 10.0 * v)],
-        binary=[BinaryConstraint(a="a", b="b", cost=lambda va, vb: va + vb)],
+        unary={"a": [0.0, 10.0]},
+        binary=[BinaryConstraint(a="a", b="b", table=[[0.0, 1.0], [1.0, 2.0]])],
     )
     assert total_cost(p, {"a": 1, "b": 1}) == pytest.approx(12.0)
     assert total_cost(p, {"a": 0, "b": 1}) == pytest.approx(1.0)
@@ -62,21 +67,28 @@ def test_total_cost_sums_unary_and_binary():
 def test_total_cost_is_constraint_order_invariant():
     rng = random.Random(5)
     agents = ["a", "b", "c"]
-    unary = [UnaryConstraint(agent=a, cost=lambda v, s=rng.random(): s * v)
-             for a in agents]
+    vals = [1, 2, 3]
+    unary = []
+    for a in agents:
+        s = rng.random()
+        unary.append((a, [s * v for v in vals]))
+
+    def table(fn):
+        return [[fn(x, y) for y in vals] for x in vals]
+
     binary = [
-        BinaryConstraint(a="a", b="b", cost=lambda x, y: x * 2 + y),
-        BinaryConstraint(a="b", b="c", cost=lambda x, y: x - y),
-        BinaryConstraint(a="a", b="c", cost=lambda x, y: x + 3 * y),
+        BinaryConstraint(a="a", b="b", table=table(lambda x, y: x * 2 + y)),
+        BinaryConstraint(a="b", b="c", table=table(lambda x, y: x - y)),
+        BinaryConstraint(a="a", b="c", table=table(lambda x, y: x + 3 * y)),
     ]
     asg = {"a": 1, "b": 2, "c": 3}
-    p1 = DcopProblem(agents=agents, domains={a: [1, 2, 3] for a in agents},
-                     unary=list(unary), binary=list(binary))
+    p1 = DcopProblem(agents=agents, domains={a: list(vals) for a in agents},
+                     unary=dict(unary), binary=list(binary))
     shuffled_u, shuffled_b = list(unary), list(binary)
     rng.shuffle(shuffled_u)
     rng.shuffle(shuffled_b)
-    p2 = DcopProblem(agents=agents, domains={a: [1, 2, 3] for a in agents},
-                     unary=shuffled_u, binary=shuffled_b)
+    p2 = DcopProblem(agents=agents, domains={a: list(vals) for a in agents},
+                     unary=dict(shuffled_u), binary=shuffled_b)
     assert total_cost(p1, asg) == pytest.approx(total_cost(p2, asg))
 
 
@@ -87,8 +99,7 @@ def test_conflict_is_absorbing_in_both_senses():
         agents=["a", "b"],
         domains={"a": [0], "b": [0]},
         binary=[BinaryConstraint(
-            a="a", b="b",
-            cost=lambda va, vb: -math.inf if va == vb else 1.0,
+            a="a", b="b", table=all_different_table([0], [0], sense="max"),
         )],
         sense="max",
     )
@@ -123,9 +134,7 @@ def test_single_agent_unary_lifted_choice():
     p = DcopProblem(
         agents=["a"],
         domains={"a": ["c1", "c2"]},
-        unary=[UnaryConstraint(
-            agent="a", cost=lambda v: {"c1": 5.0, "c2": 3.0}[v]
-        )],
+        unary={"a": [5.0, 3.0]},
     )
     best, cost = brute_force_optimum(p)
     assert best == {"a": "c2"}
@@ -147,7 +156,7 @@ def test_maximize_sense_flips_the_comparison():
     p = DcopProblem(
         agents=["u"],
         domains={"u": [0, 1, 2]},
-        unary=[UnaryConstraint(agent="u", cost=lambda v: float(v))],
+        unary={"u": [0.0, 1.0, 2.0]},
         sense="max",
     )
     best, cost = brute_force_optimum(p)
@@ -183,24 +192,59 @@ def test_problem_validation():
     with pytest.raises(InputError):
         DcopProblem(
             agents=["a"], domains={"a": [0]},
-            unary=[UnaryConstraint(agent="ghost", cost=lambda v: 0.0)],
+            unary={"ghost": [0.0]},
         )
     with pytest.raises(InputError):
         DcopProblem(
             agents=["a", "b"], domains={"a": [0], "b": [0]},
-            binary=[BinaryConstraint(a="a", b="ghost", cost=lambda x, y: 0.0)],
+            binary=[BinaryConstraint(a="a", b="ghost", table=[[0.0]])],
         )
     with pytest.raises(InputError):
         DcopProblem(
             agents=["a", "b"], domains={"a": [0], "b": [0]},
-            binary=[BinaryConstraint(a="a", b="a", cost=lambda x, y: 0.0)],
+            binary=[BinaryConstraint(a="a", b="a", table=[[0.0]])],
         )
+
+
+def test_misshaped_tables_are_rejected():
+    doms = {"a": [0, 1], "b": [0, 1, 2]}
+    with pytest.raises(InputError):
+        DcopProblem(agents=["a", "b"], domains=doms, unary={"a": [0.0] * 3})
+    with pytest.raises(InputError):
+        DcopProblem(agents=["a", "b"], domains=doms,
+                    unary={"b": [[0.0, 1.0, 2.0]]})
+    with pytest.raises(InputError):
+        DcopProblem(
+            agents=["a", "b"], domains=doms,
+            binary=[BinaryConstraint(a="a", b="b", table=np.zeros((3, 2)))],
+        )
+    # the transpose of a table must name its agents the other way round
+    p = DcopProblem(
+        agents=["a", "b"], domains=doms,
+        binary=[BinaryConstraint(a="b", b="a", table=np.zeros((3, 2)))],
+    )
+    assert p.binary[0].table.shape == (3, 2)
+
+
+def test_repeated_domain_values_and_foreign_values_are_rejected():
+    with pytest.raises(InputError):
+        DcopProblem(agents=["a"], domains={"a": [1, 1]})
+    p = DcopProblem(agents=["a"], domains={"a": [0, 1]})
+    with pytest.raises(InputError):
+        total_cost(p, {"a": 2})
+
+
+def test_all_different_table_marks_equal_values_only():
+    t = all_different_table([3, 5, None], [5, None, 3])
+    assert t.shape == (3, 3)
+    assert t[0, 2] == t[1, 0] == math.inf
+    assert np.count_nonzero(t) == 2  # None never conflicts, even with None
+    assert all_different_table([1, None], [1, None], sense="max")[0, 0] == -math.inf
 
 
 def test_neighbors_come_from_binary_constraints():
     p = table_problem(
-        {("a", 0): 0.0, ("b", 0): 0.0, ("c", 0): 0.0},
-        ["a", "b", "c"], [0, 1],
+        {(a, v): 0.0 for a in "abc" for v in (0, 1)}, ["a", "b", "c"], [0, 1]
     )
     assert set(p.neighbors("a")) == {"b", "c"}
     solo = DcopProblem(agents=["a"], domains={"a": [0]})

@@ -1,4 +1,4 @@
-"""ERV stage problems: candidate pricing, look-ahead plans, fleet bookkeeping."""
+"""ERV stage problems: candidate pricing, look-ahead coverage, fleet bookkeeping."""
 import math
 from dataclasses import replace
 
@@ -13,11 +13,10 @@ from timdcop.erv import (
     build_erv_problem,
     forecast_hotspots,
     incident_at,
-    lookahead_cost,
     relocation_candidates,
     unary_cost,
 )
-from timdcop.errors import InputError, ModelDomainError
+from timdcop.errors import InputError
 from timdcop.forecast import DependencyKernel, PrimaryProbField, generate_field
 from timdcop.incidents import (
     Incident,
@@ -142,112 +141,56 @@ def test_incident_at_returns_oldest_then_lowest_id():
 # ------------------------------------------------------------- look-ahead
 
 
-def test_lookahead_zero_plan_equals_myopic_cost():
-    net = build_grid(3, 3, (0.4, 1.0), seed=2)
-    inc = incident("i0", 4)
-    ctx = make_ctx(net, incidents=[inc], w_r=500.0, lookahead=0)
-    erv = ErvState(id="e", cell=2)
-    for cell in (4, 0, 8):
-        assert lookahead_cost(ctx, erv, (cell,)) == pytest.approx(
-            unary_cost(ctx, erv, cell), rel=1e-12
+def coverage_of(problem, resolved, erv):
+    """Per candidate cell: the look-ahead share of the built unary costs."""
+    row = problem.unary[erv.id]
+    return {
+        cell: row[j] - unary_cost(resolved, erv, cell)
+        for j, cell in enumerate(problem.domains[erv.id])
+    }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_built_costs_add_expected_delay_to_forecast_hotspots(seed):
+    net = build_grid(4, 4, (0.3, 1.0), seed=seed)
+    field_ = generate_field(16, 6, seed=seed + 40)
+    inc = sample_incident("i0", 3, 5, 0.0, np.random.default_rng(seed))
+    erv = ErvState(id="e0", cell=0)
+    ctx = make_ctx(net, field_=field_, incidents=[inc], lookahead=2,
+                   relocation_k=4, stage_index=1)
+    problem, resolved = build_erv_problem(ctx, [erv])
+    hotspots = [
+        hit for t in (1, 2) for hit in forecast_hotspots(ctx, 1 + t, 4)
+    ]
+    assert hotspots
+    for cell, got in coverage_of(problem, resolved, erv).items():
+        want = sum(
+            p * expected_delay(reference_params(), travel_time(net, cell, c))
+            for c, p in hotspots
         )
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-
-def test_lookahead_with_empty_future_reduces_to_myopic_cost():
-    net = build_grid(3, 3, (0.2, 0.4), seed=1)
-    ctx = make_ctx(net, w_r=500.0, lookahead=2, stage_gap=1.0)
-    erv = ErvState(id="e", cell=0)
-    assert lookahead_cost(ctx, erv, (1, 1, 1)) == pytest.approx(
-        unary_cost(ctx, erv, 1), rel=1e-12
+    myopic, resolved0 = build_erv_problem(replace(ctx, lookahead=0), [erv])
+    assert all(
+        v == 0.0 for v in coverage_of(myopic, resolved0, erv).values()
     )
 
 
-def test_lookahead_plan_length_must_match_horizon():
-    net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    ctx = make_ctx(net, w_r=10.0, lookahead=2)
-    with pytest.raises(InputError):
-        lookahead_cost(ctx, ErvState(id="e", cell=0), (0, 1))
-
-
-def test_lookahead_rejects_moves_while_busy():
-    net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    ctx = make_ctx(net, w_r=10.0, lookahead=2, stage_gap=0.5)
-    busy = ErvState(id="e", cell=0, available_at=10.0)
-    with pytest.raises(ModelDomainError):
-        lookahead_cost(ctx, busy, (0, 1, 1))
-
-
-def test_lookahead_rejects_legs_longer_than_one_stage():
-    net = build_grid(2, 2, (1.0, 1.0), seed=0)
-    ctx = make_ctx(net, w_r=10.0, lookahead=2, stage_gap=0.5)
-    with pytest.raises(ModelDomainError):
-        # corner to corner needs 2.0 h against a 0.5 h window
-        lookahead_cost(ctx, ErvState(id="e", cell=0), (0, 3, 3))
-
-
-def test_lookahead_busy_stage_pins_position_without_cost():
-    net = build_grid(3, 3, (0.5, 0.5), seed=0)
-    values = np.zeros((4, 9))
-    values[1, :] = 0.5  # would be priced if the vehicle were free at +1
-    values[2, 1] = 0.8
-    ctx = make_ctx(
-        net, field_=PrimaryProbField(values=values),
-        w_r=10.0, lookahead=2, stage_gap=1.0,
-    )
-    # free again only at +2: stage +1 must pin, stage +2 prices the hop
-    erv = ErvState(id="e", cell=0, available_at=1.5)
-    got = lookahead_cost(ctx, erv, (0, 0, 1))
-    want = unary_cost(ctx, erv, 0) + 0.8 * expected_delay(
-        reference_params(), travel_time(net, 0, 1)
-    )
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_lookahead_prices_plans_toward_an_anticipated_hotspot():
+def test_coverage_is_cheaper_nearer_the_hotspot():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     values = np.zeros((3, 9))
     values[2, 4] = 0.9  # centre cell, two stages out
-    ctx = make_ctx(
-        net, field_=PrimaryProbField(values=values),
-        w_r=50.0, lookahead=2, stage_gap=1.0,
-    )
+    ctx = make_ctx(net, field_=PrimaryProbField(values=values),
+                   lookahead=2, relocation_k=3)
     erv = ErvState(id="e", cell=0)
-    ref = reference_params()
-
-    def oracle(plan):
-        total = 50.0  # zero next-stage probability everywhere
-        pos = plan[0]
-        for t, cell in enumerate(plan[1:], start=1):
-            hop = travel_time(net, pos, cell)
-            assert hop <= 1.0 + 1e-9
-            p = 0.9 if (t == 2 and cell == 4) else 0.0
-            total += p * expected_delay(ref, hop)
-            pos = cell
-        return total
-
-    feasible = [
-        (0, d1, d2)
-        for d1 in net.cells() if travel_time(net, 0, d1) <= 1.0 + 1e-9
-        for d2 in net.cells() if travel_time(net, d1, d2) <= 1.0 + 1e-9
-    ]
-    for plan in feasible:
-        assert lookahead_cost(ctx, erv, plan) == pytest.approx(
-            oracle(plan), rel=1e-12
-        )
-    # ending anywhere else never prices the hotspot
-    for plan in feasible:
-        if plan[2] != 4:
-            assert lookahead_cost(ctx, erv, plan) == pytest.approx(50.0)
-    # among hotspot-ending plans, a closer approach is strictly cheaper
-    arriving = sorted(
-        (lookahead_cost(ctx, erv, p), travel_time(net, p[1], 4), p)
-        for p in feasible if p[2] == 4
-    )
-    assert arriving[0][2] == (0, 4, 4)   # already there: zero-hop response
-    by_leg = {leg for _, leg, _ in arriving}
-    assert by_leg == {0.0, 0.5, 1.0}
-    costs = {leg: cost for cost, leg, _ in arriving}
-    assert costs[0.0] < costs[0.5] < costs[1.0]
+    problem, resolved = build_erv_problem(ctx, [erv])
+    # zero next-stage field: the candidates are the first cells by index
+    assert problem.domains["e"] == [0, 1, 2]
+    cover = coverage_of(problem, resolved, erv)
+    # cell 1 is one hop from the centre, cells 0 and 2 two hops
+    assert 0.0 < cover[1] < cover[0]
+    assert cover[0] == pytest.approx(cover[2])
+    assert cover[1] == pytest.approx(0.9 * expected_delay(reference_params(), 0.5))
 
 
 # ------------------------------------------------------------ stage DCOPs
@@ -281,6 +224,31 @@ def test_one_erv_two_incidents_takes_the_cheaper_delay():
         for i in (a, b)
     )[1]
     assert best == {"e0": want}
+
+
+@pytest.mark.parametrize("algorithm", ["mgm", "dsa"])
+def test_stage_objective_counts_each_vehicle_once(algorithm):
+    from timdcop.solvers import SolverConfig, solve
+
+    net = build_grid(3, 3, (0.3, 1.0), seed=8)
+    field_ = generate_field(9, 6, seed=19)
+    rng = np.random.default_rng(3)
+    incidents = [
+        sample_incident(f"i{j}", 2, c, 0.0, rng) for j, c in enumerate((2, 6))
+    ]
+    fleet = [ErvState(id=f"e{i}", cell=c) for i, c in enumerate((0, 4, 8))]
+    ctx = make_ctx(net, field_=field_, incidents=incidents)
+    problem, resolved = build_erv_problem(ctx, fleet)
+    assert len(problem.binary) == 3
+    trace = solve(problem, SolverConfig(algorithm, iterations=20, seed=1))
+    chosen = trace.final_assignment
+    assert len(set(chosen.values())) == 3
+    # lookahead 0: each unary entry is exactly the vehicle's myopic cost
+    want = sum(unary_cost(resolved, e, chosen[e.id]) for e in fleet)
+    assert trace.final_cost == pytest.approx(want, rel=1e-12)
+    assert trace.final_cost == sum(
+        problem.unary[e.id][problem.index[e.id][chosen[e.id]]] for e in fleet
+    )
 
 
 def test_idle_fleet_spreads_over_top_probability_cells():

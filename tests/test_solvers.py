@@ -1,5 +1,4 @@
-"""Local search: move rules, anytime property, determinism, statistics."""
-import csv
+"""Local search: move rules, anytime property, determinism."""
 import math
 import random
 
@@ -8,17 +7,11 @@ import pytest
 from timdcop.dcop import (
     BinaryConstraint,
     DcopProblem,
-    UnaryConstraint,
     brute_force_optimum,
     total_cost,
 )
 from timdcop.errors import InputError
-from timdcop.solvers import (
-    SolverConfig,
-    monte_carlo_compare,
-    solve,
-    write_trace_csv,
-)
+from timdcop.solvers import SolverConfig, solve
 
 
 def random_table_problem(seed: int, n_agents=3, n_values=4) -> DcopProblem:
@@ -28,15 +21,16 @@ def random_table_problem(seed: int, n_agents=3, n_values=4) -> DcopProblem:
     binary = []
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
-            def fn(va, vb, a=a, b=b):
-                return math.inf if va == vb else costs[(a, va)] + costs[(b, vb)]
-            binary.append(BinaryConstraint(a=a, b=b, cost=fn))
+            table = [
+                [math.inf if va == vb else costs[(a, va)] + costs[(b, vb)]
+                 for vb in range(n_values)]
+                for va in range(n_values)
+            ]
+            binary.append(BinaryConstraint(a=a, b=b, table=table))
     if n_agents == 1:
         return DcopProblem(
             agents=agents, domains={agents[0]: list(range(n_values))},
-            unary=[UnaryConstraint(
-                agent=agents[0], cost=lambda v: costs[(agents[0], v)]
-            )],
+            unary={agents[0]: [costs[(agents[0], v)] for v in range(n_values)]},
         )
     return DcopProblem(
         agents=agents,
@@ -50,10 +44,7 @@ def forced_collision_problem() -> DcopProblem:
     return DcopProblem(
         agents=["b", "a"],
         domains={"b": ["c1", "c2"], "a": ["c1"]},
-        binary=[BinaryConstraint(
-            a="b", b="a",
-            cost=lambda vb, va: math.inf if vb == va else 1.0,
-        )],
+        binary=[BinaryConstraint(a="b", b="a", table=[[math.inf], [1.0]])],
     )
 
 
@@ -73,6 +64,22 @@ def test_conflict_escape(algorithm, seed):
     assert math.isfinite(trace.best_costs[-1])
     assert trace.final_assignment == {"b": "c2", "a": "c1"}
     assert trace.final_cost == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("algorithm", ["mgm", "dsa"])
+def test_lone_agent_moves_to_the_first_cheapest_value(algorithm):
+    p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
+                    unary={"a": [3.0, 1.0, 2.0, 1.0]})
+    # seed 4 starts at "y"; the tied best values are "x" and "z"
+    trace = solve(p, SolverConfig(algorithm, iterations=3, dsa_threshold=1.0,
+                                  seed=4))
+    assert trace.moves == [1, 0, 0]
+    assert trace.last_assignment == {"a": "x"}
+    assert trace.final_cost == 1.0
+    # a value tied with the best never moves: "z" stays put under seed 0
+    stay = solve(p, SolverConfig(algorithm, iterations=3, dsa_threshold=1.0,
+                                 seed=0))
+    assert stay.moves == [0, 0, 0] and stay.last_assignment == {"a": "z"}
 
 
 def test_dsa_threshold_zero_never_moves():
@@ -148,10 +155,10 @@ def test_maximize_problems_are_searched_uphill():
     p = DcopProblem(
         agents=["u", "v"],
         domains={"u": [0, 1, 2], "v": [0, 1, 2]},
-        binary=[BinaryConstraint(
-            a="u", b="v",
-            cost=lambda a, b: -math.inf if a == b else float(a + 2 * b),
-        )],
+        binary=[BinaryConstraint(a="u", b="v", table=[
+            [-math.inf if a == b else float(a + 2 * b) for b in range(3)]
+            for a in range(3)
+        ])],
         sense="max",
     )
     trace = solve(p, SolverConfig("dsa", iterations=25, seed=4))
@@ -182,12 +189,10 @@ def test_trace_metadata_and_length():
     p = random_table_problem(1)
     trace = solve(p, SolverConfig("dsa", iterations=9, dsa_threshold=0.5, seed=2))
     assert trace.algorithm == "dsa"
-    assert trace.variant == "dsa-b"
     assert trace.sense == "min"
     assert len(trace.best_costs) == 9
     assert len(trace.moves) == 9
     assert len(trace.round_messages) == 9
-    assert solve(p, SolverConfig("mgm", iterations=3, seed=0)).variant == "mgm"
 
 
 def test_identical_seeds_give_bit_identical_traces():
@@ -221,69 +226,3 @@ def test_config_validation():
         SolverConfig("mgm", iterations=0)
     with pytest.raises(InputError):
         SolverConfig("dsa", dsa_threshold=1.0001, seed=0)
-
-
-# ------------------------------------------------------------- CSV export
-
-
-def test_trace_csv_round_trips_exactly(tmp_path):
-    p = random_table_problem(2)
-    trace = solve(p, SolverConfig("dsa", iterations=6, seed=9))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "best_cost", "moves", "messages"]
-    assert len(rows) == 7
-    for i, row in enumerate(rows[1:]):
-        assert int(row[0]) == i + 1
-        assert float(row[1]) == trace.best_costs[i]  # repr() round-trip
-        assert int(row[2]) == trace.moves[i]
-        assert int(row[3]) == trace.round_messages[i]
-
-
-# -------------------------------------------------------------- Monte Carlo
-
-
-def test_monte_carlo_pairs_trials_across_configs():
-    calls = []
-
-    def gen(seed):
-        calls.append(seed)
-        return random_table_problem(seed)
-
-    stats = monte_carlo_compare(
-        gen,
-        [SolverConfig("mgm"), SolverConfig("dsa", dsa_threshold=0.9)],
-        trials=5,
-        seed=100,
-    )
-    assert calls == [100, 101, 102, 103, 104]  # one instance per trial, shared
-    assert [s.label for s in stats] == ["mgm", "dsa-0.9"]
-    assert all(len(s.final_costs) == 5 for s in stats)
-
-
-def test_monte_carlo_identical_configs_identical_statistics():
-    cfg = SolverConfig("dsa", iterations=15, dsa_threshold=0.6)
-    one, two = monte_carlo_compare(
-        random_table_problem, [cfg, cfg], trials=1, seed=7
-    )
-    assert one.final_costs == two.final_costs
-    assert one.mean == two.mean
-    assert one.se == 0.0 and two.se == 0.0
-
-
-def test_monte_carlo_statistics_formulas():
-    stats, = monte_carlo_compare(
-        random_table_problem, [SolverConfig("mgm")], trials=8, seed=3
-    )
-    vals = stats.final_costs
-    mean = sum(vals) / len(vals)
-    var = sum((x - mean) ** 2 for x in vals) / (len(vals) - 1)
-    assert stats.mean == pytest.approx(mean)
-    assert stats.se == pytest.approx((var / len(vals)) ** 0.5)
-
-
-def test_monte_carlo_rejects_zero_trials():
-    with pytest.raises(InputError):
-        monte_carlo_compare(random_table_problem, [SolverConfig("mgm")], trials=0)
