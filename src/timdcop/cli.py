@@ -4,8 +4,8 @@ Every invocation writes a manifest next to its outputs with the fully
 resolved scenario and settings (no paths, no timestamps), so re-running from
 the manifest reproduces every output file byte for byte.
 
-Exit codes: 0 success, 1 model-domain error, 2 bad input, 3 search cap
-exceeded.
+Exit codes: 0 success, 1 model-domain error, 2 bad input, 3 search cap or
+stage-loop bound exceeded.
 """
 from __future__ import annotations
 

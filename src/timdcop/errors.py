@@ -15,4 +15,5 @@ class InputError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive search would exceed its configured evaluation cap."""
+    """A search or loop would exceed its bound: the exact baseline's
+    evaluation cap, or a policy's stage-loop bound."""

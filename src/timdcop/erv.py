@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError
 from .forecast import DependencyKernel, PrimaryProbField, expected_probability
@@ -64,6 +66,9 @@ class StageContext:
     relocation_k: int = DEFAULT_RELOCATION_K
     stage_gap: float = 0.5       # hours between request stages
     future_params: TrafficParams | None = None  # None -> reference set
+    _rows: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.w_d <= 0:
@@ -74,6 +79,15 @@ class StageContext:
             raise InputError("lookahead must be 0, 1 or 2")
         if self.future_params is None:
             self.future_params = reference_params()
+
+    def expected_row(self, stage: int) -> np.ndarray:
+        """Expected incident probability of every cell at a stage (memoized)."""
+        row = self._rows.get(stage)
+        if row is None:
+            row = self._rows[stage] = expected_probability(
+                self.field_, self.kernel, stage
+            )
+        return row
 
 
 def incident_at(ctx: StageContext, cell: CellId) -> Incident | None:
@@ -92,7 +106,7 @@ def unary_cost(ctx: StageContext, erv: ErvState, cell: CellId) -> float:
     if inc is not None:
         response = travel_time(ctx.net, erv.cell, cell)
         return ctx.w_d * expected_delay(inc.params, response)
-    p = expected_probability(ctx.field_, ctx.kernel, cell, ctx.stage_index + 1)
+    p = float(ctx.expected_row(ctx.stage_index + 1)[cell])
     return ctx.w_r * (1.0 - p)
 
 
@@ -102,23 +116,15 @@ def relocation_candidates(ctx: StageContext, k: int) -> list[CellId]:
     Ties break toward the lower cell index so candidate sets are stable.
     """
     occupied = {i.location for i in ctx.open_incidents if not i.cleared}
-    scored = [
-        (-expected_probability(ctx.field_, ctx.kernel, c, ctx.stage_index + 1), c)
-        for c in ctx.net.cells()
-        if c not in occupied
-    ]
-    scored.sort()
-    return [c for _, c in scored[:k]]
+    ranked = np.argsort(-ctx.expected_row(ctx.stage_index + 1), kind="stable")
+    return [c for c in ranked.tolist() if c not in occupied][:k]
 
 
 def forecast_hotspots(ctx: StageContext, stage: int, k: int) -> list[tuple[CellId, float]]:
-    """Top-k (cell, probability) pairs for a future stage."""
-    scored = [
-        (-expected_probability(ctx.field_, ctx.kernel, c, stage), c)
-        for c in ctx.net.cells()
-    ]
-    scored.sort()
-    return [(c, -negp) for negp, c in scored[:k] if -negp > 0.0]
+    """Top-k (cell, probability) pairs for a future stage, ties to the lower cell."""
+    row = ctx.expected_row(stage)
+    top = np.argsort(-row, kind="stable")[:k].tolist()
+    return [(c, p) for c, p in zip(top, row[top].tolist()) if p > 0.0]
 
 
 def _coverage_term(ctx: StageContext, cell: CellId,
@@ -176,6 +182,7 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
                 worst = max(worst, c)
         w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else ctx.w_d)
         resolved = replace(ctx, w_r=w_r)
+        resolved._rows = ctx._rows  # same world and stage: share the memo
 
     agents = [e.id for e in free]
     unary = {

@@ -10,12 +10,14 @@ stages later. The expected probability at (k, u) is
                         + sum_j delta[(j, 2, k)] * pr_p[j, u-2])
 
 Stages outside the field horizon contribute zero (no history before stage 0,
-nothing anticipated past the horizon).
+nothing anticipated past the horizon). `expected_probability` returns the
+whole row of a stage at once, as array operations over the kernel's padded
+per-target layout.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +58,9 @@ class DependencyKernel:
     """
 
     delta: dict[tuple[CellId, int, CellId], float] = field(default_factory=dict)
+    _layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for (j, lag, k), v in self.delta.items():
@@ -63,13 +68,36 @@ class DependencyKernel:
                 raise InputError(f"kernel lag must be 1 or 2, got {lag}")
             if v < 0:
                 raise InputError(f"negative kernel ratio at ({j},{lag},{k})")
-        # target -> [(source, lag, ratio)] for fast lookup
-        self._by_target: dict[CellId, list[tuple[CellId, int, float]]] = {}
-        for (j, lag, k), v in self.delta.items():
-            self._by_target.setdefault(k, []).append((j, lag, v))
+            if j < 0 or k < 0:
+                raise InputError(f"negative kernel cell at ({j},{lag},{k})")
 
-    def incoming(self, k: CellId) -> list[tuple[CellId, int, float]]:
-        return self._by_target.get(k, [])
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Padded (slot, target) arrays of source, lag - 1 and ratio.
+
+        Slot s of column k holds target k's s-th incoming entry in delta
+        insertion order; a target with fewer entries is padded with ratio 0
+        from source 0. Built on first use, so worlds that never forecast
+        (the conventional policy) do not pay for it.
+        """
+        if self._layout is None:
+            n = len(self.delta)
+            j, lag, k = np.fromiter(
+                chain.from_iterable(self.delta), dtype=np.intp, count=3 * n
+            ).reshape(n, 3).T
+            # slot of each entry: its rank among the entries of its target
+            order = np.argsort(k, kind="stable")
+            rank = np.arange(n) - np.searchsorted(k[order], k[order])
+            slot = np.empty_like(rank)
+            slot[order] = rank
+            shape = (int(slot.max(initial=-1)) + 1, int(k.max(initial=-1)) + 1)
+            src = np.zeros(shape, dtype=np.intp)
+            lag2 = np.zeros(shape, dtype=np.intp)  # 1 at lag 2, 0 at lag 1
+            ratio = np.zeros(shape)
+            src[slot, k] = j
+            lag2[slot, k] = lag - 1
+            ratio[slot, k] = np.fromiter(self.delta.values(), dtype=float, count=n)
+            self._layout = (src, lag2, ratio)
+        return self._layout
 
 
 @dataclass(frozen=True)
@@ -117,46 +145,28 @@ def generate_field(
 def expected_probability(
     fld: PrimaryProbField,
     kernel: DependencyKernel,
-    cell: CellId,
     stage: int,
-) -> float:
-    """Primary plus lagged secondary probability at (cell, stage), capped at 1."""
+) -> np.ndarray:
+    """Primary plus lagged secondary probability of every cell at `stage`,
+    capped at 1.
+
+    Each cell's terms are added in delta insertion order, one kernel slot at
+    a time, so the sums are those of the scalar formula bit for bit; a
+    padding slot adds 0.0 * p = +0.0, which leaves a non-negative sum as it is.
+    """
     if stage < 0:
         raise InputError(f"stage must be >= 0, got {stage}")
-    total = fld.prob(cell, stage)
-    for j, lag, ratio in kernel.incoming(cell):
-        total += ratio * fld.prob(j, stage - lag)
-    return min(1.0, total)
 
+    def primary(u: int) -> np.ndarray:
+        if 0 <= u < fld.stages:
+            return fld.values[u]
+        return np.zeros(fld.cells)
 
-def to_json(fld: PrimaryProbField, kernel: DependencyKernel) -> str:
-    payload = {
-        "stages": fld.stages,
-        "cells": fld.cells,
-        "pr_p": [[float(v) for v in row] for row in fld.values],
-        "delta": [
-            {"j": j, "lag": lag, "k": k, "value": v}
-            for (j, lag, k), v in sorted(kernel.delta.items())
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def from_json(text: str) -> tuple[PrimaryProbField, DependencyKernel]:
-    try:
-        payload = json.loads(text)
-        vals = np.asarray(payload["pr_p"], dtype=float)
-        entries = payload["delta"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad forecast JSON: {exc}") from exc
-    if vals.ndim != 2:
-        raise InputError("pr_p must be a stages x cells matrix")
-    if np.any(vals < 0) or np.any(vals > 1):
-        raise InputError("pr_p entries must lie in [0, 1]")
-    delta = {}
-    for e in entries:
-        try:
-            delta[(int(e["j"]), int(e["lag"]), int(e["k"]))] = float(e["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad kernel entry {e!r}: {exc}") from exc
-    return PrimaryProbField(values=vals), DependencyKernel(delta=delta)
+    total = primary(stage).astype(float)
+    history = np.stack([primary(stage - 1), primary(stage - 2)])
+    src, lag2, ratio = kernel.layout()
+    cells = min(fld.cells, ratio.shape[1])
+    src, lag2, ratio = src[:, :cells], lag2[:, :cells], ratio[:, :cells]
+    for s in range(ratio.shape[0]):
+        total[:cells] += ratio[s] * history[lag2[s], src[s]]
+    return np.minimum(total, 1.0)

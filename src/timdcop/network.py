@@ -2,16 +2,18 @@
 
 Cells are indexed row-major: cell = row * cols + col. Links exist between
 horizontal and vertical neighbours only, weighted by free-flow travel time
-in hours. Shortest-path travel times are computed with Dijkstra and cached
-per source cell; the network is immutable after construction.
+in hours. Shortest-path travel times come in whole rows, one per source
+cell, computed lazily with scipy's Dijkstra over one CSR graph that holds
+every link in both directions; rows and graph are cached on the network,
+which is immutable after construction.
 """
 from __future__ import annotations
 
-import heapq
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
 
@@ -37,6 +39,7 @@ class GridNetwork:
     _dist_cache: dict[CellId, list[float]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _graph: csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_cells(self) -> int:
@@ -57,9 +60,6 @@ class GridNetwork:
         if c < self.cols - 1:
             out.append(cell + 1)
         return out
-
-    def edge(self, a: CellId, b: CellId) -> float:
-        return self.edge_time[(a, b) if a < b else (b, a)]
 
 
 def build_grid(
@@ -94,19 +94,27 @@ def build_grid(
 
 
 def _dijkstra(net: GridNetwork, source: CellId) -> list[float]:
-    dist = [float("inf")] * net.n_cells
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v in net.neighbors(u):
-            nd = d + net.edge(u, v)
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    if net._graph is None:
+        # both directions stored, so scipy runs directed with no symmetrizing
+        ends = np.array(list(net.edge_time), dtype=np.intp)
+        both = np.concatenate([ends, ends[:, ::-1]])
+        times = np.tile(np.fromiter(net.edge_time.values(), dtype=float), 2)
+        net._graph = csr_matrix((times, (both[:, 0], both[:, 1])),
+                                shape=(net.n_cells, net.n_cells))
+    return dijkstra(net._graph, directed=True, indices=source).tolist()
+
+
+def travel_row(net: GridNetwork, source: CellId) -> list[float]:
+    """Shortest-path travel times in hours from one cell to every cell.
+
+    The row is cached on the network; callers must not mutate it.
+    """
+    if not 0 <= source < net.n_cells:
+        raise InputError(f"cell out of range: {source} (grid has {net.n_cells} cells)")
+    row = net._dist_cache.get(source)
+    if row is None:
+        row = net._dist_cache[source] = _dijkstra(net, source)
+    return row
 
 
 def travel_time(net: GridNetwork, a: CellId, b: CellId) -> float:
@@ -116,31 +124,7 @@ def travel_time(net: GridNetwork, a: CellId, b: CellId) -> float:
         raise InputError(f"cell out of range: {a}, {b} (grid has {n} cells)")
     if a == b:
         return 0.0
-    row = net._dist_cache.get(a)
+    row = net._dist_cache.get(a)  # the hot path skips a call into travel_row
     if row is None:
-        row = _dijkstra(net, a)
-        net._dist_cache[a] = row
+        row = travel_row(net, a)
     return row[b]
-
-
-def to_json(net: GridNetwork) -> str:
-    payload = {
-        "rows": net.rows,
-        "cols": net.cols,
-        "edges": [[a, b, t] for (a, b), t in sorted(net.edge_time.items())],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def from_json(text: str) -> GridNetwork:
-    try:
-        payload = json.loads(text)
-        rows, cols = int(payload["rows"]), int(payload["cols"])
-        edges = payload["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad network JSON: {exc}") from exc
-    edge_time = {(int(a), int(b)): float(t) for a, b, t in edges}
-    net = GridNetwork(rows=rows, cols=cols, edge_time=edge_time)
-    if len(edge_time) != 2 * rows * cols - rows - cols:
-        raise InputError("network JSON does not describe a full grid")
-    return net

@@ -54,7 +54,7 @@ from .incidents import (
     expected_delay,
     sample_incident,
 )
-from .network import GridNetwork, build_grid, travel_time
+from .network import GridNetwork, build_grid, travel_row, travel_time
 from .solvers import SolverConfig, solve
 from .uav import (
     AssimilationRecord,
@@ -116,6 +116,10 @@ class Scenario:
             raise InputError("schedule must be a non-empty tuple of counts >= 0")
         if not (0.0 <= self.forecast_signal <= 1.0):
             raise InputError("forecast_signal must lie in [0, 1]")
+        if self.lookahead not in (0, 1, 2):
+            raise InputError(f"lookahead must be 0, 1 or 2, got {self.lookahead}")
+        if not self.kappa > 0:
+            raise InputError(f"kappa must be positive, got {self.kappa}")
 
 
 @dataclass
@@ -248,8 +252,19 @@ def _finish(policy: str, sc: Scenario, stages, outcomes, records,
 
 
 def _stage_guard(sc: Scenario, world: World) -> int:
-    # generous livelock bound: every incident must be served long before this
-    return len(sc.schedule) + 200 + 80 * len(world.incidents)
+    """Livelock bound on the stage loop, from the world.
+
+    A shortest path crosses at most rows + cols - 2 links, each no slower
+    than the top of the edge range. Even one vehicle serving incidents one
+    at a time after the last request spends at most a leg already under
+    way, a leg to the incident, the largest clearance and a leg back (or a
+    relocation) per incident, plus the wait for the next stage.
+    """
+    leg = (sc.rows + sc.cols - 2) * sc.edge_time_range[1]
+    clearance = max((i.params.clearance for i in world.incidents), default=0.0)
+    per_incident = math.ceil((2 * leg + clearance) / sc.stage_gap) + 1
+    return (len(sc.schedule) + math.ceil(leg / sc.stage_gap)
+            + per_incident * len(world.incidents))
 
 
 def _fresh_incidents(w: World) -> list[Incident]:
@@ -286,7 +301,7 @@ def run_proactive(sc: Scenario, world: World | None = None) -> RunResult:
     # then keep draining until every incident is served
     while pending or open_inc or stage < len(sc.schedule):
         if stage > guard:
-            raise RuntimeError(
+            raise CapExceededError(
                 f"stage loop failed to drain after {guard} stages"
             )
         t = stage * sc.stage_gap
@@ -421,7 +436,7 @@ def run_conventional(sc: Scenario, world: World | None = None) -> RunResult:
     guard = _stage_guard(sc, w)
     while pending or open_inc or stage < len(sc.schedule):
         if stage > guard:
-            raise RuntimeError(
+            raise CapExceededError(
                 f"stage loop failed to drain after {guard} stages"
             )
         t = stage * sc.stage_gap
@@ -499,10 +514,7 @@ def run_opt(sc: Scenario, world: World | None = None,
 
     # travel rows for every position the search can reach
     sources = set(w.erv_cells) | {i.location for i in incidents}
-    tt = {
-        src: [travel_time(w.net, src, dst) for dst in range(w.net.n_cells)]
-        for src in sources
-    }
+    tt = {src: travel_row(w.net, src) for src in sources}
     tt_np = {src: np.asarray(row) for src, row in tt.items()}
 
     # delay_i(response) = max(0, coef_i * ((response + clr_i)^2 + var_i))

@@ -165,6 +165,46 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [{"lookahead": 3}, {"kappa": 0.0}])
+def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"seed": 1, "schedule": [2, 2], **bad}))
+    out = tmp_path / "o"
+    assert main([
+        "run", "--scenario", str(path),
+        "--policy", "conventional", "--policy", "pdronetim", "--out", str(out),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_short_stage_gap_drains(tmp_path):
+    # one vehicle, five requests, a stage every 36 s: thousands of stages
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({
+        "seed": 1, "schedule": [5], "fleet": {"ervs": 1}, "stage_gap_h": 0.01,
+    }))
+    out = tmp_path / "o"
+    assert main([
+        "run", "--scenario", str(path),
+        "--policy", "conventional,pdronetim", "--out", str(out),
+    ]) == 0
+    for policy in ("conventional", "pdronetim"):
+        result = json.loads((out / f"{policy}_result.json").read_text())
+        assert len(result["incidents"]) == 5
+        assert len(result["stages"]) > 100
+
+
+def test_stage_loop_guard_breach_exits_3(tiny_scenario, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.setattr(scenarios, "_stage_guard", lambda sc, world: 0)
+    assert main([
+        "run", "--scenario", str(tiny_scenario),
+        "--policy", "pdronetim", "--out", str(tmp_path / "o"),
+    ]) == 3
+    assert "failed to drain" in capsys.readouterr().err
+
+
 def test_model_domain_error_exits_1(tiny_scenario, tmp_path, monkeypatch, capsys):
     def explode(*a, **kw):
         raise ModelDomainError("belief variance went negative")

@@ -115,6 +115,8 @@ def test_relocation_candidates_rank_ties_and_exclusions():
     assert relocation_candidates(ctx, 2) == [7, 2]
     # zero-probability tail falls back to index order
     assert relocation_candidates(ctx, 5) == [7, 2, 5, 0, 1]
+    # plain ints, not numpy scalars: cells end up in the output files
+    assert all(type(c) is int for c in relocation_candidates(ctx, 9))
 
 
 def test_forecast_hotspots_drop_zero_probability_cells():
@@ -124,6 +126,19 @@ def test_forecast_hotspots_drop_zero_probability_cells():
     ctx = make_ctx(net, field_=PrimaryProbField(values=values), w_r=10.0)
     assert forecast_hotspots(ctx, 2, 4) == [(1, 0.3)]
     assert forecast_hotspots(ctx, 1, 4) == []
+    [(c, p)] = forecast_hotspots(ctx, 2, 4)
+    assert type(c) is int and type(p) is float
+
+
+def test_stage_rows_are_computed_once_per_context_and_shared_on_resolve():
+    net = build_grid(3, 3, (0.5, 0.5), seed=0)
+    field_ = generate_field(net.n_cells, 5, seed=4)
+    ctx = make_ctx(net, field_=field_, incidents=[incident("i0", 8)],
+                   lookahead=2)
+    _, resolved = build_erv_problem(ctx, [ErvState(id="e0", cell=0)])
+    assert sorted(ctx._rows) == [1, 2]  # next stage and the look-ahead stage
+    assert resolved._rows is ctx._rows
+    assert ctx.expected_row(1) is ctx._rows[1]
 
 
 def test_incident_at_returns_oldest_then_lowest_id():

@@ -1,6 +1,4 @@
-"""Forecast field and dependency kernel: brute-force oracle, bounds, JSON."""
-import json
-
+"""Forecast field and dependency kernel: brute-force oracle, bounds."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +11,7 @@ from timdcop.forecast import (
     PrimaryProbField,
     default_kernel,
     expected_probability,
-    from_json,
     generate_field,
-    to_json,
 )
 from timdcop.network import build_grid
 
@@ -39,6 +35,18 @@ def probability_oracle(values, delta, cell, stage) -> float:
     return min(1.0, total)
 
 
+def assert_matches_oracle(values, delta, stages):
+    fld = PrimaryProbField(values=values)
+    kernel = DependencyKernel(delta=delta)
+    raw = [list(map(float, row)) for row in values]
+    for stage in range(stages):
+        row = expected_probability(fld, kernel, stage)
+        assert row.shape == (fld.cells,)
+        for cell in range(fld.cells):
+            # both sum in delta insertion order: equal to the last bit
+            assert row[cell] == probability_oracle(raw, delta, cell, stage)
+
+
 def test_matches_oracle_on_random_five_cell_world():
     rng = np.random.default_rng(8)
     values = rng.uniform(0.0, 0.3, size=(6, 5))
@@ -47,14 +55,11 @@ def test_matches_oracle_on_random_five_cell_world():
         j, k = (int(x) for x in rng.integers(0, 5, 2))
         lag = int(rng.integers(1, 3))
         delta[(j, lag, k)] = float(rng.uniform(0.0, 0.8))
-    fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel(delta=delta)
-    raw = [list(map(float, row)) for row in values]
-    for stage in range(8):  # includes stages past the horizon
-        for cell in range(5):
-            assert expected_probability(fld, kernel, cell, stage) == pytest.approx(
-                probability_oracle(raw, delta, cell, stage), rel=1e-12, abs=1e-15
-            )
+    assert_matches_oracle(values, delta, 8)  # includes stages past the horizon
+    # the default kernel: up to eight incoming entries per cell
+    net = build_grid(6, 6, seed=3)
+    values = np.random.default_rng(9).uniform(0.0, 0.4, size=(4, net.n_cells))
+    assert_matches_oracle(values, default_kernel(net).delta, 6)
 
 
 def test_zero_kernel_returns_primary_probability():
@@ -63,7 +68,7 @@ def test_zero_kernel_returns_primary_probability():
     kernel = DependencyKernel()
     for stage in range(3):
         for cell in range(2):
-            assert expected_probability(fld, kernel, cell, stage) == pytest.approx(
+            assert expected_probability(fld, kernel, stage)[cell] == pytest.approx(
                 float(values[stage, cell])
             )
 
@@ -73,14 +78,14 @@ def test_worked_secondary_contribution():
     values = np.array([[0.2, 0.0], [0.0, 0.1]])
     fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(delta={(0, 1, 1): 0.5})
-    assert expected_probability(fld, kernel, 1, 1) == pytest.approx(0.2)
+    assert expected_probability(fld, kernel, 1)[1] == pytest.approx(0.2)
 
 
 def test_probability_caps_at_one():
     values = np.array([[0.9, 0.9], [0.9, 0.9]])
     fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(delta={(0, 1, 1): 5.0})
-    assert expected_probability(fld, kernel, 1, 1) == 1.0
+    assert expected_probability(fld, kernel, 1)[1] == 1.0
 
 
 def test_missing_history_counts_as_zero():
@@ -88,7 +93,7 @@ def test_missing_history_counts_as_zero():
     fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(delta={(0, 1, 1): 0.9, (0, 2, 1): 0.9})
     # stage 0: both lags reach before the horizon -> only the primary term
-    assert expected_probability(fld, kernel, 1, 0) == pytest.approx(0.1)
+    assert expected_probability(fld, kernel, 0)[1] == pytest.approx(0.1)
 
 
 def test_beyond_horizon_is_fed_only_by_lagged_history():
@@ -96,8 +101,8 @@ def test_beyond_horizon_is_fed_only_by_lagged_history():
     fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(delta={(0, 1, 1): 0.5})
     # stage 1 is outside the one-stage horizon; the lag-1 term still lands
-    assert expected_probability(fld, kernel, 1, 1) == pytest.approx(0.15)
-    assert expected_probability(fld, kernel, 1, 2) == 0.0
+    assert expected_probability(fld, kernel, 1)[1] == pytest.approx(0.15)
+    assert expected_probability(fld, kernel, 2)[1] == 0.0
 
 
 def test_increasing_a_coupling_never_decreases_probability():
@@ -110,8 +115,8 @@ def test_increasing_a_coupling_never_decreases_probability():
     for stage in range(6):
         for cell in range(4):
             assert (
-                expected_probability(fld, bumped, cell, stage)
-                >= expected_probability(fld, base, cell, stage) - 1e-15
+                expected_probability(fld, bumped, stage)[cell]
+                >= expected_probability(fld, base, stage)[cell] - 1e-15
             )
 
 
@@ -137,7 +142,7 @@ def test_output_always_a_probability(rows, cols, stage, data):
     fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(delta=delta)
     for cell in range(cols):
-        p = expected_probability(fld, kernel, cell, stage)
+        p = expected_probability(fld, kernel, stage)[cell]
         assert 0.0 <= p <= 1.0
 
 
@@ -189,7 +194,7 @@ def test_prob_outside_horizon_is_zero():
 def test_expected_probability_rejects_negative_stage():
     fld = generate_field(4, 3, seed=0)
     with pytest.raises(InputError):
-        expected_probability(fld, DependencyKernel(), 0, -1)
+        expected_probability(fld, DependencyKernel(), -1)
 
 
 # ----------------------------------------------------------------- kernel
@@ -218,26 +223,5 @@ def test_kernel_validation():
         DependencyKernel(delta={(0, 3, 1): 0.2})
     with pytest.raises(InputError):
         DependencyKernel(delta={(0, 1, 1): -0.2})
-
-
-# ------------------------------------------------------------------- json
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(4)
-    fld = PrimaryProbField(values=rng.uniform(0, 0.3, size=(3, 4)))
-    kernel = DependencyKernel(delta={(0, 1, 2): 0.25, (3, 2, 0): 0.1})
-    fld2, kernel2 = from_json(to_json(fld, kernel))
-    assert np.allclose(fld2.values, fld.values)
-    assert kernel2.delta == kernel.delta
-
-
-def test_json_rejects_bad_payloads():
     with pytest.raises(InputError):
-        from_json("nope")
-    with pytest.raises(InputError):
-        from_json(json.dumps({"pr_p": [0.1, 0.2], "delta": []}))  # 1-d
-    with pytest.raises(InputError):
-        from_json(json.dumps({"pr_p": [[1.5]], "delta": []}))     # out of range
-    with pytest.raises(InputError):
-        from_json(json.dumps({"pr_p": [[0.5]], "delta": [{"j": 0}]}))
+        DependencyKernel(delta={(-1, 1, 1): 0.2})

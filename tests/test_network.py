@@ -1,5 +1,4 @@
-"""Grid network: shortest-path oracle equivalence, metric properties, JSON."""
-import json
+"""Grid network: shortest-path oracle equivalence, metric properties, rows."""
 import math
 
 import pytest
@@ -12,8 +11,7 @@ from timdcop.network import (
     build_grid,
     cell_index,
     cell_rowcol,
-    from_json,
-    to_json,
+    travel_row,
     travel_time,
 )
 
@@ -35,7 +33,8 @@ def best_simple_path_time(net: GridNetwork, start: int, goal: int) -> float:
             continue
         for nxt in net.neighbors(node):
             if nxt not in seen:
-                stack.append((nxt, cost + net.edge(node, nxt), seen | {nxt}))
+                link = net.edge_time[(min(node, nxt), max(node, nxt))]
+                stack.append((nxt, cost + link, seen | {nxt}))
     return 0.0 if start == goal else best
 
 
@@ -173,36 +172,24 @@ def test_rejects_out_of_range_cells():
         travel_time(net, -1, 0)
 
 
-# ------------------------------------------------------------------ json
+# ------------------------------------------------------------------ rows
 
 
-def test_json_round_trip_preserves_travel_times():
+def test_travel_row_is_the_cached_row_travel_time_reads():
     net = build_grid(3, 4, seed=17)
-    clone = from_json(to_json(net))
-    assert clone.rows == net.rows and clone.cols == net.cols
-    assert clone.edge_time == net.edge_time
-    for a in net.cells():
-        for b in net.cells():
-            assert travel_time(clone, a, b) == travel_time(net, a, b)
-
-
-def test_json_schema_shape():
-    payload = json.loads(to_json(build_grid(2, 2, (1.0, 1.0), seed=0)))
-    assert set(payload) == {"rows", "cols", "edges"}
-    assert sorted(payload["edges"]) == payload["edges"]
-    assert all(len(e) == 3 for e in payload["edges"])
-
-
-def test_json_rejects_garbage_and_partial_grids():
+    row = travel_row(net, 5)
+    assert row is travel_row(net, 5)  # built once, then cached
+    assert len(net._dist_cache) == 1
+    assert row == [travel_time(net, 5, b) for b in net.cells()]
+    assert all(type(t) is float for t in row)
     with pytest.raises(InputError):
-        from_json("not json at all")
-    with pytest.raises(InputError):
-        from_json(json.dumps({"rows": 2, "cols": 2}))
-    # drop one edge: no longer a full grid
-    payload = json.loads(to_json(build_grid(2, 2, seed=0)))
-    payload["edges"] = payload["edges"][1:]
-    with pytest.raises(InputError):
-        from_json(json.dumps(payload))
+        travel_row(net, 12)
+
+
+def test_same_cell_lookups_build_no_row():
+    net = build_grid(3, 3, seed=2)
+    assert travel_time(net, 4, 4) == 0.0
+    assert net._dist_cache == {} and net._graph is None
 
 
 def test_cell_index_rowcol_bijection():

@@ -261,6 +261,12 @@ def test_scenario_validation():
         Scenario(seed=0, schedule=(1, -1))
     with pytest.raises(InputError):
         Scenario(seed=0, forecast_signal=1.5)
+    for lookahead in (-1, 3):
+        with pytest.raises(InputError):
+            Scenario(seed=0, lookahead=lookahead)
+    for kappa in (0.0, -0.5, float("nan")):
+        with pytest.raises(InputError):
+            Scenario(seed=0, kappa=kappa)
     with pytest.raises(InputError):
         materialize(small(0, (17,), rows=4, cols=4))  # 17 requests, 16 cells
 
