@@ -43,11 +43,6 @@ class PrimaryProbField:
     def cells(self) -> int:
         return self.values.shape[1]
 
-    def prob(self, cell: CellId, stage: int) -> float:
-        if stage < 0 or stage >= self.stages:
-            return 0.0
-        return float(self.values[stage, cell])
-
 
 @dataclass
 class DependencyKernel:

@@ -189,46 +189,3 @@ def delay_variance(p: TrafficParams, response_time: float) -> float:
         return 0.0
     return raw
 
-
-def read_incident_stream(lines, rng: np.random.Generator) -> list[Incident]:
-    """Parse a JSON-lines incident stream.
-
-    Each record: {"id", "severity", "cell", "report_time_h"} with an optional
-    "params" object overriding severity sampling. Sampling order follows file
-    order, so a seed plus a file pins the whole stream.
-    """
-    import json
-
-    out: list[Incident] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            inc_id = str(rec["id"])
-            severity = int(rec["severity"])
-            cell = int(rec["cell"])
-            report = float(rec["report_time_h"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"incident stream line {lineno}: {exc}") from exc
-        if severity not in SEVERITY_RANGES:
-            raise InputError(
-                f"incident stream line {lineno}: severity must be 1..4"
-            )
-        if "params" in rec:
-            try:
-                params = TrafficParams(**{
-                    k: float(rec["params"][k]) for k in _PARAM_ORDER
-                })
-            except KeyError as exc:
-                raise InputError(
-                    f"incident stream line {lineno}: params missing {exc}"
-                ) from exc
-        else:
-            params = sample_params(severity, rng)
-        out.append(Incident(
-            id=inc_id, location=cell, severity=severity,
-            report_time=report, params=params,
-        ))
-    return out

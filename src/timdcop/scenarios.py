@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -106,6 +106,9 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self) -> None:
+        # a scenario keys the per-world run cache, so every field must hash
+        for name in ("schedule", "edge_time_range", "prob_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.n_ervs < 1:
             raise InputError("need at least one ERV")
         if self.n_uavs < 0:
@@ -134,6 +137,10 @@ class World:
     sparsity: dict[str, int]           # incident id -> sensor sparsity 1..5
     erv_cells: list[int]
     uav_cells: list[int]
+    # (policy, scenario) -> RunResult: a run is a pure function of both, so
+    # run_opt replays the runs a caller already made on this world
+    runs: dict[tuple[str, Scenario], RunResult] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
 
 def materialize(sc: Scenario) -> World:
@@ -272,13 +279,29 @@ def _fresh_incidents(w: World) -> list[Incident]:
     return [replace(i, cleared=False) for i in w.incidents]
 
 
+def _erv_id(e: int) -> str:
+    return f"erv{e}"
+
+
+def _cached_run(policy: str, run, sc: Scenario, world: World | None) -> RunResult:
+    """The world's stored run of `policy` on `sc`, made by `run` on a miss."""
+    w = world if world is not None else materialize(sc)
+    res = w.runs.get((policy, sc))
+    if res is None:
+        res = w.runs[(policy, sc)] = run(sc, w)
+    return res
+
+
 # ---------------------------------------------------------------- proactive
 
 
 def run_proactive(sc: Scenario, world: World | None = None) -> RunResult:
-    w = world if world is not None else materialize(sc)
+    return _cached_run("pdronetim", _run_proactive, sc, world)
+
+
+def _run_proactive(sc: Scenario, w: World) -> RunResult:
     fleet = [
-        ErvState(id=f"erv{i}", cell=c) for i, c in enumerate(w.erv_cells)
+        ErvState(id=_erv_id(i), cell=c) for i, c in enumerate(w.erv_cells)
     ]
     uavs = [
         UavState(id=f"uav{i}", cell=c) for i, c in enumerate(w.uav_cells)
@@ -423,9 +446,12 @@ def run_proactive(sc: Scenario, world: World | None = None) -> RunResult:
 
 def run_conventional(sc: Scenario, world: World | None = None) -> RunResult:
     """Reactive baseline: closest available vehicle, then back to the depot."""
-    w = world if world is not None else materialize(sc)
+    return _cached_run("conventional", _run_conventional, sc, world)
+
+
+def _run_conventional(sc: Scenario, w: World) -> RunResult:
     fleet = [
-        ErvState(id=f"erv{i}", cell=c) for i, c in enumerate(w.erv_cells)
+        ErvState(id=_erv_id(i), cell=c) for i, c in enumerate(w.erv_cells)
     ]
     pending = _fresh_incidents(w)
     open_inc: list[Incident] = []
@@ -528,18 +554,20 @@ def run_opt(sc: Scenario, world: World | None = None,
          + i.params.s * i.params.q) / (2.0 * (i.params.s - i.params.q))
         for i in incidents
     ])
-    erv_range = np.arange(1, n_erv + 1)
+    # plain-float copies for the per-incident direct floor
+    rep_l, loc_l, clr_l, var_l, coef_l = (
+        a.tolist() for a in (rep, loc, clr, var, coef)
+    )
 
     # minimum inbound travel per incident: every service occupies its
     # vehicle for at least this plus the clearance (zero when a vehicle
     # could already stand on the cell)
-    multi = {c for c in loc.tolist() if list(loc).count(c) > 1}
+    multi = {c for c in loc_l if loc_l.count(c) > 1}
     tin = np.array([
         0.0 if (c in w.erv_cells or c in multi)
         else min(tt[s][c] for s in sources if s != c)
-        for c in loc.tolist()
+        for c in loc_l
     ])
-    occupy = clr + tin
 
     def remaining_floor(remaining: frozenset, pos: tuple, free_at: tuple,
                         last_start: float, need: float) -> float:
@@ -556,22 +584,27 @@ def run_opt(sc: Scenario, world: World | None = None,
         inbound legs chained together; the cheapest one-to-one matching of
         incidents to (vehicle, rank) slots is then still a lower bound.
         """
-        idx = np.fromiter(remaining, dtype=int, count=len(remaining))
-        locs = loc[idx]
         base = last_start if last_start > 0.0 else 0.0
-        arrive = np.minimum.reduce(
-            [free_at[e] + tt_np[pos[e]][locs] for e in range(n_erv)]
-        )
-        g = np.maximum(np.maximum(arrive, rep[idx]), base)
-        resp = g - rep[idx]
-        cf, cl, vr = coef[idx], clr[idx], var[idx]
-        direct = float(
-            np.maximum(cf * ((resp + cl) ** 2 + vr), 0.0).sum()
-        )
-        k = idx.size
+        states = [(free_at[e], tt[pos[e]]) for e in range(n_erv)]
+        # plain floats, squared as x * x like numpy's ** 2 in the refinement
+        direct = 0.0
+        for i in remaining:
+            c, r = loc_l[i], rep_l[i]
+            arrive = math.inf
+            for f, row in states:
+                if f + row[c] < arrive:
+                    arrive = f + row[c]
+            x = max(arrive, r, base) - r + clr_l[i]
+            d = coef_l[i] * (x * x + var_l[i])
+            if d > 0.0:
+                direct += d
+        k = len(remaining)
         if k <= n_erv or direct >= need:
             return direct
 
+        idx = np.fromiter(remaining, dtype=int, count=k)
+        locs = loc[idx]
+        cf, cl, vr = coef[idx], clr[idx], var[idx]
         # prefix sums of the cheapest r - 1 clearances / inbound legs
         ccum = np.concatenate(([0.0], np.cumsum(np.sort(cl))))[:k]
         tcum = np.concatenate(([0.0], np.cumsum(np.sort(tin[idx]))))[:k]
@@ -607,6 +640,7 @@ def run_opt(sc: Scenario, world: World | None = None,
         return total, plan
 
     id_to_idx = {inc.id: i for i, inc in enumerate(incidents)}
+    erv_index = {_erv_id(e): e for e in range(n_erv)}
 
     def replay(result: RunResult) -> tuple[float, list[tuple[int, int, float]]]:
         """Re-run a realized policy's per-vehicle service orders with direct
@@ -616,7 +650,7 @@ def run_opt(sc: Scenario, world: World | None = None,
         policy's realized total."""
         by_erv: list[list[IncidentOutcome]] = [[] for _ in range(n_erv)]
         for o in result.incidents:
-            by_erv[int(o.erv_id.removeprefix("erv"))].append(o)
+            by_erv[erv_index[o.erv_id]].append(o)
         pos = list(w.erv_cells)
         free_at = [0.0] * n_erv
         total = 0.0
@@ -637,59 +671,81 @@ def run_opt(sc: Scenario, world: World | None = None,
 
     # incumbents: greedy plus both realized policies replayed into this
     # space, so the exact search starts at or below either policy's cost
+    # (on a world that already ran them, the stored runs are replayed)
     incumbents = [greedy(), replay(run_conventional(sc, w)),
                   replay(run_proactive(sc, w))]
 
-    def seq_cost(seqs) -> tuple[float, list[tuple[int, int, float]]]:
-        total = 0.0
-        plan = []
-        for e, seq in enumerate(seqs):
+    # (vehicle, service order) -> per-service (delay, start), shared by
+    # every polish trial of every incumbent
+    legs: dict[tuple[int, tuple[int, ...]], list[tuple[float, float]]] = {}
+
+    def leg(e: int, seq: tuple[int, ...]) -> list[tuple[float, float]]:
+        out = legs.get((e, seq))
+        if out is None:
+            out = legs[(e, seq)] = []
             at, free = w.erv_cells[e], 0.0
             for i in seq:
                 inc = incidents[i]
                 start = max(inc.report_time, free + tt[at][inc.location])
-                total += expected_delay(inc.params, start - inc.report_time)
-                plan.append((i, e, start))
+                out.append((expected_delay(inc.params, start - inc.report_time),
+                            start))
                 free = start + inc.params.clearance
                 at = inc.location
-        return total, plan
+        return out
+
+    def seqs_cost(seqs: list[tuple[int, ...]]) -> float:
+        # plain adds in vehicle then service order, not sum() (which
+        # compensates from Python 3.12): which trials pass the 1e-9 test
+        # below, and so opt's answer, depends on these exact floats
+        total = 0.0
+        for e, seq in enumerate(seqs):
+            for d, _ in leg(e, seq):
+                total += d
+        return total
 
     def polish(cost: float, plan: list[tuple[int, int, float]]):
         """Steepest descent over single-incident relocations (any vehicle,
         any position) and pairwise exchanges until no move improves. The
         result stays a valid schedule, so the exact search below only
         confirms or beats it."""
-        seqs: list[list[int]] = [[] for _ in range(n_erv)]
+        by_erv: list[list[int]] = [[] for _ in range(n_erv)]
         for i, e, start in sorted(plan, key=lambda t: t[2]):
-            seqs[e].append(i)
+            by_erv[e].append(i)
+        seqs = [tuple(s) for s in by_erv]
         while True:
             step_cost, step = cost, None
             for a in range(n_erv):
                 for p in range(len(seqs[a])):
-                    rest = [list(s) for s in seqs]
-                    moved = rest[a].pop(p)
+                    moved = seqs[a][p]
+                    rest_a = seqs[a][:p] + seqs[a][p + 1:]
                     for b in range(n_erv):
-                        for q in range(len(rest[b]) + 1):
+                        into = rest_a if b == a else seqs[b]
+                        for q in range(len(into) + 1):
                             if b == a and q == p:
                                 continue
-                            trial = [list(s) for s in rest]
-                            trial[b].insert(q, moved)
-                            c, pl = seq_cost(trial)
+                            trial = list(seqs)
+                            trial[a] = rest_a
+                            trial[b] = into[:q] + (moved,) + into[q:]
+                            c = seqs_cost(trial)
                             if c < step_cost - 1e-9:
-                                step_cost, step = c, (trial, pl)
+                                step_cost, step = c, trial
             slots = [(e, p) for e in range(n_erv)
                      for p in range(len(seqs[e]))]
             for x in range(len(slots)):
                 for y in range(x + 1, len(slots)):
                     (a, p), (b, q) = slots[x], slots[y]
-                    trial = [list(s) for s in seqs]
-                    trial[a][p], trial[b][q] = trial[b][q], trial[a][p]
-                    c, pl = seq_cost(trial)
+                    u, v = seqs[a][p], seqs[b][q]
+                    trial = list(seqs)
+                    trial[a] = trial[a][:p] + (v,) + trial[a][p + 1:]
+                    trial[b] = trial[b][:q] + (u,) + trial[b][q + 1:]
+                    c = seqs_cost(trial)
                     if c < step_cost - 1e-9:
-                        step_cost, step = c, (trial, pl)
+                        step_cost, step = c, trial
             if step is None:
                 return cost, plan
-            cost, (seqs, plan) = step_cost, step
+            cost, seqs = step_cost, step
+            plan = [(i, e, start) for e, seq in enumerate(seqs)
+                    for i, (_, start) in zip(seq, leg(e, seq))]
 
     best_cost, best_plan = min(
         (polish(c, pl) for c, pl in incumbents), key=lambda t: t[0]
@@ -760,7 +816,7 @@ def run_opt(sc: Scenario, world: World | None = None,
         response = start - inc.report_time
         outcomes.append(IncidentOutcome(
             incident_id=inc.id, cell=inc.location, severity=inc.severity,
-            report_h=inc.report_time, erv_id=f"erv{e}",
+            report_h=inc.report_time, erv_id=_erv_id(e),
             response_h=response,
             delay_veh_h=expected_delay(inc.params, response),
             delay_var=delay_variance(inc.params, response),

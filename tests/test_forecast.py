@@ -156,6 +156,7 @@ def test_generate_field_deterministic_and_in_range():
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.values.shape == (5, 16)
+    assert a.stages == 5 and a.cells == 16
     assert np.all(a.values >= 0.0) and np.all(a.values <= 0.15)
 
 
@@ -182,13 +183,6 @@ def test_generate_field_rejects_empty_dimensions():
         generate_field(0, 3)
     with pytest.raises(InputError):
         generate_field(4, 0)
-
-
-def test_prob_outside_horizon_is_zero():
-    fld = generate_field(4, 3, seed=0)
-    assert fld.prob(0, -1) == 0.0
-    assert fld.prob(0, 3) == 0.0
-    assert fld.stages == 3 and fld.cells == 4
 
 
 def test_expected_probability_rejects_negative_stage():

@@ -1,5 +1,4 @@
-"""Delay model: exact-rational oracle, clamping, sampling, stream parsing."""
-import io
+"""Delay model: exact-rational oracle, clamping, sampling."""
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from timdcop.incidents import (
     clamped,
     delay_variance,
     expected_delay,
-    read_incident_stream,
     reference_params,
     sample_incident,
     sample_params,
@@ -264,61 +262,6 @@ def test_reference_params_are_severity_averaged_midpoints():
         ) / 4.0
         assert getattr(ref, name) == pytest.approx(want)
     assert ref.s > ref.q  # usable in the delay model as-is
-
-
-# ----------------------------------------------------------- stream input
-
-
-def test_stream_parses_records_in_order():
-    lines = io.StringIO(
-        '{"id": "a", "severity": 1, "cell": 3, "report_time_h": 0.0}\n'
-        "\n"
-        '{"id": "b", "severity": 4, "cell": 9, "report_time_h": 0.5}\n'
-    )
-    out = read_incident_stream(lines, np.random.default_rng(1))
-    assert [i.id for i in out] == ["a", "b"]
-    assert [i.location for i in out] == [3, 9]
-    assert [i.severity for i in out] == [1, 4]
-    assert [i.report_time for i in out] == [0.0, 0.5]
-    assert all(not i.cleared for i in out)
-
-
-def test_stream_params_override_beats_sampling():
-    rec = (
-        '{"id": "a", "severity": 2, "cell": 0, "report_time_h": 0.0,'
-        ' "params": {"s": 1400, "s1_mean": 1000, "s1_sd": 150, "q": 1100,'
-        ' "r_var": 0.25, "clearance": 0.35}}'
-    )
-    (inc,) = read_incident_stream([rec], np.random.default_rng(0))
-    assert inc.params == TrafficParams(
-        s=1400.0, s1_mean=1000.0, s1_sd=150.0, q=1100.0,
-        r_var=0.25, clearance=0.35,
-    )
-
-
-def test_stream_sampling_is_seed_deterministic():
-    lines = ['{"id": "a", "severity": 3, "cell": 1, "report_time_h": 0.0}']
-    one = read_incident_stream(lines, np.random.default_rng(11))
-    two = read_incident_stream(lines, np.random.default_rng(11))
-    assert one == two
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "not json",
-        '{"id": "a", "severity": 1, "cell": 0}',            # missing field
-        '{"id": "a", "severity": 9, "cell": 0, "report_time_h": 0}',
-        '{"id": "a", "severity": 1, "cell": 0, "report_time_h": 0,'
-        ' "params": {"s": 1400}}',                           # partial params
-    ],
-)
-def test_stream_rejects_bad_lines_with_line_number(bad):
-    with pytest.raises(InputError, match="line 2"):
-        read_incident_stream(
-            ['{"id": "z", "severity": 1, "cell": 0, "report_time_h": 0}', bad],
-            np.random.default_rng(0),
-        )
 
 
 def test_incident_dataclass_shape():

@@ -178,7 +178,58 @@ def test_shared_world_is_never_mutated_by_a_run():
     run_conventional(sc, world)
     run_opt(sc, world)
     assert all(not i.cleared for i in world.incidents)
-    assert run_proactive(sc, world).total_delay_veh_h == first
+    # a later call on this world returns the stored run, so compare it with
+    # a run on a freshly built world
+    assert run_proactive(sc, materialize(sc)).total_delay_veh_h == first
+
+
+def test_opt_on_a_world_that_already_ran_both_policies():
+    sc = small(325, (2, 2, 1), n_ervs=2)
+    ran = materialize(sc)
+    run_conventional(sc, ran)
+    run_proactive(sc, ran)
+    assert result_to_json(run_opt(sc, ran)) == result_to_json(
+        run_opt(sc, materialize(sc))
+    )
+
+
+def test_stored_runs_are_keyed_by_the_whole_scenario():
+    sc = small(326, (2, 2), n_ervs=2)
+    mgm = replace(sc, solver=replace(sc.solver, algorithm="mgm"))
+    world = materialize(sc)
+    assert run_proactive(sc, world) is run_proactive(sc, world)
+    # same world, a scenario that differs only in its solver
+    other = run_proactive(mgm, world)
+    assert other is not run_proactive(sc, world)
+    assert result_to_json(other) == result_to_json(
+        run_proactive(mgm, materialize(mgm))
+    )
+
+
+def test_list_fields_are_stored_as_tuples():
+    sc = Scenario(seed=327, schedule=[2, 2], rows=4, cols=4, n_ervs=2,
+                  edge_time_range=[0.1, 1.5], prob_range=[0.0, 0.15])
+    assert sc.schedule == (2, 2)
+    assert sc.edge_time_range == (0.1, 1.5)
+    assert sc.prob_range == (0.0, 0.15)
+    assert sc == small(327, (2, 2)) and hash(sc) == hash(small(327, (2, 2)))
+    world = materialize(sc)
+    for policy in POLICIES:
+        assert len(run_policy(sc, policy, world).incidents) == 4
+
+
+# opt_nodes and the exact total of three criterion-05 instances: a change in
+# the floor or the polish that shifts a float can change what the search
+# prunes, and these pin it
+@pytest.mark.parametrize("seed, schedule, nodes, total", [
+    (5001, (2, 2, 2, 3, 2), 506, "98371.13834148693"),
+    (5005, (1, 4, 1, 3, 1), 172, "137840.5687468344"),
+    (5008, (2, 3, 1, 3, 1), 304, "64632.321136301514"),
+])
+def test_exact_search_is_pinned(seed, schedule, nodes, total):
+    res = run_opt(Scenario(seed=seed, schedule=schedule, n_ervs=3, n_uavs=0))
+    assert res.opt_nodes == nodes
+    assert repr(res.total_delay_veh_h) == total
 
 
 def test_evaluation_cap_stops_the_exact_search():
