@@ -26,7 +26,7 @@ from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError
 from .forecast import DependencyKernel, PrimaryProbField, expected_probability
 from .incidents import Incident, TrafficParams, expected_delay, reference_params
-from .network import CellId, GridNetwork, travel_time
+from .network import CellId, GridNetwork, travel_row, travel_time
 
 DEFAULT_DISPATCH_WEIGHT = 1.0
 RELOCATION_WEIGHT_FACTOR = 100.0
@@ -102,12 +102,18 @@ def unary_cost(ctx: StageContext, erv: ErvState, cell: CellId) -> float:
     """Myopic weighted cost of sending one ERV to one cell this stage."""
     if ctx.w_r is None:
         raise InputError("unary_cost needs a resolved relocation weight")
-    inc = incident_at(ctx, cell)
+    return _priced(ctx, erv, cell, incident_at(ctx, cell),
+                   ctx.expected_row(ctx.stage_index + 1))
+
+
+def _priced(ctx: StageContext, erv: ErvState, cell: CellId,
+            inc: Incident | None,
+            p_next: list[float] | np.ndarray | None) -> float:
+    """unary_cost given the cell's incident and the next-stage row."""
     if inc is not None:
         response = travel_time(ctx.net, erv.cell, cell)
         return ctx.w_d * expected_delay(inc.params, response)
-    p = float(ctx.expected_row(ctx.stage_index + 1)[cell])
-    return ctx.w_r * (1.0 - p)
+    return ctx.w_r * (1.0 - float(p_next[cell]))
 
 
 def relocation_candidates(ctx: StageContext, k: int) -> list[CellId]:
@@ -131,9 +137,15 @@ def _coverage_term(ctx: StageContext, cell: CellId,
                    hotspots: list[list[tuple[CellId, float]]]) -> float:
     """Expected response cost from `cell` to anticipated future incidents."""
     total = 0.0
+    row = None  # opened on the first hotspot away from the cell itself
     for stage_hits in hotspots:
         for c, p in stage_hits:
-            response = travel_time(ctx.net, cell, c)
+            if c == cell:
+                response = 0.0
+            else:
+                if row is None:
+                    row = travel_row(ctx.net, cell)
+                response = row[c]
             total += p * expected_delay(ctx.future_params, response)
     return total
 
@@ -150,9 +162,14 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
     if not free:
         raise InputError("no free ERVs at this stage")
 
-    open_cells = sorted({
-        i.location for i in ctx.open_incidents if not i.cleared
-    })
+    # per open cell, the incident incident_at would pick: the oldest uncleared
+    oldest: dict[CellId, Incident] = {}
+    for i in ctx.open_incidents:
+        if not i.cleared:
+            held = oldest.get(i.location)
+            if held is None or (i.report_time, i.id) < (held.report_time, held.id):
+                oldest[i.location] = i
+    open_cells = sorted(oldest)
     k = max(ctx.relocation_k, len(free))  # keep the conflict graph satisfiable
     domain = open_cells + relocation_candidates(ctx, k)
 
@@ -174,19 +191,20 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
         worst = 0.0
         for e in free:
             for cell in open_cells:
-                inc = incident_at(ctx, cell)
-                assert inc is not None
-                c = ctx.w_d * expected_delay(
-                    inc.params, travel_time(ctx.net, e.cell, cell)
-                ) + coverage[cell]
+                c = _priced(ctx, e, cell, oldest[cell], None) + coverage[cell]
                 worst = max(worst, c)
         w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else ctx.w_d)
         resolved = replace(ctx, w_r=w_r)
         resolved._rows = ctx._rows  # same world and stage: share the memo
 
+    # unary_cost from the incident map and one read of the next-stage row
+    p_next = resolved.expected_row(resolved.stage_index + 1).tolist()
     agents = [e.id for e in free]
     unary = {
-        e.id: [unary_cost(resolved, e, cell) + coverage[cell] for cell in domain]
+        e.id: [
+            _priced(resolved, e, cell, oldest.get(cell), p_next) + coverage[cell]
+            for cell in domain
+        ]
         for e in free
     }
     conflict = all_different_table(domain, domain)

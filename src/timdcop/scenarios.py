@@ -109,12 +109,23 @@ class Scenario:
         # a scenario keys the per-world run cache, so every field must hash
         for name in ("schedule", "edge_time_range", "prob_range"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
+        for name in ("edge_time_range", "prob_range"):
+            lo_hi = getattr(self, name)
+            if (len(lo_hi) != 2 or not all(map(math.isfinite, lo_hi))
+                    or lo_hi[0] > lo_hi[1]):
+                raise InputError(
+                    f"{name} must be two finite floats lo <= hi, got {lo_hi}")
         if self.n_ervs < 1:
             raise InputError("need at least one ERV")
         if self.n_uavs < 0:
             raise InputError("negative UAV count")
-        if self.stage_gap <= 0:
-            raise InputError("stage gap must be positive")
+        if not (math.isfinite(self.stage_gap) and self.stage_gap > 0):
+            raise InputError(
+                f"stage gap must be positive and finite, got {self.stage_gap}")
+        if self.relocation_k < 0:
+            raise InputError(f"relocation_k must be >= 0, got {self.relocation_k}")
         if not self.schedule or any(k < 0 for k in self.schedule):
             raise InputError("schedule must be a non-empty tuple of counts >= 0")
         if not (0.0 <= self.forecast_signal <= 1.0):

@@ -12,7 +12,11 @@ Both run the same barrier-round loop:
   5. move rule -- MGM: move iff own gain > 0 and strictly largest among
      neighbours (ties to the lowest agent id); DSA: move iff gain > 0 and
      an independent uniform draw falls below the activation threshold
-  6. repeat for a fixed iteration count
+  6. repeat until the first round in which no agent has a positive gain (a
+     fixed point: no agent moves in it or in any later round), or for the
+     configured iteration count; a stopped trace is still filled to
+     `iterations` rounds with the same best cost, 0 moves and the same
+     per-round message count
 
 The DSA rule moves on a positive gain only, which is DSA-A's rule in Zhang et
 al. (2005). DSA-B also moves on a zero gain while the agent is in conflict, to
@@ -103,7 +107,9 @@ def _gain(cur: float, best: float) -> float:
 
 
 def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
-    """Run the configured local search for cfg.iterations barrier rounds."""
+    """Run the configured local search for cfg.iterations barrier rounds,
+    stopping early at a fixed point (the trace still has cfg.iterations
+    entries)."""
     if cfg.algorithm == "dsa" and cfg.seed is None:
         raise InputError("DSA needs an explicit seed")
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
@@ -129,12 +135,14 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
     best_costs: list[float] = []
     moves_per_round: list[int] = []
     round_messages: list[int] = []
-    neighbor_count = sum(len(neighbors[a]) for a in order)
+    # everyone broadcasts its value; MGM adds a gain broadcast round
+    msgs = sum(len(neighbors[a]) for a in order)
+    if cfg.algorithm == "mgm":
+        msgs *= 2
 
     for _ in range(cfg.iterations):
         snapshot = dict(current)
         pos = {a: p.index[a][snapshot[a]] for a in order}
-        msgs = neighbor_count  # everyone broadcasts its value
 
         proposals: dict[AgentId, Value] = {}
         gains: dict[AgentId, float] = {}
@@ -152,8 +160,15 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
                 proposals[a], best_cost = snapshot[a], cur_cost
             gains[a] = _gain(cur_cost, best_cost)
 
+        if all(g <= 0.0 for g in gains.values()):
+            # fixed point: no agent moves now or in any later round
+            rest = cfg.iterations - len(best_costs)
+            best_costs += [flip * best] * rest
+            moves_per_round += [0] * rest
+            round_messages += [msgs] * rest
+            break
+
         if cfg.algorithm == "mgm":
-            msgs += neighbor_count  # gain broadcast round
             movers = []
             for a in order:
                 g = gains[a]

@@ -165,16 +165,30 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [{"lookahead": 3}, {"kappa": 0.0}])
+@pytest.mark.parametrize("bad", [
+    {"lookahead": 3},
+    {"kappa": 0.0},
+    {"seed": -1},
+    {"grid": {"edge_time_range": [1]}},
+    {"grid": {"edge_time_range": [0.1, float("inf")]}},
+    {"grid": {"edge_time_range": [1.5, 0.1]}},
+    {"forecast": {"prob_range": [0.5]}},
+    {"forecast": {"prob_range": [0.1, float("inf")]}},
+    {"stage_gap_h": float("nan")},
+    {"stage_gap_h": float("inf")},
+    {"relocation_k": -3},
+])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
+    # json writes the non-finite floats as NaN / Infinity, which it reads back
     path.write_text(json.dumps({"seed": 1, "schedule": [2, 2], **bad}))
     out = tmp_path / "o"
     assert main([
         "run", "--scenario", str(path),
         "--policy", "conventional", "--policy", "pdronetim", "--out", str(out),
     ]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
     assert not out.exists()
 
 

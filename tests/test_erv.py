@@ -208,6 +208,47 @@ def test_coverage_is_cheaper_nearer_the_hotspot():
     assert cover[1] == pytest.approx(0.9 * expected_delay(reference_params(), 0.5))
 
 
+def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
+    net = build_grid(4, 4, (0.3, 1.0), seed=2)
+    field_ = generate_field(16, 6, seed=41)
+    slow = replace(PARAMS, s1_mean=700.0)
+    old = incident("i-old", 5, report_time=0.0, params=slow)
+    old.cleared = True
+    first = incident("i-first", 5, report_time=0.2)
+    later = incident("i-later", 5, report_time=0.4, params=slow)
+    erv = ErvState(id="e0", cell=0)
+    ctx = make_ctx(net, field_=field_, incidents=[later, old, first],
+                   lookahead=2, relocation_k=4, stage_index=1)
+    problem, resolved = build_erv_problem(ctx, [erv])
+    assert incident_at(ctx, 5) is first
+    coverage = 0.0
+    for t in (1, 2):
+        for c, p in forecast_hotspots(ctx, 1 + t, 4):
+            coverage += p * expected_delay(reference_params(),
+                                           travel_time(net, 5, c))
+    assert coverage > 0.0
+    j = problem.domains["e0"].index(5)
+    assert problem.unary["e0"][j] == unary_cost(resolved, erv, 5) + coverage
+    dispatch = expected_delay(first.params, travel_time(net, 0, 5))
+    assert problem.unary["e0"][j] == dispatch + coverage
+    assert dispatch != expected_delay(slow, travel_time(net, 0, 5))
+    # the one open cell is also the costliest dispatch behind the auto w_r
+    assert resolved.w_r == 100.0 * (dispatch + coverage)
+
+
+def test_build_past_the_forecast_horizon_opens_only_dispatch_rows():
+    net = build_grid(3, 3, (0.5, 0.9), seed=1)
+    ctx = make_ctx(net, field_=generate_field(9, 3, seed=2),
+                   incidents=[incident("i0", 8)], lookahead=2,
+                   relocation_k=3, stage_index=5)
+    assert [forecast_hotspots(ctx, 5 + t, 3) for t in (1, 2)] == [[], []]
+    fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=4)]
+    problem, _ = build_erv_problem(ctx, fleet)
+    assert problem.domains["e0"] == [8, 0, 1, 2]
+    # rows from the vehicles to the incident, none for the coverage term
+    assert sorted(net._dist_cache) == [0, 4]
+
+
 # ------------------------------------------------------------ stage DCOPs
 
 

@@ -318,6 +318,12 @@ def test_scenario_validation():
     for kappa in (0.0, -0.5, float("nan")):
         with pytest.raises(InputError):
             Scenario(seed=0, kappa=kappa)
+    for bad in (dict(seed=-1), dict(relocation_k=-1),
+                dict(stage_gap=math.nan), dict(stage_gap=math.inf),
+                dict(edge_time_range=(0.5,)), dict(edge_time_range=(0.5, 0.4)),
+                dict(prob_range=(0.0, math.inf)), dict(prob_range=(0, 0.1, 0.2))):
+        with pytest.raises(InputError):
+            Scenario(**{"seed": 0, **bad})
     with pytest.raises(InputError):
         materialize(small(0, (17,), rows=4, cols=4))  # 17 requests, 16 cells
 

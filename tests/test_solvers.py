@@ -1,9 +1,11 @@
 """Local search: move rules, anytime property, determinism."""
+import hashlib
 import math
 import random
 
 import pytest
 
+from timdcop import solvers
 from timdcop.dcop import (
     BinaryConstraint,
     DcopProblem,
@@ -168,6 +170,69 @@ def test_maximize_problems_are_searched_uphill():
         assert later >= earlier - 1e-12  # anytime flips direction under max
     # single-agent stationary points of this landscape score 4 or 5
     assert trace.final_cost >= 4.0 - 1e-12
+
+
+# ------------------------------------------------------- fixed-point stop
+
+# sha256 prefixes of the MGM, DSA(0.1), DSA(0.5) and DSA(0.9) traces of each
+# pinned problem, taken from the loop that always ran every round
+PINNED_TRACES = [
+    "94ba65fc8602", "3c5c75e92dfe", "5641e25393df", "ec715bbf4318",
+    "32e8c0412d84", "db2f3947109a", "96170dda21e1", "1d2854b99fde",
+    "478138527c47", "e98540949e84", "d2620e5367b3", "2a9bdc5d6972",
+    "818a5ca8301b", "283b9ac5e08c", "f921b2dcf5ef", "dd543bc5fb89",
+    "eeca29002cac", "4739c6f7ef88", "8b51b1f6deff", "9f964bee1907",
+    "9d5a9bfed9d4", "0179f09ce200", "085ec621eb83", "3145feec70a4",
+    "87caae9d913b", "7d7317afa6dd", "1e097fef42fa", "84724082930d",
+    "4cf1bca0b08c", "ce71f02c9b34", "3099528bfe0e", "dfd2612e7e6c",
+    "10cba75ee4c3", "9adc2dd4b18f", "4fc4e6ce6f9b", "c5584cafbee4",
+    "272708964842", "f97808313198", "b0b0c4b0a626", "46daa2e11b62",
+    "8a97bfb03409", "6f16f8468a12", "e0f329913a02", "2734f8bcfa22",
+    "b5d6a77174be", "015c7edc60f5", "8fe20df05dcd", "ccc40359f1a1",
+    "eb033af5a7bd", "3a23ef1a803b",
+]
+
+
+def test_traces_match_the_full_length_loop():
+    # 1 to 4 agents over 3 to 6 values; a DSA round can have positive gains
+    # and no mover, so a stop keyed on "no movers" changes these traces
+    mismatched = []
+    for seed, want in enumerate(PINNED_TRACES):
+        p = random_table_problem(seed, n_agents=1 + seed % 4,
+                                 n_values=3 + seed // 4 % 4)
+        h = hashlib.sha256()
+        for algorithm, threshold in (("mgm", 0.9), ("dsa", 0.1), ("dsa", 0.5),
+                                     ("dsa", 0.9)):
+            t = solve(p, SolverConfig(algorithm, iterations=30,
+                                      dsa_threshold=threshold, seed=seed))
+            h.update(repr((
+                t.best_costs, t.moves, t.round_messages, t.messages,
+                sorted(t.final_assignment.items()),
+                sorted(t.last_assignment.items()),
+            )).encode())
+        if h.hexdigest()[:12] != want:
+            mismatched.append(seed)
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("algorithm", ["mgm", "dsa"])
+def test_lone_agent_stops_at_its_fixed_point(algorithm, monkeypatch):
+    calls = []
+
+    def counted(p, assignment):
+        calls.append(1)
+        return total_cost(p, assignment)
+
+    monkeypatch.setattr(solvers, "total_cost", counted)
+    p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
+                    unary={"a": [3.0, 1.0, 2.0, 1.0]})
+    # seed 4 starts at "y": one move to "x", then a fixed point
+    trace = solve(p, SolverConfig(algorithm, iterations=45, dsa_threshold=1.0,
+                                  seed=4))
+    assert len(calls) <= 3
+    assert trace.moves == [1] + [0] * 44
+    assert trace.best_costs == [1.0] * 45
+    assert len(trace.round_messages) == 45
 
 
 # ------------------------------------------------------------ bookkeeping
