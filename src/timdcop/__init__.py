@@ -10,6 +10,7 @@ from .dcop import (
 from .erv import ErvState, StageContext, build_erv_problem, unary_cost
 from .forecast import (
     DependencyKernel,
+    Forecast,
     PrimaryProbField,
     default_kernel,
     expected_probability,
@@ -40,7 +41,7 @@ __all__ = [
     "BinaryConstraint", "DcopProblem",
     "brute_force_optimum", "total_cost",
     "ErvState", "StageContext", "build_erv_problem", "unary_cost",
-    "DependencyKernel", "PrimaryProbField", "default_kernel",
+    "DependencyKernel", "Forecast", "PrimaryProbField", "default_kernel",
     "expected_probability", "generate_field",
     "Incident", "TrafficParams", "delay_variance", "expected_delay",
     "sample_incident",

@@ -51,11 +51,14 @@ _AXES = {
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _write(path: Path, text: str) -> None:

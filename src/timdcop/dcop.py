@@ -90,12 +90,17 @@ def _shaped(costs, shape: tuple, what: str) -> np.ndarray:
 
 def all_different_table(dom_a: list, dom_b: list, sense: str = "min") -> np.ndarray:
     """Conflict table: the hard sentinel where both agents take one non-None
-    value, 0 elsewhere (None is an idle slot that never conflicts)."""
-    conflict = math.inf if sense == "min" else -math.inf
-    return np.array([
-        [conflict if va is not None and va == vb else 0.0 for vb in dom_b]
-        for va in dom_a
-    ])
+    value, 0 elsewhere (None is an idle slot that never conflicts).
+
+    The values of dom_b are distinct, as in every problem domain.
+    """
+    pos_b = {v: j for j, v in enumerate(dom_b) if v is not None}
+    table = np.zeros((len(dom_a), len(dom_b)))
+    for i, va in enumerate(dom_a):
+        j = pos_b.get(va)
+        if j is not None:
+            table[i, j] = math.inf if sense == "min" else -math.inf
+    return table
 
 
 def total_cost(p: DcopProblem, assignment: Assignment) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError
-from .forecast import DependencyKernel, PrimaryProbField, expected_probability
+from .forecast import Forecast
 from .incidents import Incident, TrafficParams, expected_delay, reference_params
 from .network import CellId, GridNetwork, travel_row, travel_time
 
@@ -55,8 +55,7 @@ class StageContext:
     """Everything a stage solve needs to price candidate cells."""
 
     net: GridNetwork
-    field_: PrimaryProbField
-    kernel: DependencyKernel
+    forecast: Forecast
     stage_time: float            # hours
     stage_index: int             # forecast stage u
     open_incidents: list[Incident]
@@ -66,9 +65,6 @@ class StageContext:
     relocation_k: int = DEFAULT_RELOCATION_K
     stage_gap: float = 0.5       # hours between request stages
     future_params: TrafficParams | None = None  # None -> reference set
-    _rows: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.w_d <= 0:
@@ -79,15 +75,6 @@ class StageContext:
             raise InputError("lookahead must be 0, 1 or 2")
         if self.future_params is None:
             self.future_params = reference_params()
-
-    def expected_row(self, stage: int) -> np.ndarray:
-        """Expected incident probability of every cell at a stage (memoized)."""
-        row = self._rows.get(stage)
-        if row is None:
-            row = self._rows[stage] = expected_probability(
-                self.field_, self.kernel, stage
-            )
-        return row
 
 
 def incident_at(ctx: StageContext, cell: CellId) -> Incident | None:
@@ -103,7 +90,7 @@ def unary_cost(ctx: StageContext, erv: ErvState, cell: CellId) -> float:
     if ctx.w_r is None:
         raise InputError("unary_cost needs a resolved relocation weight")
     return _priced(ctx, erv, cell, incident_at(ctx, cell),
-                   ctx.expected_row(ctx.stage_index + 1))
+                   ctx.forecast.row(ctx.stage_index + 1))
 
 
 def _priced(ctx: StageContext, erv: ErvState, cell: CellId,
@@ -122,15 +109,16 @@ def relocation_candidates(ctx: StageContext, k: int) -> list[CellId]:
     Ties break toward the lower cell index so candidate sets are stable.
     """
     occupied = {i.location for i in ctx.open_incidents if not i.cleared}
-    ranked = np.argsort(-ctx.expected_row(ctx.stage_index + 1), kind="stable")
+    # at most len(occupied) of the first k + len(occupied) ranked cells drop out
+    ranked = ctx.forecast.ranking(ctx.stage_index + 1)[:k + len(occupied)]
     return [c for c in ranked.tolist() if c not in occupied][:k]
 
 
 def forecast_hotspots(ctx: StageContext, stage: int, k: int) -> list[tuple[CellId, float]]:
     """Top-k (cell, probability) pairs for a future stage, ties to the lower cell."""
-    row = ctx.expected_row(stage)
-    top = np.argsort(-row, kind="stable")[:k].tolist()
-    return [(c, p) for c, p in zip(top, row[top].tolist()) if p > 0.0]
+    top = ctx.forecast.ranking(stage)[:k]
+    return [(c, p) for c, p in zip(top.tolist(), ctx.forecast.row(stage)[top].tolist())
+            if p > 0.0]
 
 
 def _coverage_term(ctx: StageContext, cell: CellId,
@@ -195,10 +183,9 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
                 worst = max(worst, c)
         w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else ctx.w_d)
         resolved = replace(ctx, w_r=w_r)
-        resolved._rows = ctx._rows  # same world and stage: share the memo
 
     # unary_cost from the incident map and one read of the next-stage row
-    p_next = resolved.expected_row(resolved.stage_index + 1).tolist()
+    p_next = resolved.forecast.row(resolved.stage_index + 1).tolist()
     agents = [e.id for e in free]
     unary = {
         e.id: [

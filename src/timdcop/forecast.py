@@ -11,18 +11,18 @@ stages later. The expected probability at (k, u) is
 
 Stages outside the field horizon contribute zero (no history before stage 0,
 nothing anticipated past the horizon). `expected_probability` returns the
-whole row of a stage at once, as array operations over the kernel's padded
-per-target layout.
+whole row of a stage at once, as array operations over the kernel's flat
+entry arrays. A world's `Forecast` holds its field and kernel and computes
+each stage's row and ranking once, on first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .errors import InputError
-from .network import CellId, GridNetwork
+from .network import GridNetwork
 
 DEFAULT_PROB_RANGE = (0.0, 0.15)
 DEFAULT_LAG1 = 0.3
@@ -46,53 +46,38 @@ class PrimaryProbField:
 
 @dataclass
 class DependencyKernel:
-    """Sparse secondary-incident couplings.
+    """Sparse secondary-incident couplings, one entry per coupling.
 
-    delta maps (source cell j, lag in {1, 2}, target cell k) to a
-    non-negative ratio.
+    Entry i is delta[(source[i], lag[i], target[i])] = ratio[i]: an incident
+    at cell source[i] adds ratio[i] times its probability to cell target[i],
+    lag[i] in {1, 2} stages later. Entries keep their insertion order, which
+    is the order each target's terms are summed in.
     """
 
-    delta: dict[tuple[CellId, int, CellId], float] = field(default_factory=dict)
-    _layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    source: np.ndarray = ()
+    lag: np.ndarray = ()
+    target: np.ndarray = ()
+    ratio: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        for (j, lag, k), v in self.delta.items():
-            if lag not in (1, 2):
-                raise InputError(f"kernel lag must be 1 or 2, got {lag}")
-            if v < 0:
-                raise InputError(f"negative kernel ratio at ({j},{lag},{k})")
-            if j < 0 or k < 0:
-                raise InputError(f"negative kernel cell at ({j},{lag},{k})")
-
-    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded (slot, target) arrays of source, lag - 1 and ratio.
-
-        Slot s of column k holds target k's s-th incoming entry in delta
-        insertion order; a target with fewer entries is padded with ratio 0
-        from source 0. Built on first use, so worlds that never forecast
-        (the conventional policy) do not pay for it.
-        """
-        if self._layout is None:
-            n = len(self.delta)
-            j, lag, k = np.fromiter(
-                chain.from_iterable(self.delta), dtype=np.intp, count=3 * n
-            ).reshape(n, 3).T
-            # slot of each entry: its rank among the entries of its target
-            order = np.argsort(k, kind="stable")
-            rank = np.arange(n) - np.searchsorted(k[order], k[order])
-            slot = np.empty_like(rank)
-            slot[order] = rank
-            shape = (int(slot.max(initial=-1)) + 1, int(k.max(initial=-1)) + 1)
-            src = np.zeros(shape, dtype=np.intp)
-            lag2 = np.zeros(shape, dtype=np.intp)  # 1 at lag 2, 0 at lag 1
-            ratio = np.zeros(shape)
-            src[slot, k] = j
-            lag2[slot, k] = lag - 1
-            ratio[slot, k] = np.fromiter(self.delta.values(), dtype=float, count=n)
-            self._layout = (src, lag2, ratio)
-        return self._layout
+        self.source, self.lag, self.target = (
+            np.asarray(a, dtype=np.intp) for a in (self.source, self.lag, self.target)
+        )
+        self.ratio = np.asarray(self.ratio, dtype=float)
+        n = len(self.ratio)
+        if any(a.shape != (n,) for a in (self.source, self.lag, self.target, self.ratio)):
+            raise InputError("kernel source, lag, target and ratio must be "
+                             "flat arrays of one length")
+        for bad, what in (
+            ((self.lag != 1) & (self.lag != 2), "lag must be 1 or 2"),
+            (~(self.ratio >= 0), "ratio must be >= 0"),
+            ((self.source < 0) | (self.target < 0), "cells must be >= 0"),
+        ):
+            if bad.any():
+                i = int(bad.argmax())
+                raise InputError(
+                    f"kernel {what}: entry {i} is ({self.source[i]}, "
+                    f"{self.lag[i]}, {self.target[i]}) -> {self.ratio[i]}")
 
 
 @dataclass(frozen=True)
@@ -105,15 +90,27 @@ class FieldConfig:
 def default_kernel(
     net: GridNetwork, lag1: float = DEFAULT_LAG1, lag2: float = DEFAULT_LAG2
 ) -> DependencyKernel:
-    """Couple every cell to its grid neighbours at lags 1 and 2."""
-    delta: dict[tuple[CellId, int, CellId], float] = {}
-    for k in net.cells():
-        for j in net.neighbors(k):
-            if lag1 > 0:
-                delta[(j, 1, k)] = lag1
-            if lag2 > 0:
-                delta[(j, 2, k)] = lag2
-    return DependencyKernel(delta=delta)
+    """Couple every cell to its grid neighbours at lags 1 and 2.
+
+    Entries run target by target; within a target, its neighbours up, down,
+    left and right, each at lag 1 then lag 2. A lag whose ratio is not
+    positive has no entries.
+    """
+    lags = [(lag, ratio) for lag, ratio in ((1, lag1), (2, lag2)) if ratio > 0]
+    k = np.arange(net.n_cells)
+    r, c = np.divmod(k, net.cols)
+    # one column per (direction, lag), one row per target, read row-major
+    has = np.repeat(np.stack(
+        [r > 0, r < net.rows - 1, c > 0, c < net.cols - 1], axis=1), len(lags), axis=1)
+    step = np.repeat([-net.cols, net.cols, -1, 1], len(lags))
+    column_lag = np.tile([lag for lag, _ in lags], 4)
+    column_ratio = np.tile([ratio for _, ratio in lags], 4)
+    return DependencyKernel(
+        source=(k[:, None] + step)[has],
+        lag=np.broadcast_to(column_lag, has.shape)[has],
+        target=np.broadcast_to(k[:, None], has.shape)[has],
+        ratio=np.broadcast_to(column_ratio, has.shape)[has],
+    )
 
 
 def generate_field(
@@ -145,12 +142,13 @@ def expected_probability(
     """Primary plus lagged secondary probability of every cell at `stage`,
     capped at 1.
 
-    Each cell's terms are added in delta insertion order, one kernel slot at
-    a time, so the sums are those of the scalar formula bit for bit; a
-    padding slot adds 0.0 * p = +0.0, which leaves a non-negative sum as it is.
+    np.add.at adds the kernel's terms one entry at a time in entry order, so
+    each cell's sum is that of the scalar formula bit for bit.
     """
     if stage < 0:
         raise InputError(f"stage must be >= 0, got {stage}")
+    if len(kernel.ratio) and max(kernel.source.max(), kernel.target.max()) >= fld.cells:
+        raise InputError(f"kernel couples a cell outside the {fld.cells}-cell field")
 
     def primary(u: int) -> np.ndarray:
         if 0 <= u < fld.stages:
@@ -159,9 +157,40 @@ def expected_probability(
 
     total = primary(stage).astype(float)
     history = np.stack([primary(stage - 1), primary(stage - 2)])
-    src, lag2, ratio = kernel.layout()
-    cells = min(fld.cells, ratio.shape[1])
-    src, lag2, ratio = src[:, :cells], lag2[:, :cells], ratio[:, :cells]
-    for s in range(ratio.shape[0]):
-        total[:cells] += ratio[s] * history[lag2[s], src[s]]
+    np.add.at(total, kernel.target,
+              kernel.ratio * history[kernel.lag - 1, kernel.source])
     return np.minimum(total, 1.0)
+
+
+@dataclass
+class Forecast:
+    """A world's field and kernel, with each stage's expected row and its
+    ranking computed once, on first read.
+
+    Rows and rankings are shared by every reader of the world and are
+    read-only.
+    """
+
+    field_: PrimaryProbField
+    kernel: DependencyKernel
+    _stages: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _stage(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
+        memo = self._stages.get(stage)
+        if memo is None:
+            row = expected_probability(self.field_, self.kernel, stage)
+            ranking = np.argsort(-row, kind="stable")
+            row.flags.writeable = ranking.flags.writeable = False
+            memo = self._stages[stage] = (row, ranking)
+        return memo
+
+    def row(self, stage: int) -> np.ndarray:
+        """Expected incident probability of every cell at a stage."""
+        return self._stage(stage)[0]
+
+    def ranking(self, stage: int) -> np.ndarray:
+        """Cells by descending expected probability at a stage; ties rank
+        the lower cell first."""
+        return self._stage(stage)[1]

@@ -70,27 +70,23 @@ def build_grid(
 ) -> GridNetwork:
     """Build a rows x cols grid with uniform random link travel times.
 
-    Links are drawn in a fixed order (row-major, east link then south link)
-    so a seed fully determines the network.
+    Link times come from one vector draw in a fixed link order (row-major,
+    east link then south link), so a seed fully determines the network.
     """
     if rows < 2 or cols < 2:
         raise InputError(f"grid must be at least 2x2, got {rows}x{cols}")
     lo, hi = edge_time_range
     if lo <= 0 or hi < lo:
         raise InputError(f"bad edge time range ({lo}, {hi})")
-    rng = np.random.default_rng(seed)
-    edge_time: dict[tuple[CellId, CellId], float] = {}
-    for r in range(rows):
-        for c in range(cols):
-            a = cell_index(r, c, cols)
-            if c < cols - 1:
-                edge_time[(a, a + 1)] = float(rng.uniform(lo, hi))
-            if r < rows - 1:
-                edge_time[(a, a + cols)] = float(rng.uniform(lo, hi))
-    net = GridNetwork(rows=rows, cols=cols, edge_time=edge_time)
-    # 2*r*c - r - c links on a full grid
-    assert len(edge_time) == 2 * rows * cols - rows - cols
-    return net
+    # per cell in row-major order, its east link then its south link
+    cell = np.arange(rows * cols).reshape(rows, cols, 1)
+    ends = np.concatenate([cell + 1, cell + cols], axis=2)
+    has = np.stack(np.broadcast_arrays(
+        np.arange(cols) < cols - 1, np.arange(rows)[:, None] < rows - 1), axis=2)
+    times = np.random.default_rng(seed).uniform(lo, hi, size=int(has.sum()))
+    keys = zip(np.broadcast_to(cell, has.shape)[has].tolist(), ends[has].tolist())
+    return GridNetwork(rows=rows, cols=cols,
+                       edge_time=dict(zip(keys, times.tolist())))
 
 
 def _dijkstra(net: GridNetwork, source: CellId) -> list[float]:

@@ -41,13 +41,7 @@ from .erv import (
     apply_assignment,
     build_erv_problem,
 )
-from .forecast import (
-    DependencyKernel,
-    FieldConfig,
-    PrimaryProbField,
-    default_kernel,
-    generate_field,
-)
+from .forecast import FieldConfig, Forecast, default_kernel, generate_field
 from .incidents import (
     Incident,
     delay_variance,
@@ -132,8 +126,11 @@ class Scenario:
             raise InputError("forecast_signal must lie in [0, 1]")
         if self.lookahead not in (0, 1, 2):
             raise InputError(f"lookahead must be 0, 1 or 2, got {self.lookahead}")
-        if not self.kappa > 0:
-            raise InputError(f"kappa must be positive, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise InputError(f"kappa must be positive and finite, got {self.kappa}")
+        if not (math.isfinite(self.field_budget) and self.field_budget > 0):
+            raise InputError(
+                f"forecast budget must be positive and finite, got {self.field_budget}")
 
 
 @dataclass
@@ -141,8 +138,7 @@ class World:
     """Materialized scenario state shared by every policy run."""
 
     net: GridNetwork
-    field_: PrimaryProbField
-    kernel: DependencyKernel
+    forecast: Forecast
     incidents: list[Incident]          # full request sequence, report order
     hazard: dict[str, int]             # incident id -> hazard level 1..5
     sparsity: dict[str, int]           # incident id -> sensor sparsity 1..5
@@ -168,7 +164,6 @@ def materialize(sc: Scenario) -> World:
             budget=sc.field_budget,
         ),
     )
-    kernel = default_kernel(net)
 
     inc_rng = _rng(sc.seed, _INC)
     attrs_rng = _rng(sc.seed, _ATTRS)
@@ -207,7 +202,8 @@ def materialize(sc: Scenario) -> World:
     erv_cells = [int(c) for c in pos_rng.integers(0, net.n_cells, sc.n_ervs)]
     uav_cells = [int(c) for c in pos_rng.integers(0, net.n_cells, sc.n_uavs)]
     return World(
-        net=net, field_=field_, kernel=kernel, incidents=incidents,
+        net=net, forecast=Forecast(field_, default_kernel(net)),  # after the lift
+        incidents=incidents,
         hazard=hazard, sparsity=sparsity,
         erv_cells=erv_cells, uav_cells=uav_cells,
     )
@@ -350,10 +346,10 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
         erv_moves = 0
         # skip the solve when there is nothing to do: no open incidents and
         # nothing left to anticipate (past the forecast horizon)
-        worth_solving = bool(open_inc) or stage + 1 < w.field_.stages
+        worth_solving = bool(open_inc) or stage + 1 < w.forecast.field_.stages
         if free and worth_solving:
             ctx = StageContext(
-                net=w.net, field_=w.field_, kernel=w.kernel,
+                net=w.net, forecast=w.forecast,
                 stage_time=t, stage_index=stage,
                 open_incidents=list(open_inc),
                 lookahead=sc.lookahead, relocation_k=sc.relocation_k,
@@ -881,35 +877,50 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def _object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _count(x, what: str) -> int:
+    """A count or seed: a whole number, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or (
+            isinstance(x, float) and not x.is_integer()):
+        raise InputError(f"{what} must be a whole number, got {x!r}")
+    return int(x)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
+    _object(d, "a scenario")
     try:
-        grid = d.get("grid", {})
-        fleet = d.get("fleet", {})
-        solver_d = d.get("solver", {})
-        fc = d.get("forecast", {})
+        grid = _object(d.get("grid", {}), "grid")
+        fleet = _object(d.get("fleet", {}), "fleet")
+        solver_d = _object(d.get("solver", {}), "solver")
+        fc = _object(d.get("forecast", {}), "forecast")
         solver = SolverConfig(
             algorithm=str(solver_d.get("algorithm", "dsa")),
-            iterations=int(solver_d.get("iterations", 45)),
+            iterations=_count(solver_d.get("iterations", 45), "solver.iterations"),
             dsa_threshold=float(solver_d.get("dsa_threshold", 0.9)),
         )
         return Scenario(
-            seed=int(d["seed"]),
-            schedule=tuple(int(k) for k in d["schedule"]),
-            rows=int(grid.get("rows", 10)),
-            cols=int(grid.get("cols", 10)),
+            seed=_count(d["seed"], "seed"),
+            schedule=tuple(_count(k, "a schedule entry") for k in d["schedule"]),
+            rows=_count(grid.get("rows", 10), "grid.rows"),
+            cols=_count(grid.get("cols", 10), "grid.cols"),
             edge_time_range=tuple(
                 float(x) for x in grid.get("edge_time_range", (0.1, 1.5))
             ),
-            n_ervs=int(fleet.get("ervs", 3)),
-            n_uavs=int(fleet.get("uavs", 0)),
+            n_ervs=_count(fleet.get("ervs", 3), "fleet.ervs"),
+            n_uavs=_count(fleet.get("uavs", 0), "fleet.uavs"),
             stage_gap=float(d.get("stage_gap_h", 0.5)),
             solver=solver,
             prob_range=tuple(float(x) for x in fc.get("prob_range", (0.0, 0.15))),
             normalize_field=bool(fc.get("normalize", False)),
             field_budget=float(fc.get("budget", 1.0)),
             forecast_signal=float(fc.get("signal", 0.35)),
-            lookahead=int(d.get("lookahead", 2)),
-            relocation_k=int(d.get("relocation_k", 10)),
+            lookahead=_count(d.get("lookahead", 2), "lookahead"),
+            relocation_k=_count(d.get("relocation_k", 10), "relocation_k"),
             cooperation=bool(d.get("cooperation", True)),
             kappa=float(d.get("kappa", 0.5)),
             name=str(d.get("name", "")),

@@ -131,7 +131,7 @@ def dispatch_stage_problem(seed: int) -> DcopProblem:
     sc = Scenario(seed=seed, schedule=(5,), n_ervs=3, n_uavs=0)
     w = materialize(sc)
     ctx = StageContext(
-        net=w.net, field_=w.field_, kernel=w.kernel,
+        net=w.net, forecast=w.forecast,
         stage_time=0.0, stage_index=0,
         open_incidents=list(w.incidents),
         lookahead=2, relocation_k=10, stage_gap=0.5,

@@ -136,6 +136,17 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_manifest_that_is_not_an_object_exits_2(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("5")
+    out = tmp_path / "o"
+    assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must hold a JSON object" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_scenario_and_manifest_exits_2(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
     assert "need --scenario or --manifest" in capsys.readouterr().err
@@ -177,11 +188,25 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     {"stage_gap_h": float("nan")},
     {"stage_gap_h": float("inf")},
     {"relocation_k": -3},
+    {"solver": {"iterations": float("inf")}},
+    {"grid": {"rows": 2.7}},
+    {"fleet": {"ervs": 2.5}},
+    {"schedule": [2.9]},
+    {"seed": 1.5},
+    {"kappa": float("inf")},
+    {"forecast": {"budget": -1, "normalize": True}},
+    {"forecast": {"budget": float("nan")}},
+    {"forecast": {"budget": float("inf")}},
+    {"fleet": {"ervs": "3"}},
+    {"grid": [4, 4]},
+    [{"seed": 1, "schedule": [2, 2]}],
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
-    # json writes the non-finite floats as NaN / Infinity, which it reads back
-    path.write_text(json.dumps({"seed": 1, "schedule": [2, 2], **bad}))
+    # json writes the non-finite floats as NaN / Infinity, which it reads back;
+    # a bad value that is not an object is the whole file
+    doc = {"seed": 1, "schedule": [2, 2], **bad} if isinstance(bad, dict) else bad
+    path.write_text(json.dumps(doc))
     out = tmp_path / "o"
     assert main([
         "run", "--scenario", str(path),

@@ -17,7 +17,12 @@ from timdcop.erv import (
     unary_cost,
 )
 from timdcop.errors import InputError
-from timdcop.forecast import DependencyKernel, PrimaryProbField, generate_field
+from timdcop.forecast import (
+    DependencyKernel,
+    Forecast,
+    PrimaryProbField,
+    generate_field,
+)
 from timdcop.incidents import (
     Incident,
     TrafficParams,
@@ -39,8 +44,10 @@ def zero_field(n_cells: int, n_stages: int = 6) -> PrimaryProbField:
 def make_ctx(net, field_=None, incidents=(), **kw) -> StageContext:
     defaults = dict(
         net=net,
-        field_=field_ if field_ is not None else zero_field(net.n_cells),
-        kernel=DependencyKernel(),
+        forecast=Forecast(
+            field_ if field_ is not None else zero_field(net.n_cells),
+            DependencyKernel(),
+        ),
         stage_time=0.0,
         stage_index=0,
         open_incidents=list(incidents),
@@ -119,6 +126,22 @@ def test_relocation_candidates_rank_ties_and_exclusions():
     assert all(type(c) is int for c in relocation_candidates(ctx, 9))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_relocation_candidates_match_a_scan_of_every_ranked_cell(seed):
+    rng = np.random.default_rng(seed + 900)
+    net = build_grid(4, 4, (0.5, 0.5), seed=0)
+    # coarse values: many ties; incidents often sit on top-ranked cells
+    values = rng.integers(0, 3, size=(3, 16)) / 10
+    cells = rng.choice(16, size=int(rng.integers(0, 10)), replace=False)
+    incidents = [incident(f"i{n}", int(c)) for n, c in enumerate(cells)]
+    ctx = make_ctx(net, field_=PrimaryProbField(values=values),
+                   incidents=incidents, w_r=10.0)
+    ranked = np.argsort(-ctx.forecast.row(1), kind="stable").tolist()
+    for k in range(17):
+        assert relocation_candidates(ctx, k) == [
+            c for c in ranked if c not in set(cells.tolist())][:k]
+
+
 def test_forecast_hotspots_drop_zero_probability_cells():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     values = np.zeros((4, 4))
@@ -128,17 +151,6 @@ def test_forecast_hotspots_drop_zero_probability_cells():
     assert forecast_hotspots(ctx, 1, 4) == []
     [(c, p)] = forecast_hotspots(ctx, 2, 4)
     assert type(c) is int and type(p) is float
-
-
-def test_stage_rows_are_computed_once_per_context_and_shared_on_resolve():
-    net = build_grid(3, 3, (0.5, 0.5), seed=0)
-    field_ = generate_field(net.n_cells, 5, seed=4)
-    ctx = make_ctx(net, field_=field_, incidents=[incident("i0", 8)],
-                   lookahead=2)
-    _, resolved = build_erv_problem(ctx, [ErvState(id="e0", cell=0)])
-    assert sorted(ctx._rows) == [1, 2]  # next stage and the look-ahead stage
-    assert resolved._rows is ctx._rows
-    assert ctx.expected_row(1) is ctx._rows[1]
 
 
 def test_incident_at_returns_oldest_then_lowest_id():

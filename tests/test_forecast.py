@@ -8,6 +8,7 @@ from timdcop.errors import InputError
 from timdcop.forecast import (
     DependencyKernel,
     FieldConfig,
+    Forecast,
     PrimaryProbField,
     default_kernel,
     expected_probability,
@@ -35,9 +36,35 @@ def probability_oracle(values, delta, cell, stage) -> float:
     return min(1.0, total)
 
 
+def default_kernel_oracle(net, lag1=0.3, lag2=0.1) -> dict:
+    """default_kernel's couplings by a double loop over cells and neighbours."""
+    delta = {}
+    for k in net.cells():
+        for j in net.neighbors(k):
+            if lag1 > 0:
+                delta[(j, 1, k)] = lag1
+            if lag2 > 0:
+                delta[(j, 2, k)] = lag2
+    return delta
+
+
+def kernel_from_delta(delta: dict) -> DependencyKernel:
+    """The flat kernel of a {(source, lag, target): ratio} dict, in dict order."""
+    return DependencyKernel(
+        source=[j for j, _, _ in delta], lag=[lag for _, lag, _ in delta],
+        target=[k for _, _, k in delta], ratio=list(delta.values()),
+    )
+
+
+def delta_of(kernel: DependencyKernel) -> dict:
+    """The {(source, lag, target): ratio} dict of a kernel, in entry order."""
+    keys = zip(kernel.source.tolist(), kernel.lag.tolist(), kernel.target.tolist())
+    return dict(zip(keys, kernel.ratio.tolist()))
+
+
 def assert_matches_oracle(values, delta, stages):
     fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel(delta=delta)
+    kernel = kernel_from_delta(delta)
     raw = [list(map(float, row)) for row in values]
     for stage in range(stages):
         row = expected_probability(fld, kernel, stage)
@@ -59,7 +86,7 @@ def test_matches_oracle_on_random_five_cell_world():
     # the default kernel: up to eight incoming entries per cell
     net = build_grid(6, 6, seed=3)
     values = np.random.default_rng(9).uniform(0.0, 0.4, size=(4, net.n_cells))
-    assert_matches_oracle(values, default_kernel(net).delta, 6)
+    assert_matches_oracle(values, default_kernel_oracle(net), 6)
 
 
 def test_zero_kernel_returns_primary_probability():
@@ -77,21 +104,21 @@ def test_worked_secondary_contribution():
     # 0.1 primary + 0.5 coupling x 0.2 at the previous stage = 0.2
     values = np.array([[0.2, 0.0], [0.0, 0.1]])
     fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel(delta={(0, 1, 1): 0.5})
+    kernel = kernel_from_delta({(0, 1, 1): 0.5})
     assert expected_probability(fld, kernel, 1)[1] == pytest.approx(0.2)
 
 
 def test_probability_caps_at_one():
     values = np.array([[0.9, 0.9], [0.9, 0.9]])
     fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel(delta={(0, 1, 1): 5.0})
+    kernel = kernel_from_delta({(0, 1, 1): 5.0})
     assert expected_probability(fld, kernel, 1)[1] == 1.0
 
 
 def test_missing_history_counts_as_zero():
     values = np.array([[0.0, 0.1]])
     fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel(delta={(0, 1, 1): 0.9, (0, 2, 1): 0.9})
+    kernel = kernel_from_delta({(0, 1, 1): 0.9, (0, 2, 1): 0.9})
     # stage 0: both lags reach before the horizon -> only the primary term
     assert expected_probability(fld, kernel, 0)[1] == pytest.approx(0.1)
 
@@ -99,7 +126,7 @@ def test_missing_history_counts_as_zero():
 def test_beyond_horizon_is_fed_only_by_lagged_history():
     values = np.array([[0.3, 0.0]])
     fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel(delta={(0, 1, 1): 0.5})
+    kernel = kernel_from_delta({(0, 1, 1): 0.5})
     # stage 1 is outside the one-stage horizon; the lag-1 term still lands
     assert expected_probability(fld, kernel, 1)[1] == pytest.approx(0.15)
     assert expected_probability(fld, kernel, 2)[1] == 0.0
@@ -110,8 +137,8 @@ def test_increasing_a_coupling_never_decreases_probability():
     values = rng.uniform(0.0, 0.2, size=(5, 4))
     fld = PrimaryProbField(values=values)
     delta = {(0, 1, 2): 0.2, (3, 2, 1): 0.4}
-    base = DependencyKernel(delta=dict(delta))
-    bumped = DependencyKernel(delta={**delta, (0, 1, 2): 0.9})
+    base = kernel_from_delta(delta)
+    bumped = kernel_from_delta({**delta, (0, 1, 2): 0.9})
     for stage in range(6):
         for cell in range(4):
             assert (
@@ -140,10 +167,12 @@ def test_output_always_a_probability(rows, cols, stage, data):
         lag = data.draw(st.integers(1, 2))
         delta[(j, lag, k)] = data.draw(st.floats(0.0, 3.0))
     fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel(delta=delta)
+    kernel = kernel_from_delta(delta)
+    raw = values.tolist()
     for cell in range(cols):
         p = expected_probability(fld, kernel, stage)[cell]
         assert 0.0 <= p <= 1.0
+        assert p == probability_oracle(raw, delta, cell, stage)
 
 
 # ------------------------------------------------------------- generation
@@ -191,31 +220,63 @@ def test_expected_probability_rejects_negative_stage():
         expected_probability(fld, DependencyKernel(), -1)
 
 
+@pytest.mark.parametrize("entry", [(4, 1, 0), (0, 1, 4)])
+def test_expected_probability_rejects_kernel_cells_outside_the_field(entry):
+    fld = generate_field(4, 3, seed=0)
+    with pytest.raises(InputError):
+        expected_probability(fld, kernel_from_delta({entry: 0.2}), 1)
+
+
+def test_forecast_computes_each_stage_once_and_ranks_stably():
+    net = build_grid(4, 4, seed=2)
+    # values on a 0.1 lattice, so rows hold ties
+    values = np.random.default_rng(5).integers(0, 4, size=(3, 16)) / 10
+    fc = Forecast(PrimaryProbField(values=values), default_kernel(net))
+    for stage in range(6):
+        row = fc.row(stage)
+        assert np.array_equal(row, expected_probability(fc.field_, fc.kernel, stage))
+        assert fc.ranking(stage).tolist() == sorted(range(16), key=lambda c: (-row[c], c))
+        assert fc.row(stage) is row and fc.ranking(stage) is fc.ranking(stage)
+        # shared by every run on the world: no reader may write to it
+        assert not row.flags.writeable and not fc.ranking(stage).flags.writeable
+
+
 # ----------------------------------------------------------------- kernel
 
 
 def test_default_kernel_couples_grid_neighbourhood():
     net = build_grid(2, 2, (1.0, 1.0), seed=0)
-    kernel = default_kernel(net)
+    delta = delta_of(default_kernel(net))
     # every directed neighbour pair appears at both lags
-    assert len(kernel.delta) == 16
+    assert len(delta) == 16
     for k in net.cells():
         for j in net.neighbors(k):
-            assert kernel.delta[(j, 1, k)] == 0.3
-            assert kernel.delta[(j, 2, k)] == 0.1
+            assert delta[(j, 1, k)] == 0.3
+            assert delta[(j, 2, k)] == 0.1
 
 
 def test_default_kernel_drops_zero_lags():
     net = build_grid(2, 2, (1.0, 1.0), seed=0)
-    kernel = default_kernel(net, lag1=0.5, lag2=0.0)
-    assert len(kernel.delta) == 8
-    assert all(lag == 1 for (_, lag, _) in kernel.delta)
+    delta = delta_of(default_kernel(net, lag1=0.5, lag2=0.0))
+    assert len(delta) == 8
+    assert all(lag == 1 for (_, lag, _) in delta)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (6, 7), (40, 40)])
+@pytest.mark.parametrize("lags", [
+    (0.3, 0.1), (0.5, 0.0), (0.0, 0.2), (0.0, 0.0), (-0.1, 0.1)])
+def test_default_kernel_matches_the_double_loop_in_order(shape, lags):
+    net = build_grid(*shape, (1.0, 1.0), seed=0)
+    kernel = default_kernel(net, *lags)
+    want = default_kernel_oracle(net, *lags)
+    assert list(delta_of(kernel).items()) == list(want.items())
+    assert len(kernel.ratio) == len(want)  # no entry collapsed in the dict
 
 
 def test_kernel_validation():
+    for bad in ({(0, 3, 1): 0.2}, {(0, 0, 1): 0.2}, {(0, 1, 1): -0.2},
+                {(0, 1, 1): float("nan")}, {(-1, 1, 1): 0.2}, {(0, 1, -1): 0.2}):
+        with pytest.raises(InputError):
+            kernel_from_delta(bad)
     with pytest.raises(InputError):
-        DependencyKernel(delta={(0, 3, 1): 0.2})
-    with pytest.raises(InputError):
-        DependencyKernel(delta={(0, 1, 1): -0.2})
-    with pytest.raises(InputError):
-        DependencyKernel(delta={(-1, 1, 1): 0.2})
+        DependencyKernel(source=[0, 1], lag=[1], target=[1], ratio=[0.2])

@@ -1,6 +1,7 @@
 """Grid network: shortest-path oracle equivalence, metric properties, rows."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,32 @@ def test_shortest_path_matches_enumeration(rows, cols, seed):
             assert travel_time(net, a, b) == pytest.approx(
                 best_simple_path_time(net, a, b), rel=1e-12
             )
+
+
+def links_by_scalar_draws(rows, cols, lo, hi, seed) -> dict:
+    """build_grid's links drawn one scalar uniform at a time: row-major
+    cells, each cell's east link then its south link."""
+    rng = np.random.default_rng(seed)
+    edge_time = {}
+    for r in range(rows):
+        for c in range(cols):
+            a = cell_index(r, c, cols)
+            if c < cols - 1:
+                edge_time[(a, a + 1)] = float(rng.uniform(lo, hi))
+            if r < rows - 1:
+                edge_time[(a, a + cols)] = float(rng.uniform(lo, hi))
+    return edge_time
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 9), (9, 2), (5, 7), (40, 40)])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_link_times_match_scalar_draws_in_key_order(rows, cols, seed):
+    net = build_grid(rows, cols, (0.2, 1.3), seed=seed)
+    want = links_by_scalar_draws(rows, cols, 0.2, 1.3, seed)
+    assert list(net.edge_time.items()) == list(want.items())
+    # plain Python numbers, as the scalar draws gave
+    assert {type(x) for key in net.edge_time for x in key} == {int}
+    assert {type(t) for t in net.edge_time.values()} == {float}
 
 
 # ------------------------------------------------------------ invariants

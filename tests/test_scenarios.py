@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from timdcop import forecast
 from timdcop.errors import CapExceededError, InputError
 from timdcop.scenarios import (
     Scenario,
@@ -206,6 +207,24 @@ def test_stored_runs_are_keyed_by_the_whole_scenario():
     )
 
 
+def test_a_pdronetim_run_computes_each_stage_row_it_reads_once(monkeypatch):
+    calls = []
+    real = forecast.expected_probability
+
+    def counting(fld, kernel, stage):
+        calls.append(stage)
+        return real(fld, kernel, stage)
+
+    monkeypatch.setattr(forecast, "expected_probability", counting)
+    sc = small(328, (3, 2, 2), n_ervs=2)
+    res = run_proactive(sc)
+    solved = [s.stage for s in res.stages if s.erv_cost is not None]
+    assert len(solved) > 3
+    # a stage solve reads the next stage (relocation) and the look-ahead stages
+    read = {u + t for u in solved for t in range(1, sc.lookahead + 1)}
+    assert sorted(calls) == sorted(read)
+
+
 def test_list_fields_are_stored_as_tuples():
     sc = Scenario(seed=327, schedule=[2, 2], rows=4, cols=4, n_ervs=2,
                   edge_time_range=[0.1, 1.5], prob_range=[0.0, 0.15])
@@ -279,20 +298,20 @@ def test_forecast_skill_lifts_true_incident_cells():
     w = materialize(sc)
     for inc in w.incidents:
         stage = round(inc.report_time / sc.stage_gap)
-        assert w.field_.values[stage, inc.location] >= min(1.0, 0.4)
+        assert w.forecast.field_.values[stage, inc.location] >= min(1.0, 0.4)
 
 
 def test_zero_signal_keeps_the_field_inside_its_range():
     sc = small(319, (2, 2), forecast_signal=0.0, prob_range=(0.0, 0.15))
     w = materialize(sc)
-    assert float(w.field_.values.min()) >= 0.0
-    assert float(w.field_.values.max()) <= 0.15
+    assert float(w.forecast.field_.values.min()) >= 0.0
+    assert float(w.forecast.field_.values.max()) <= 0.15
 
 
 def test_materialize_is_deterministic():
     sc = small(321, (2, 1), n_uavs=1)
     a, b = materialize(sc), materialize(sc)
-    assert (a.field_.values == b.field_.values).all()
+    assert (a.forecast.field_.values == b.forecast.field_.values).all()
     assert [i.id for i in a.incidents] == [i.id for i in b.incidents]
     assert [i.location for i in a.incidents] == [i.location for i in b.incidents]
     assert a.erv_cells == b.erv_cells and a.uav_cells == b.uav_cells
@@ -315,13 +334,15 @@ def test_scenario_validation():
     for lookahead in (-1, 3):
         with pytest.raises(InputError):
             Scenario(seed=0, lookahead=lookahead)
-    for kappa in (0.0, -0.5, float("nan")):
+    for kappa in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(InputError):
             Scenario(seed=0, kappa=kappa)
     for bad in (dict(seed=-1), dict(relocation_k=-1),
                 dict(stage_gap=math.nan), dict(stage_gap=math.inf),
                 dict(edge_time_range=(0.5,)), dict(edge_time_range=(0.5, 0.4)),
-                dict(prob_range=(0.0, math.inf)), dict(prob_range=(0, 0.1, 0.2))):
+                dict(prob_range=(0.0, math.inf)), dict(prob_range=(0, 0.1, 0.2)),
+                dict(field_budget=0.0), dict(field_budget=-1.0),
+                dict(field_budget=math.nan), dict(field_budget=math.inf)):
         with pytest.raises(InputError):
             Scenario(**{"seed": 0, **bad})
     with pytest.raises(InputError):
@@ -351,6 +372,19 @@ def test_scenario_dict_rejects_garbage():
         scenario_from_dict({"seed": 1, "schedule": [1], "stage_gap_h": "soon"})
     with pytest.raises(InputError):
         scenario_from_dict({"seed": 1, "schedule": [1, -2]})
+    with pytest.raises(InputError):
+        scenario_from_dict([{"seed": 1, "schedule": [1]}])  # not an object
+    for section in ("grid", "fleet", "solver", "forecast"):
+        with pytest.raises(InputError):
+            scenario_from_dict({"seed": 1, "schedule": [1], section: [1]})
+    # whole numbers are counts; a fraction, a string or a bool is not
+    assert scenario_from_dict({"seed": 1.0, "schedule": [2.0]}).schedule == (2,)
+    for bad in ({"seed": 2.5}, {"seed": "1"}, {"schedule": [True]},
+                {"lookahead": 1.5}, {"relocation_k": math.inf},
+                {"solver": {"iterations": math.nan}}, {"grid": {"cols": 4.2}},
+                {"fleet": {"uavs": 0.5}}):
+        with pytest.raises(InputError):
+            scenario_from_dict({"seed": 1, "schedule": [1], **bad})
 
 
 def test_result_dict_structure():
