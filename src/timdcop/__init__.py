@@ -7,7 +7,7 @@ from .dcop import (
     brute_force_optimum,
     total_cost,
 )
-from .erv import ErvState, StageContext, build_erv_problem, unary_cost
+from .erv import ErvState, StageContext, build_erv_problem
 from .forecast import (
     DependencyKernel,
     Forecast,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryConstraint", "DcopProblem",
     "brute_force_optimum", "total_cost",
-    "ErvState", "StageContext", "build_erv_problem", "unary_cost",
+    "ErvState", "StageContext", "build_erv_problem",
     "DependencyKernel", "Forecast", "PrimaryProbField", "default_kernel",
     "expected_probability", "generate_field",
     "Incident", "TrafficParams", "delay_variance", "expected_delay",

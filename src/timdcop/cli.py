@@ -27,6 +27,7 @@ from .scenarios import (
     run_policy,
     scenario_from_dict,
     scenario_to_dict,
+    whole_number,
     write_incident_csv,
     write_stage_csv,
 )
@@ -166,9 +167,18 @@ def _sweep_point(payload: tuple) -> tuple:
 def cmd_sweep(args) -> int:
     sc, manifest = _resolve_scenario(args)
     if manifest is not None and manifest.get("kind") == "sweep":
-        axis = manifest["axis"]["name"]
-        values = manifest["axis"]["values"]
-        trials = int(manifest["trials"])
+        axis_d = manifest.get("axis")
+        if not isinstance(axis_d, dict):
+            raise InputError("a sweep manifest needs an axis object")
+        axis = axis_d.get("name")
+        if not isinstance(axis, str) or axis not in _AXES:
+            raise InputError(
+                f"unknown sweep axis {axis!r}; choose from {', '.join(sorted(_AXES))}"
+            )
+        values = axis_d.get("values")
+        if not isinstance(values, list) or not values:
+            raise InputError("axis.values must be a non-empty list")
+        trials = whole_number(manifest.get("trials"), "trials")
         policy = manifest.get("policy", "pdronetim")
     else:
         if not args.axis or "=" not in args.axis:

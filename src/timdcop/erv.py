@@ -1,8 +1,8 @@
 """Emergency response vehicle sub-team: stage problem builder and bookkeeping.
 
 Each planning stage, free ERVs become DCOP agents. A candidate cell is either
-an open-incident cell (dispatch, weight w_d on the expected incident delay)
-or a forecast-ranked relocation cell (weight w_r on one minus the expected
+an open-incident cell (dispatch, priced at the expected incident delay) or a
+forecast-ranked relocation cell (weight w_r on one minus the expected
 incident probability next stage). Each free ERV gets a unary cost vector over
 the candidate cells, and one shared all-different table on every pair forbids
 two ERVs on one cell.
@@ -15,6 +15,10 @@ of responding, from that cell, to forecast incidents one and two stages out:
 sum over the top-K forecast cells c of E[tau(c, u+t)] * delay_ref(travel from
 the candidate to c). Future incidents have no sampled parameters yet, so the
 delay uses the severity-averaged reference parameter set.
+
+A stage problem is built from a few array operations: one (candidate x
+hotspot) and one (vehicle x open cell) response matrix, each priced by one
+`expected_delays` call, over travel rows opened together.
 """
 from __future__ import annotations
 
@@ -25,13 +29,14 @@ import numpy as np
 from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError
 from .forecast import Forecast
-from .incidents import Incident, TrafficParams, expected_delay, reference_params
-from .network import CellId, GridNetwork, travel_row, travel_time
+from .incidents import Incident, expected_delays, reference_params
+from .network import CellId, GridNetwork, travel_rows, travel_time
 
-DEFAULT_DISPATCH_WEIGHT = 1.0
+DISPATCH_WEIGHT = 1.0  # a dispatch costs its expected delay, unscaled
 RELOCATION_WEIGHT_FACTOR = 100.0
 DEFAULT_RELOCATION_K = 10
 AVAIL_EPS = 1e-9
+FUTURE_PARAMS = reference_params()  # prices forecast (not yet sampled) incidents
 
 
 @dataclass
@@ -59,22 +64,16 @@ class StageContext:
     stage_time: float            # hours
     stage_index: int             # forecast stage u
     open_incidents: list[Incident]
-    w_d: float = DEFAULT_DISPATCH_WEIGHT
     w_r: float | None = None     # None -> auto (100 x max dispatch cost)
     lookahead: int = 2
     relocation_k: int = DEFAULT_RELOCATION_K
     stage_gap: float = 0.5       # hours between request stages
-    future_params: TrafficParams | None = None  # None -> reference set
 
     def __post_init__(self) -> None:
-        if self.w_d <= 0:
-            raise InputError("dispatch weight must be positive")
-        if self.w_r is not None and self.w_r <= self.w_d:
+        if self.w_r is not None and self.w_r <= DISPATCH_WEIGHT:
             raise InputError("relocation weight must exceed dispatch weight")
         if self.lookahead < 0 or self.lookahead > 2:
             raise InputError("lookahead must be 0, 1 or 2")
-        if self.future_params is None:
-            self.future_params = reference_params()
 
 
 def incident_at(ctx: StageContext, cell: CellId) -> Incident | None:
@@ -83,24 +82,6 @@ def incident_at(ctx: StageContext, cell: CellId) -> Incident | None:
     if not hits:
         return None
     return min(hits, key=lambda i: (i.report_time, i.id))
-
-
-def unary_cost(ctx: StageContext, erv: ErvState, cell: CellId) -> float:
-    """Myopic weighted cost of sending one ERV to one cell this stage."""
-    if ctx.w_r is None:
-        raise InputError("unary_cost needs a resolved relocation weight")
-    return _priced(ctx, erv, cell, incident_at(ctx, cell),
-                   ctx.forecast.row(ctx.stage_index + 1))
-
-
-def _priced(ctx: StageContext, erv: ErvState, cell: CellId,
-            inc: Incident | None,
-            p_next: list[float] | np.ndarray | None) -> float:
-    """unary_cost given the cell's incident and the next-stage row."""
-    if inc is not None:
-        response = travel_time(ctx.net, erv.cell, cell)
-        return ctx.w_d * expected_delay(inc.params, response)
-    return ctx.w_r * (1.0 - float(p_next[cell]))
 
 
 def relocation_candidates(ctx: StageContext, k: int) -> list[CellId]:
@@ -121,21 +102,13 @@ def forecast_hotspots(ctx: StageContext, stage: int, k: int) -> list[tuple[CellI
             if p > 0.0]
 
 
-def _coverage_term(ctx: StageContext, cell: CellId,
-                   hotspots: list[list[tuple[CellId, float]]]) -> float:
-    """Expected response cost from `cell` to anticipated future incidents."""
-    total = 0.0
-    row = None  # opened on the first hotspot away from the cell itself
-    for stage_hits in hotspots:
-        for c, p in stage_hits:
-            if c == cell:
-                response = 0.0
-            else:
-                if row is None:
-                    row = travel_row(ctx.net, cell)
-                response = row[c]
-            total += p * expected_delay(ctx.future_params, response)
-    return total
+def _responses(rows: dict[CellId, list[float]], cells: list[CellId],
+               to: list[CellId]) -> list[list[float]]:
+    """Travel times from each of `cells` to each of `to`; a cell without a
+    row has every target on itself."""
+    zero = [0.0] * len(to)
+    return [[row[c] for c in to] if (row := rows.get(cell)) is not None
+            else zero for cell in cells]
 
 
 def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopProblem, StageContext]:
@@ -161,44 +134,54 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
     k = max(ctx.relocation_k, len(free))  # keep the conflict graph satisfiable
     domain = open_cells + relocation_candidates(ctx, k)
 
-    hotspots = []
-    if ctx.lookahead >= 1:
-        per_stage_k = max(ctx.relocation_k, 1)
-        hotspots = [
-            forecast_hotspots(ctx, ctx.stage_index + t, per_stage_k)
-            for t in range(1, ctx.lookahead + 1)
-        ]
+    hot_cells: list[CellId] = []
+    hot_p: list[float] = []
+    for t in range(1, ctx.lookahead + 1):
+        for c, p in forecast_hotspots(ctx, ctx.stage_index + t,
+                                      max(ctx.relocation_k, 1)):
+            hot_cells.append(c)
+            hot_p.append(p)
 
-    # a cell's look-ahead coverage is the same for every vehicle: price it once
-    coverage = {cell: _coverage_term(ctx, cell, hotspots) for cell in domain} \
-        if hotspots else {cell: 0.0 for cell in domain}
+    # A vehicle's row is needed when an open cell lies away from it, and a
+    # candidate's when a hotspot does (travel to the cell itself is 0.0, the
+    # row's own entry); the missing rows come from one Dijkstra call.
+    open_set, hot_set = set(open_cells), set(hot_cells)
+    sources = [e.cell for e in free if open_set - {e.cell}] + \
+        [c for c in domain if hot_set - {c}]
+    rows = dict(zip(sources, travel_rows(ctx.net, sources)))
+
+    # a cell's look-ahead coverage is the same for every vehicle; p * delay
+    # summed left to right in hotspot order
+    coverage = np.zeros(len(domain))
+    if hot_cells:
+        delays = expected_delays([FUTURE_PARAMS] * len(hot_cells),
+                                 _responses(rows, domain, hot_cells))
+        coverage = np.cumsum(np.array(hot_p) * delays, axis=1)[:, -1]
+
+    # (vehicle x open cell) dispatch costs, priced once for w_r and the unary
+    n_open = len(open_cells)
+    dispatch = expected_delays([oldest[c].params for c in open_cells],
+                               _responses(rows, [e.cell for e in free], open_cells)) \
+        + coverage[:n_open]
 
     resolved = ctx
     if ctx.w_r is None:
         # dispatch must dominate relocation: scale off the costliest dispatch
-        worst = 0.0
-        for e in free:
-            for cell in open_cells:
-                c = _priced(ctx, e, cell, oldest[cell], None) + coverage[cell]
-                worst = max(worst, c)
-        w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else ctx.w_d)
+        worst = float(dispatch.max()) if n_open else 0.0
+        w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)
         resolved = replace(ctx, w_r=w_r)
 
-    # unary_cost from the incident map and one read of the next-stage row
-    p_next = resolved.forecast.row(resolved.stage_index + 1).tolist()
+    p_next = resolved.forecast.row(resolved.stage_index + 1)
+    unary = np.empty((len(free), len(domain)))
+    unary[:, :n_open] = dispatch
+    unary[:, n_open:] = resolved.w_r * (1.0 - p_next[domain[n_open:]]) \
+        + coverage[n_open:]
     agents = [e.id for e in free]
-    unary = {
-        e.id: [
-            _priced(resolved, e, cell, oldest.get(cell), p_next) + coverage[cell]
-            for cell in domain
-        ]
-        for e in free
-    }
     conflict = all_different_table(domain, domain)
     problem = DcopProblem(
         agents=agents,
         domains={eid: list(domain) for eid in agents},
-        unary=unary,
+        unary=dict(zip(agents, unary)),
         binary=[
             BinaryConstraint(a=ea, b=eb, table=conflict)
             for i, ea in enumerate(agents) for eb in agents[i + 1:]

@@ -17,6 +17,7 @@ the queue never clears and the model has no finite answer.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +105,8 @@ class ClampTally:
     def __init__(self) -> None:
         self.count = 0
 
-    def bump(self) -> None:
-        self.count += 1
+    def bump(self, n: int = 1) -> None:
+        self.count += n
 
     def reset(self) -> None:
         self.count = 0
@@ -173,6 +174,40 @@ def expected_delay(p: TrafficParams, response_time: float) -> float:
     if raw < 0.0:
         clamped.bump()
         return 0.0
+    return raw
+
+
+def expected_delays(params: Sequence[TrafficParams], response) -> np.ndarray:
+    """expected_delay of params[j] at every response[..., j], as one array.
+
+    The last axis of `response` runs over `params`. Every element equals the
+    scalar function bit for bit: each column's bracket and 2 (s - q) come from
+    the scalar formula, and the square is np.float_power, which calls libm pow
+    as Python's float ** does (an ndarray's ** 2 multiplies instead, and
+    differs in the last bit on some inputs). The clamp tally counts every
+    clamped element.
+    """
+    for p in params:
+        if p.s <= p.q:
+            raise ModelDomainError(
+                f"capacity must exceed demand (s={p.s}, q={p.q})"
+            )
+    response = np.asarray(response, dtype=float)
+    negative = response < 0
+    if negative.any():
+        raise ModelDomainError(f"negative response time {response[negative][0]}")
+    bracket, clearance, r_var, twice_gap = np.array([
+        (p.s1_mean**2 + p.s1_sd**2 - (p.s + p.q) * p.s1_mean + p.s * p.q,
+         p.clearance, p.r_var, 2.0 * (p.s - p.q))
+        for p in params
+    ], dtype=float).reshape(-1, 4).T
+    r_mean = response + clearance
+    raw = bracket * (np.float_power(r_mean, 2) + r_var) / twice_gap
+    below = raw < 0.0
+    n_clamped = int(np.count_nonzero(below))
+    if n_clamped:
+        clamped.bump(n_clamped)
+        raw[below] = 0.0
     return raw
 
 

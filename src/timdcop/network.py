@@ -4,8 +4,9 @@ Cells are indexed row-major: cell = row * cols + col. Links exist between
 horizontal and vertical neighbours only, weighted by free-flow travel time
 in hours. Shortest-path travel times come in whole rows, one per source
 cell, computed lazily with scipy's Dijkstra over one CSR graph that holds
-every link in both directions; rows and graph are cached on the network,
-which is immutable after construction.
+every link in both directions; the rows a caller asks for together come from
+one Dijkstra call. Rows and graph are cached on the network, which is
+immutable after construction.
 """
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ from .errors import InputError
 CellId = int
 
 DEFAULT_EDGE_RANGE = (0.1, 1.5)
-
-
-def cell_index(row: int, col: int, cols: int) -> CellId:
-    return row * cols + col
 
 
 def cell_rowcol(cell: CellId, cols: int) -> tuple[int, int]:
@@ -89,7 +86,7 @@ def build_grid(
                        edge_time=dict(zip(keys, times.tolist())))
 
 
-def _dijkstra(net: GridNetwork, source: CellId) -> list[float]:
+def _dijkstra(net: GridNetwork, sources: list[CellId]) -> list[list[float]]:
     if net._graph is None:
         # both directions stored, so scipy runs directed with no symmetrizing
         ends = np.array(list(net.edge_time), dtype=np.intp)
@@ -97,19 +94,34 @@ def _dijkstra(net: GridNetwork, source: CellId) -> list[float]:
         times = np.tile(np.fromiter(net.edge_time.values(), dtype=float), 2)
         net._graph = csr_matrix((times, (both[:, 0], both[:, 1])),
                                 shape=(net.n_cells, net.n_cells))
-    return dijkstra(net._graph, directed=True, indices=source).tolist()
+    return dijkstra(net._graph, directed=True, indices=sources).tolist()
+
+
+def travel_rows(net: GridNetwork, sources: list[CellId]) -> list[list[float]]:
+    """Shortest-path travel times in hours from each source to every cell.
+
+    Rows are cached on the network, and the missing ones come from one
+    Dijkstra call; callers must not mutate them.
+    """
+    n = net.n_cells
+    for source in sources:
+        if not 0 <= source < n:
+            raise InputError(f"cell out of range: {source} (grid has {n} cells)")
+    cache = net._dist_cache
+    missing = [s for s in dict.fromkeys(sources) if s not in cache]
+    if missing:
+        cache.update(zip(missing, _dijkstra(net, missing)))
+    return [cache[s] for s in sources]
 
 
 def travel_row(net: GridNetwork, source: CellId) -> list[float]:
-    """Shortest-path travel times in hours from one cell to every cell.
-
-    The row is cached on the network; callers must not mutate it.
-    """
+    """travel_rows for one source, without the batch bookkeeping that would
+    slow each cache miss of travel_time."""
     if not 0 <= source < net.n_cells:
         raise InputError(f"cell out of range: {source} (grid has {net.n_cells} cells)")
     row = net._dist_cache.get(source)
     if row is None:
-        row = net._dist_cache[source] = _dijkstra(net, source)
+        row = net._dist_cache[source] = _dijkstra(net, [source])[0]
     return row
 
 

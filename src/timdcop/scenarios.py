@@ -48,7 +48,7 @@ from .incidents import (
     expected_delay,
     sample_incident,
 )
-from .network import GridNetwork, build_grid, travel_row, travel_time
+from .network import GridNetwork, build_grid, travel_rows, travel_time
 from .solvers import SolverConfig, solve
 from .uav import (
     AssimilationRecord,
@@ -545,9 +545,9 @@ def run_opt(sc: Scenario, world: World | None = None,
     n = len(incidents)
     n_erv = len(w.erv_cells)
 
-    # travel rows for every position the search can reach
-    sources = set(w.erv_cells) | {i.location for i in incidents}
-    tt = {src: travel_row(w.net, src) for src in sources}
+    # travel rows for every position the search can reach, in one Dijkstra call
+    sources = sorted(set(w.erv_cells) | {i.location for i in incidents})
+    tt = dict(zip(sources, travel_rows(w.net, sources)))
     tt_np = {src: np.asarray(row) for src, row in tt.items()}
 
     # delay_i(response) = max(0, coef_i * ((response + clr_i)^2 + var_i))
@@ -883,12 +883,19 @@ def _object(d, what: str) -> dict:
     return d
 
 
-def _count(x, what: str) -> int:
+def whole_number(x, what: str) -> int:
     """A count or seed: a whole number, never truncated."""
     if isinstance(x, bool) or not isinstance(x, (int, float)) or (
             isinstance(x, float) and not x.is_integer()):
         raise InputError(f"{what} must be a whole number, got {x!r}")
     return int(x)
+
+
+def _flag(x, what: str) -> bool:
+    """A switch: JSON true or false, nothing that merely converts to one."""
+    if not isinstance(x, bool):
+        raise InputError(f"{what} must be true or false, got {x!r}")
+    return x
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -900,28 +907,28 @@ def scenario_from_dict(d: dict) -> Scenario:
         fc = _object(d.get("forecast", {}), "forecast")
         solver = SolverConfig(
             algorithm=str(solver_d.get("algorithm", "dsa")),
-            iterations=_count(solver_d.get("iterations", 45), "solver.iterations"),
+            iterations=whole_number(solver_d.get("iterations", 45), "solver.iterations"),
             dsa_threshold=float(solver_d.get("dsa_threshold", 0.9)),
         )
         return Scenario(
-            seed=_count(d["seed"], "seed"),
-            schedule=tuple(_count(k, "a schedule entry") for k in d["schedule"]),
-            rows=_count(grid.get("rows", 10), "grid.rows"),
-            cols=_count(grid.get("cols", 10), "grid.cols"),
+            seed=whole_number(d["seed"], "seed"),
+            schedule=tuple(whole_number(k, "a schedule entry") for k in d["schedule"]),
+            rows=whole_number(grid.get("rows", 10), "grid.rows"),
+            cols=whole_number(grid.get("cols", 10), "grid.cols"),
             edge_time_range=tuple(
                 float(x) for x in grid.get("edge_time_range", (0.1, 1.5))
             ),
-            n_ervs=_count(fleet.get("ervs", 3), "fleet.ervs"),
-            n_uavs=_count(fleet.get("uavs", 0), "fleet.uavs"),
+            n_ervs=whole_number(fleet.get("ervs", 3), "fleet.ervs"),
+            n_uavs=whole_number(fleet.get("uavs", 0), "fleet.uavs"),
             stage_gap=float(d.get("stage_gap_h", 0.5)),
             solver=solver,
             prob_range=tuple(float(x) for x in fc.get("prob_range", (0.0, 0.15))),
-            normalize_field=bool(fc.get("normalize", False)),
+            normalize_field=_flag(fc.get("normalize", False), "forecast.normalize"),
             field_budget=float(fc.get("budget", 1.0)),
             forecast_signal=float(fc.get("signal", 0.35)),
-            lookahead=_count(d.get("lookahead", 2), "lookahead"),
-            relocation_k=_count(d.get("relocation_k", 10), "relocation_k"),
-            cooperation=bool(d.get("cooperation", True)),
+            lookahead=whole_number(d.get("lookahead", 2), "lookahead"),
+            relocation_k=whole_number(d.get("relocation_k", 10), "relocation_k"),
+            cooperation=_flag(d.get("cooperation", True), "cooperation"),
             kappa=float(d.get("kappa", 0.5)),
             name=str(d.get("name", "")),
         )

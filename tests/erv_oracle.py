@@ -1,0 +1,48 @@
+"""Scalar pricing of ERV stage problems, one (vehicle, cell) at a time.
+
+`build_erv_problem` prices a stage with a few array operations; this module
+keeps the per-cell loop it replaced, as the oracle its tests compare with.
+"""
+from timdcop.erv import (
+    DISPATCH_WEIGHT,
+    FUTURE_PARAMS,
+    RELOCATION_WEIGHT_FACTOR,
+    forecast_hotspots,
+    incident_at,
+)
+from timdcop.incidents import expected_delay
+from timdcop.network import travel_row, travel_time
+
+
+def myopic_cost(ctx, erv, cell) -> float:
+    """Dispatch delay on an incident cell, else w_r on the next-stage miss
+    probability. Needs a resolved w_r."""
+    inc = incident_at(ctx, cell)
+    if inc is not None:
+        return expected_delay(inc.params, travel_time(ctx.net, erv.cell, cell))
+    return ctx.w_r * (1.0 - float(ctx.forecast.row(ctx.stage_index + 1)[cell]))
+
+
+def coverage(ctx, cell) -> float:
+    """Expected response cost from `cell` to the forecast hotspots of the
+    look-ahead stages, added left to right in hotspot order."""
+    total = 0.0
+    for t in range(1, ctx.lookahead + 1):
+        for c, p in forecast_hotspots(ctx, ctx.stage_index + t,
+                                      max(ctx.relocation_k, 1)):
+            response = 0.0 if c == cell else travel_row(ctx.net, cell)[c]
+            total += p * expected_delay(FUTURE_PARAMS, response)
+    return total
+
+
+def unary_cost(ctx, erv, cell) -> float:
+    return myopic_cost(ctx, erv, cell) + coverage(ctx, cell)
+
+
+def auto_relocation_weight(ctx, free, open_cells) -> float:
+    """100x the costliest (vehicle, open cell) dispatch, look-ahead included."""
+    worst = 0.0
+    for e in free:
+        for cell in open_cells:
+            worst = max(worst, unary_cost(ctx, e, cell))
+    return RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)

@@ -200,6 +200,10 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     {"fleet": {"ervs": "3"}},
     {"grid": [4, 4]},
     [{"seed": 1, "schedule": [2, 2]}],
+    {"cooperation": "false"},
+    {"cooperation": 0},
+    {"forecast": {"normalize": "no"}},
+    {"forecast": {"normalize": None}},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -345,6 +349,51 @@ def test_sweep_axis_validation(tiny_scenario, tmp_path, capsys):
     assert main(base + ["--axis", "dsa_threshold=fast"]) == 2
     assert main(base + ["--axis", "dsa_threshold="]) == 2
     assert main(base + ["--axis", "ervs=1", "--trials", "0"]) == 2
+
+
+def test_boolean_fields_read_json_booleans():
+    sc = scenario_from_dict({**TINY, "cooperation": False,
+                             "forecast": {"normalize": True}})
+    assert sc.cooperation is False and sc.normalize_field is True
+    assert scenario_from_dict(TINY).cooperation is True
+
+
+SWEEP_BASE = {"kind": "sweep", "scenario": TINY,
+              "axis": {"name": "ervs", "values": [1, 2]}, "trials": 1}
+
+
+@pytest.mark.parametrize("bad", [
+    {"axis": None},
+    {"axis": ["ervs", [1, 2]]},
+    {"axis": {"values": [1, 2]}},
+    {"axis": {"name": "speed", "values": [1, 2]}},
+    {"axis": {"name": ["ervs"], "values": [1, 2]}},
+    {"axis": {"name": "ervs"}},
+    {"axis": {"name": "ervs", "values": []}},
+    {"axis": {"name": "ervs", "values": "1,2"}},
+    {"trials": None},
+    {"trials": "x"},
+    {"trials": 1.5},
+    {"trials": 0},
+    {"trials": True},
+])
+def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
+    doc = {k: v for k, v in {**SWEEP_BASE, **bad}.items() if v is not None}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["sweep", "--manifest", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_checked_sweep_manifest_runs(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**SWEEP_BASE, "trials": 2.0}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--manifest", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["trials"] == 2
 
 
 def test_cli_entry_point_is_installed():

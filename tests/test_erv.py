@@ -5,8 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from erv_oracle import auto_relocation_weight, myopic_cost, unary_cost
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from timdcop import network
 from timdcop.dcop import brute_force_optimum
 from timdcop.erv import (
+    FUTURE_PARAMS,
     ErvState,
     StageContext,
     apply_assignment,
@@ -14,7 +20,6 @@ from timdcop.erv import (
     forecast_hotspots,
     incident_at,
     relocation_candidates,
-    unary_cost,
 )
 from timdcop.errors import InputError
 from timdcop.forecast import (
@@ -65,25 +70,30 @@ def incident(id_, cell, report_time=0.0, params=PARAMS) -> Incident:
     )
 
 
+def built_cost(ctx, fleet, erv, cell):
+    """The unary entry build_erv_problem gives `erv` on `cell`."""
+    problem, _ = build_erv_problem(ctx, fleet)
+    return problem.unary[erv.id][problem.index[erv.id][cell]]
+
+
 # ---------------------------------------------------------- cell pricing
 
 
 def test_dispatch_cost_is_weighted_expected_delay():
     net = build_grid(3, 3, (0.4, 1.2), seed=5)
     inc = incident("i0", 4)
-    ctx = make_ctx(net, incidents=[inc], w_d=1.0, w_r=1000.0)
+    ctx = make_ctx(net, incidents=[inc], w_r=1000.0)
     erv = ErvState(id="e0", cell=0)
+    # the dispatch weight is 1: the entry is the expected delay itself
     want = expected_delay(inc.params, travel_time(net, 0, 4))
-    assert unary_cost(ctx, erv, 4) == pytest.approx(want, rel=1e-12)
-    # dispatch weight multiplies straight through
-    ctx3 = make_ctx(net, incidents=[inc], w_d=3.0, w_r=1000.0)
-    assert unary_cost(ctx3, erv, 4) == pytest.approx(3 * want, rel=1e-12)
+    assert built_cost(ctx, [erv], erv, 4) == want
 
 
 def test_relocation_cost_of_hopeless_cell_is_full_weight():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    ctx = make_ctx(net, w_r=42.0)  # zero field: next-stage probability 0
-    assert unary_cost(ctx, ErvState(id="e", cell=0), 3) == pytest.approx(42.0)
+    ctx = make_ctx(net, w_r=42.0, relocation_k=4)  # zero field: probability 0
+    erv = ErvState(id="e", cell=0)
+    assert built_cost(ctx, [erv], erv, 3) == 42.0
 
 
 def test_likelier_cells_are_cheaper_to_cover():
@@ -93,16 +103,9 @@ def test_likelier_cells_are_cheaper_to_cover():
     values[1, 5] = 0.2
     ctx = make_ctx(net, field_=PrimaryProbField(values=values), w_r=10.0)
     erv = ErvState(id="e", cell=0)
-    assert unary_cost(ctx, erv, 2) == pytest.approx(3.0)
-    assert unary_cost(ctx, erv, 5) == pytest.approx(8.0)
-    assert unary_cost(ctx, erv, 2) < unary_cost(ctx, erv, 5)
-
-
-def test_unary_cost_requires_resolved_relocation_weight():
-    net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    ctx = make_ctx(net)  # w_r left as None
-    with pytest.raises(InputError):
-        unary_cost(ctx, ErvState(id="e", cell=0), 1)
+    assert built_cost(ctx, [erv], erv, 2) == pytest.approx(3.0)
+    assert built_cost(ctx, [erv], erv, 5) == pytest.approx(8.0)
+    assert built_cost(ctx, [erv], erv, 2) < built_cost(ctx, [erv], erv, 5)
 
 
 def test_relocation_candidates_rank_ties_and_exclusions():
@@ -172,7 +175,7 @@ def coverage_of(problem, resolved, erv):
     """Per candidate cell: the look-ahead share of the built unary costs."""
     row = problem.unary[erv.id]
     return {
-        cell: row[j] - unary_cost(resolved, erv, cell)
+        cell: row[j] - myopic_cost(resolved, erv, cell)
         for j, cell in enumerate(problem.domains[erv.id])
     }
 
@@ -192,7 +195,7 @@ def test_built_costs_add_expected_delay_to_forecast_hotspots(seed):
     assert hotspots
     for cell, got in coverage_of(problem, resolved, erv).items():
         want = sum(
-            p * expected_delay(reference_params(), travel_time(net, cell, c))
+            p * expected_delay(FUTURE_PARAMS, travel_time(net, cell, c))
             for c, p in hotspots
         )
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -217,7 +220,7 @@ def test_coverage_is_cheaper_nearer_the_hotspot():
     # cell 1 is one hop from the centre, cells 0 and 2 two hops
     assert 0.0 < cover[1] < cover[0]
     assert cover[0] == pytest.approx(cover[2])
-    assert cover[1] == pytest.approx(0.9 * expected_delay(reference_params(), 0.5))
+    assert cover[1] == pytest.approx(0.9 * expected_delay(FUTURE_PARAMS, 0.5))
 
 
 def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
@@ -233,19 +236,18 @@ def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
                    lookahead=2, relocation_k=4, stage_index=1)
     problem, resolved = build_erv_problem(ctx, [erv])
     assert incident_at(ctx, 5) is first
-    coverage = 0.0
+    cover = 0.0
     for t in (1, 2):
         for c, p in forecast_hotspots(ctx, 1 + t, 4):
-            coverage += p * expected_delay(reference_params(),
-                                           travel_time(net, 5, c))
-    assert coverage > 0.0
+            cover += p * expected_delay(FUTURE_PARAMS, travel_time(net, 5, c))
+    assert cover > 0.0
     j = problem.domains["e0"].index(5)
-    assert problem.unary["e0"][j] == unary_cost(resolved, erv, 5) + coverage
+    assert problem.unary["e0"][j] == unary_cost(resolved, erv, 5)
     dispatch = expected_delay(first.params, travel_time(net, 0, 5))
-    assert problem.unary["e0"][j] == dispatch + coverage
+    assert problem.unary["e0"][j] == dispatch + cover
     assert dispatch != expected_delay(slow, travel_time(net, 0, 5))
     # the one open cell is also the costliest dispatch behind the auto w_r
-    assert resolved.w_r == 100.0 * (dispatch + coverage)
+    assert resolved.w_r == 100.0 * (dispatch + cover)
 
 
 def test_build_past_the_forecast_horizon_opens_only_dispatch_rows():
@@ -259,6 +261,70 @@ def test_build_past_the_forecast_horizon_opens_only_dispatch_rows():
     assert problem.domains["e0"] == [8, 0, 1, 2]
     # rows from the vehicles to the incident, none for the coverage term
     assert sorted(net._dist_cache) == [0, 4]
+
+
+# ------------------------------------------------- array build vs oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lookahead=st.sampled_from([0, 1, 2]),
+       explicit_w_r=st.booleans())
+def test_built_stage_equals_the_scalar_oracle(seed, lookahead, explicit_w_r):
+    """Every unary entry and the resolved w_r equal the per-cell scalar
+    pricing bit for bit, and the build opens the rows the oracle opens, in
+    at most one Dijkstra call."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(x) for x in rng.integers(2, 6, size=2))
+    n = rows * cols
+    net = build_grid(rows, cols, (0.1, 1.5), seed=seed)
+    field_ = generate_field(n, 6, seed=seed)
+    incidents = []
+    for j in range(int(rng.integers(0, 5))):
+        inc = sample_incident(f"i{j}", int(rng.integers(1, 5)),
+                              int(rng.integers(0, n)),
+                              float(rng.integers(0, 3)) / 2, rng)
+        inc.cleared = bool(rng.random() < 0.2)
+        incidents.append(inc)
+    fleet = [
+        ErvState(id=f"e{j}", cell=int(rng.integers(0, n)),
+                 available_at=float(rng.random() < 0.2))
+        for j in range(int(rng.integers(1, 5)))
+    ]
+    fleet[0].available_at = 0.0
+    ctx = make_ctx(
+        net, field_=field_, incidents=incidents, lookahead=lookahead,
+        relocation_k=int(rng.integers(0, 6)), stage_index=int(rng.integers(0, 5)),
+        w_r=float(rng.uniform(1.5, 1e6)) if explicit_w_r else None,
+    )
+
+    calls = []
+    dijkstra = network._dijkstra
+
+    def counted(net_, sources):
+        calls.append(list(sources))
+        return dijkstra(net_, sources)
+
+    network._dijkstra = counted
+    try:
+        problem, resolved = build_erv_problem(ctx, fleet)
+    finally:
+        network._dijkstra = dijkstra
+    assert len(calls) <= 1
+
+    free = [e for e in fleet if e.is_free(0.0)]
+    scalar_net = build_grid(rows, cols, (0.1, 1.5), seed=seed)
+    scalar = replace(ctx, net=scalar_net)
+    if explicit_w_r:
+        assert resolved.w_r == ctx.w_r
+    else:
+        open_cells = sorted({i.location for i in incidents if not i.cleared})
+        assert resolved.w_r == auto_relocation_weight(scalar, free, open_cells)
+    scalar = replace(scalar, w_r=resolved.w_r)
+    for e in free:
+        got = problem.unary[e.id].tolist()
+        assert got == [unary_cost(scalar, e, c) for c in problem.domains[e.id]]
+    assert sorted(net._dist_cache) == sorted(scalar_net._dist_cache)
+    assert all(net._dist_cache[s] == row for s, row in scalar_net._dist_cache.items())
 
 
 # ------------------------------------------------------------ stage DCOPs
@@ -312,7 +378,7 @@ def test_stage_objective_counts_each_vehicle_once(algorithm):
     chosen = trace.final_assignment
     assert len(set(chosen.values())) == 3
     # lookahead 0: each unary entry is exactly the vehicle's myopic cost
-    want = sum(unary_cost(resolved, e, chosen[e.id]) for e in fleet)
+    want = sum(myopic_cost(resolved, e, chosen[e.id]) for e in fleet)
     assert trace.final_cost == pytest.approx(want, rel=1e-12)
     assert trace.final_cost == sum(
         problem.unary[e.id][problem.index[e.id][chosen[e.id]]] for e in fleet
@@ -385,34 +451,15 @@ def test_open_incidents_outrank_relocation_under_auto_weight(seed):
         assert inc.location in chosen  # every open incident gets a vehicle
 
 
-def test_dispatch_weight_rescales_without_moving_the_argmin():
-    net = build_grid(3, 3, (0.3, 1.0), seed=6)
-    field_ = generate_field(9, 6, seed=21)
-    incidents = [incident("i0", 4)]
-    fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=8)]
-    base, _ = build_erv_problem(
-        make_ctx(net, field_=field_, incidents=incidents, w_d=1.0), fleet
-    )
-    scaled, _ = build_erv_problem(
-        make_ctx(net, field_=field_, incidents=incidents, w_d=7.0), fleet
-    )
-    best_base, cost_base = brute_force_optimum(base)
-    best_scaled, cost_scaled = brute_force_optimum(scaled)
-    assert best_base == best_scaled
-    assert cost_scaled == pytest.approx(7.0 * cost_base, rel=1e-9)
-
-
 def test_context_validation():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     with pytest.raises(InputError):
-        make_ctx(net, w_d=0.0)
-    with pytest.raises(InputError):
-        make_ctx(net, w_d=2.0, w_r=2.0)
+        make_ctx(net, w_r=1.0)  # must exceed the dispatch weight, 1
     with pytest.raises(InputError):
         make_ctx(net, lookahead=3)
     with pytest.raises(InputError):
         make_ctx(net, lookahead=-1)
-    assert make_ctx(net).future_params == reference_params()
+    assert FUTURE_PARAMS == reference_params()
 
 
 # ---------------------------------------------------------- bookkeeping

@@ -14,6 +14,7 @@ from timdcop.incidents import (
     clamped,
     delay_variance,
     expected_delay,
+    expected_delays,
     reference_params,
     sample_incident,
     sample_params,
@@ -178,6 +179,70 @@ def test_longer_response_never_reduces_delay(severity, seed, r1, r2):
     p = sample_params(severity, np.random.default_rng(seed))
     lo, hi = sorted((r1, r2))
     assert expected_delay(p, lo) <= expected_delay(p, hi) + 1e-9
+
+
+# ------------------------------------------------------ vector delay
+
+
+@st.composite
+def severity_params(draw) -> TrafficParams:
+    """Fields uniform over one severity class's ranges; sometimes a reduced
+    capacity between demand and capacity with a small spread, which makes
+    the bracket negative."""
+    ranges = SEVERITY_RANGES[draw(st.sampled_from(sorted(SEVERITY_RANGES)))]
+    fields = {name: draw(st.floats(lo, hi)) for name, (lo, hi) in ranges.items()}
+    if draw(st.booleans()):
+        fields["s1_mean"] = draw(st.floats(fields["q"], fields["s"]))
+        fields["s1_sd"] = draw(st.floats(0.0, 5.0))
+    return TrafficParams(**fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.lists(severity_params(), min_size=1, max_size=5),
+    n_rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_expected_delays_equal_the_scalar_bit_for_bit(params, n_rows, data):
+    response = data.draw(st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+                 min_size=len(params), max_size=len(params)),
+        min_size=n_rows, max_size=n_rows))
+    clamped.reset()
+    want = [[expected_delay(p, r) for p, r in zip(params, row)]
+            for row in response]
+    scalar_clamps = clamped.count
+    clamped.reset()
+    got = expected_delays(params, response)
+    assert got.shape == (n_rows, len(params))
+    assert got.tolist() == want
+    assert clamped.count == scalar_clamps
+
+
+def test_expected_delays_square_like_python_floats():
+    # an ndarray's ** 2 multiplies, and differs in the last bit from the
+    # scalar's libm pow on 14 of these 20,000 responses
+    response = np.random.default_rng(0).uniform(0.0, 5.0, 20_000)
+    ref = reference_params()
+    want = [expected_delay(ref, r) for r in response.tolist()]
+    assert expected_delays([ref], response[:, None])[:, 0].tolist() == want
+
+
+def test_expected_delays_clamp_and_reject_like_the_scalar():
+    negative = TrafficParams(s=1800.0, s1_mean=1600.0, s1_sd=0.0, q=1500.0,
+                             r_var=0.04, clearance=0.3)
+    clamped.reset()
+    got = expected_delays([WORKED, negative], [[0.5, 1.0], [0.0, 0.0]])
+    assert got.tolist() == [[expected_delay(WORKED, 0.5), 0.0],
+                            [expected_delay(WORKED, 0.0), 0.0]]
+    assert clamped.count == 2
+    assert expected_delays([], [[], []]).shape == (2, 0)
+    saturated = TrafficParams(s=1000.0, s1_mean=900.0, s1_sd=0.0, q=1000.0,
+                              r_var=0.1, clearance=0.3)
+    with pytest.raises(ModelDomainError):
+        expected_delays([WORKED, saturated], [1.0, 1.0])
+    with pytest.raises(ModelDomainError):
+        expected_delays([WORKED], [[0.5], [-0.1]])
 
 
 # ---------------------------------------------------------------- errors

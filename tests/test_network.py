@@ -10,9 +10,9 @@ from timdcop.errors import InputError
 from timdcop.network import (
     GridNetwork,
     build_grid,
-    cell_index,
     cell_rowcol,
     travel_row,
+    travel_rows,
     travel_time,
 )
 
@@ -57,7 +57,7 @@ def links_by_scalar_draws(rows, cols, lo, hi, seed) -> dict:
     edge_time = {}
     for r in range(rows):
         for c in range(cols):
-            a = cell_index(r, c, cols)
+            a = r * cols + c
             if c < cols - 1:
                 edge_time[(a, a + 1)] = float(rng.uniform(lo, hi))
             if r < rows - 1:
@@ -213,13 +213,46 @@ def test_travel_row_is_the_cached_row_travel_time_reads():
         travel_row(net, 12)
 
 
+@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (10, 10), (40, 40)])
+def test_batched_rows_equal_one_source_rows(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    sources = rng.integers(0, rows * cols, size=12).tolist()
+    sources += sources[:3]  # repeats share one row
+    batched = build_grid(rows, cols, seed=rows)
+    single = build_grid(rows, cols, seed=rows)
+    got = travel_rows(batched, sources)
+    assert got == [travel_row(single, s) for s in sources]
+    assert len(batched._dist_cache) == len(set(sources))
+    assert all(got[i] is batched._dist_cache[s] for i, s in enumerate(sources))
+
+
+def test_travel_rows_open_only_the_missing_rows_in_one_call(monkeypatch):
+    from timdcop import network
+
+    net = build_grid(4, 4, seed=3)
+    first = travel_row(net, 5)
+    calls = []
+    dijkstra = network._dijkstra
+    monkeypatch.setattr(network, "_dijkstra",
+                        lambda n, s: calls.append(list(s)) or dijkstra(n, s))
+    rows = travel_rows(net, [9, 5, 0, 9])
+    assert calls == [[9, 0]]
+    assert rows[1] is first and rows[0] is rows[3]
+    assert sorted(net._dist_cache) == [0, 5, 9]
+    assert travel_rows(net, [0, 5]) == [rows[2], first] and len(calls) == 1
+    assert travel_rows(net, []) == [] and len(calls) == 1
+    with pytest.raises(InputError):
+        travel_rows(net, [0, 16])
+    assert len(calls) == 1
+
+
 def test_same_cell_lookups_build_no_row():
     net = build_grid(3, 3, seed=2)
     assert travel_time(net, 4, 4) == 0.0
     assert net._dist_cache == {} and net._graph is None
 
 
-def test_cell_index_rowcol_bijection():
+def test_cell_rowcol_inverts_row_major_index():
     for cell in range(12):
         r, c = cell_rowcol(cell, 4)
-        assert cell_index(r, c, 4) == cell
+        assert r * 4 + c == cell
