@@ -1,12 +1,7 @@
 """Proactive traffic-incident dispatch: DCOP planning over a grid network."""
 from __future__ import annotations
 
-from .dcop import (
-    BinaryConstraint,
-    DcopProblem,
-    brute_force_optimum,
-    total_cost,
-)
+from .dcop import BinaryConstraint, DcopProblem, total_cost
 from .erv import ErvState, StageContext, build_erv_problem
 from .forecast import (
     DependencyKernel,
@@ -38,8 +33,7 @@ from .uav import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryConstraint", "DcopProblem",
-    "brute_force_optimum", "total_cost",
+    "BinaryConstraint", "DcopProblem", "total_cost",
     "ErvState", "StageContext", "build_erv_problem",
     "DependencyKernel", "Forecast", "PrimaryProbField", "default_kernel",
     "expected_probability", "generate_field",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,18 +36,71 @@ from .uav import write_assimilation_csv
 
 WORKERS_ENV = "TIMDCOP_WORKERS"
 
-# sweep axes: name -> (target, attribute, parser)
+# sweep axes: name -> (target, attribute, kind of value)
 _AXES = {
-    "dsa_threshold": ("solver", "dsa_threshold", float),
-    "iterations": ("solver", "iterations", int),
-    "algorithm": ("solver", "algorithm", str),
-    "ervs": ("scenario", "n_ervs", int),
-    "uavs": ("scenario", "n_uavs", int),
-    "lookahead": ("scenario", "lookahead", int),
-    "relocation_k": ("scenario", "relocation_k", int),
-    "kappa": ("scenario", "kappa", float),
-    "cooperation": ("scenario", "cooperation", lambda s: s.lower() in ("1", "true", "on")),
+    "dsa_threshold": ("solver", "dsa_threshold", "number"),
+    "iterations": ("solver", "iterations", "count"),
+    "algorithm": ("solver", "algorithm", "text"),
+    "ervs": ("scenario", "n_ervs", "count"),
+    "uavs": ("scenario", "n_uavs", "count"),
+    "lookahead": ("scenario", "lookahead", "count"),
+    "relocation_k": ("scenario", "relocation_k", "count"),
+    "kappa": ("scenario", "kappa", "number"),
+    "cooperation": ("scenario", "cooperation", "switch"),
 }
+# --axis cooperation=... words
+_ON, _OFF = ("1", "true", "on"), ("0", "false", "off")
+
+
+def _axis_value(axis: str, x):
+    """A sweep value checked against its axis: a whole number for a count, a
+    finite number (not a boolean) for a number, a string for text, a JSON
+    boolean for a switch."""
+    kind, what = _AXES[axis][2], f"a value of sweep axis {axis}"
+    if kind == "count":
+        return whole_number(x, what)
+    if kind == "number":
+        if (isinstance(x, bool) or not isinstance(x, (int, float))
+                or not math.isfinite(x)):
+            raise InputError(f"{what} must be a finite number, got {x!r}")
+        return float(x)
+    if kind == "text":
+        if not isinstance(x, str):
+            raise InputError(f"{what} must be a string, got {x!r}")
+        return x
+    if not isinstance(x, bool):
+        raise InputError(f"{what} must be true or false, got {x!r}")
+    return x
+
+
+def _text_number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{what} must be a number, got {text!r}") from None
+
+
+def _axis_text(axis: str, text: str):
+    """A sweep value given as --axis text, checked as _axis_value checks it."""
+    kind = _AXES[axis][2]
+    if kind == "text":
+        return text
+    if kind == "switch":
+        if text.lower() not in _ON + _OFF:
+            raise InputError(
+                f"a value of sweep axis {axis} must be one of "
+                f"{', '.join(_ON + _OFF)}, got {text!r}")
+        return text.lower() in _ON
+    return _axis_value(axis, _text_number(text, f"a value of sweep axis {axis}"))
+
+
+def _workers() -> int:
+    """Sweep processes from TIMDCOP_WORKERS: a whole number >= 1, 1 when unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    workers = whole_number(_text_number(raw, WORKERS_ENV), WORKERS_ENV)
+    if workers < 1:
+        raise InputError(f"{WORKERS_ENV} must be >= 1, got {raw!r}")
+    return workers
 
 
 def _load_json(path: str) -> dict:
@@ -153,14 +207,12 @@ def cmd_run(args) -> int:
 
 def _sweep_point(payload: tuple) -> tuple:
     """One (axis value, trial) sweep cell; top-level so pools can pickle it."""
-    sc_dict, policy, axis, raw_value, trial = payload
-    _, _, parse = _AXES[axis]
-    value = parse(raw_value) if isinstance(raw_value, str) else raw_value
+    sc_dict, policy, axis, value, trial = payload
     sc = scenario_from_dict(sc_dict)
     sc = replace(sc, seed=sc.seed + trial)
     sc = _apply_axis(sc, axis, value)
     res = run_policy(sc, policy)
-    return (axis, raw_value, trial, sc.seed,
+    return (axis, value, trial, sc.seed,
             res.total_delay_veh_h, res.total_response_min)
 
 
@@ -178,6 +230,7 @@ def cmd_sweep(args) -> int:
         values = axis_d.get("values")
         if not isinstance(values, list) or not values:
             raise InputError("axis.values must be a non-empty list")
+        values = [_axis_value(axis, v) for v in values]
         trials = whole_number(manifest.get("trials"), "trials")
         policy = manifest.get("policy", "pdronetim")
     else:
@@ -189,11 +242,7 @@ def cmd_sweep(args) -> int:
             raise InputError(
                 f"unknown sweep axis {axis!r}; choose from {', '.join(sorted(_AXES))}"
             )
-        parse = _AXES[axis][2]
-        try:
-            values = [parse(v.strip()) for v in rest.split(",") if v.strip()]
-        except ValueError as exc:
-            raise InputError(f"bad axis value: {exc}") from exc
+        values = [_axis_text(axis, v.strip()) for v in rest.split(",") if v.strip()]
         if not values:
             raise InputError("axis needs at least one value")
         trials = args.trials
@@ -206,7 +255,7 @@ def cmd_sweep(args) -> int:
         for v in values
         for t in range(trials)
     ]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = _workers()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, grid))

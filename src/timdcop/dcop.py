@@ -1,4 +1,4 @@
-"""Constraint-optimization problem container and exact baseline.
+"""Constraint-optimization problem container.
 
 A problem holds one variable per agent, each with a finite domain of distinct
 values, plus cost tables indexed by domain position: a unary vector per agent
@@ -9,20 +9,17 @@ absorbing for free.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
 
-from .errors import CapExceededError, InputError
+from .errors import InputError
 
 AgentId = Hashable
 Value = Hashable  # cell id, or None for an idle slot
 Assignment = dict  # AgentId -> Value
-
-BRUTE_FORCE_CAP = 10**6
 
 
 @dataclass
@@ -120,32 +117,3 @@ def total_cost(p: DcopProblem, assignment: Assignment) -> float:
         total += c.table[pos[c.a], pos[c.b]]
     return float(total)
 
-
-def search_space(p: DcopProblem) -> int:
-    return math.prod(len(p.domains[a]) for a in p.agents)
-
-
-def brute_force_optimum(
-    p: DcopProblem, cap: int = BRUTE_FORCE_CAP
-) -> tuple[Assignment, float]:
-    """Exhaustive optimum; first assignment in lexicographic order wins ties.
-
-    Lexicographic means agents in declaration order, values in domain order.
-    Refuses problems whose assignment space exceeds the cap.
-    """
-    space = search_space(p)
-    if space > cap:
-        raise CapExceededError(
-            f"assignment space {space} exceeds cap {cap}"
-        )
-    better = (lambda x, y: x < y) if p.sense == "min" else (lambda x, y: x > y)
-    best: Assignment | None = None
-    best_cost = math.inf if p.sense == "min" else -math.inf
-    doms = [p.domains[a] for a in p.agents]
-    for combo in itertools.product(*doms):
-        asg = dict(zip(p.agents, combo))
-        cost = total_cost(p, asg)
-        if best is None or better(cost, best_cost):
-            best, best_cost = asg, cost
-    assert best is not None
-    return best, best_cost

@@ -7,8 +7,8 @@ incident probability next stage). Each free ERV gets a unary cost vector over
 the candidate cells, and one shared all-different table on every pair forbids
 two ERVs on one cell.
 
-w_r defaults to 100x the largest current-stage dispatch cost so every open
-incident is served before any vehicle relocates.
+w_r is 100x the largest current-stage dispatch cost (100 when no incident is
+open), so every open incident is served before any vehicle relocates.
 
 A two-stage look-ahead augments every candidate cell with the expected cost
 of responding, from that cell, to forecast incidents one and two stages out:
@@ -22,7 +22,7 @@ hotspot) and one (vehicle x open cell) response matrix, each priced by one
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class ErvState:
     cell: CellId
     available_at: float = 0.0           # free for tasking at/after this time
     initial_cell: CellId | None = None  # depot for the conventional policy
-    log: list = field(default_factory=list)  # (stage_time, cell, kind)
 
     def __post_init__(self) -> None:
         if self.initial_cell is None:
@@ -64,14 +63,10 @@ class StageContext:
     stage_time: float            # hours
     stage_index: int             # forecast stage u
     open_incidents: list[Incident]
-    w_r: float | None = None     # None -> auto (100 x max dispatch cost)
     lookahead: int = 2
     relocation_k: int = DEFAULT_RELOCATION_K
-    stage_gap: float = 0.5       # hours between request stages
 
     def __post_init__(self) -> None:
-        if self.w_r is not None and self.w_r <= DISPATCH_WEIGHT:
-            raise InputError("relocation weight must exceed dispatch weight")
         if self.lookahead < 0 or self.lookahead > 2:
             raise InputError("lookahead must be 0, 1 or 2")
 
@@ -111,12 +106,8 @@ def _responses(rows: dict[CellId, list[float]], cells: list[CellId],
             else zero for cell in cells]
 
 
-def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopProblem, StageContext]:
-    """Stage DCOP for the free part of the fleet.
-
-    Returns the problem plus a context copy whose w_r is resolved, so cost
-    audits use exactly the weights the constraints saw.
-    """
+def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:
+    """Stage DCOP for the free part of the fleet."""
     free = sorted(
         (e for e in fleet if e.is_free(ctx.stage_time)), key=lambda e: e.id
     )
@@ -164,21 +155,17 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
                                _responses(rows, [e.cell for e in free], open_cells)) \
         + coverage[:n_open]
 
-    resolved = ctx
-    if ctx.w_r is None:
-        # dispatch must dominate relocation: scale off the costliest dispatch
-        worst = float(dispatch.max()) if n_open else 0.0
-        w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)
-        resolved = replace(ctx, w_r=w_r)
+    # dispatch must dominate relocation: scale off the costliest dispatch
+    worst = float(dispatch.max()) if n_open else 0.0
+    w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)
 
-    p_next = resolved.forecast.row(resolved.stage_index + 1)
+    p_next = ctx.forecast.row(ctx.stage_index + 1)
     unary = np.empty((len(free), len(domain)))
     unary[:, :n_open] = dispatch
-    unary[:, n_open:] = resolved.w_r * (1.0 - p_next[domain[n_open:]]) \
-        + coverage[n_open:]
+    unary[:, n_open:] = w_r * (1.0 - p_next[domain[n_open:]]) + coverage[n_open:]
     agents = [e.id for e in free]
     conflict = all_different_table(domain, domain)
-    problem = DcopProblem(
+    return DcopProblem(
         agents=agents,
         domains={eid: list(domain) for eid in agents},
         unary=dict(zip(agents, unary)),
@@ -188,14 +175,12 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> tuple[DcopPro
         ],
         sense="min",
     )
-    return problem, resolved
 
 
 @dataclass
 class DispatchRecord:
     incident_id: str
     erv_id: str
-    travel_h: float
     response_h: float  # waiting since report + travel
 
 
@@ -220,19 +205,14 @@ def apply_assignment(
             raise InputError(f"ERV {erv_id} is not free at t={ctx.stage_time}")
         inc = incident_at(ctx, cell)
         travel = travel_time(ctx.net, erv.cell, cell)
-        if inc is not None:
-            waited = ctx.stage_time - inc.report_time
-            response = waited + travel
-            inc.cleared = True
-            erv.available_at = ctx.stage_time + travel + inc.params.clearance
-            erv.cell = cell
-            erv.log.append((ctx.stage_time, cell, "dispatch"))
-            records.append(DispatchRecord(
-                incident_id=inc.id, erv_id=erv_id,
-                travel_h=travel, response_h=response,
-            ))
-        else:
+        erv.cell = cell
+        if inc is None:
             erv.available_at = ctx.stage_time + travel
-            erv.cell = cell
-            erv.log.append((ctx.stage_time, cell, "relocate"))
+            continue
+        waited = ctx.stage_time - inc.report_time
+        inc.cleared = True
+        erv.available_at = ctx.stage_time + travel + inc.params.clearance
+        records.append(DispatchRecord(
+            incident_id=inc.id, erv_id=erv_id, response_h=waited + travel,
+        ))
     return records

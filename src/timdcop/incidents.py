@@ -18,7 +18,7 @@ the queue never clears and the model has no finite answer.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

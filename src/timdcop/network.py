@@ -23,10 +23,6 @@ CellId = int
 DEFAULT_EDGE_RANGE = (0.1, 1.5)
 
 
-def cell_rowcol(cell: CellId, cols: int) -> tuple[int, int]:
-    return divmod(cell, cols)
-
-
 @dataclass
 class GridNetwork:
     rows: int
@@ -41,22 +37,6 @@ class GridNetwork:
     @property
     def n_cells(self) -> int:
         return self.rows * self.cols
-
-    def cells(self) -> range:
-        return range(self.n_cells)
-
-    def neighbors(self, cell: CellId) -> list[CellId]:
-        r, c = cell_rowcol(cell, self.cols)
-        out = []
-        if r > 0:
-            out.append(cell - self.cols)
-        if r < self.rows - 1:
-            out.append(cell + self.cols)
-        if c > 0:
-            out.append(cell - 1)
-        if c < self.cols - 1:
-            out.append(cell + 1)
-        return out
 
 
 def build_grid(

@@ -229,11 +229,12 @@ class StageOutcome:
     n_open: int
     n_free_ervs: int
     erv_assignments: list       # (erv_id, cell, kind)
-    erv_cost: float | None      # objective of the committed assignment
-    erv_messages: int
-    erv_moves: int
-    uav_assignments: list       # (uav_id, cell)
-    uav_utility: float | None
+    # a stage with no solve has no objective, messages, moves or UAV tasking
+    erv_cost: float | None = None   # objective of the committed assignment
+    erv_messages: int = 0
+    erv_moves: int = 0
+    uav_assignments: list = field(default_factory=list)  # (uav_id, cell)
+    uav_utility: float | None = None
 
 
 @dataclass
@@ -299,36 +300,21 @@ def _cached_run(policy: str, run, sc: Scenario, world: World | None) -> RunResul
     return res
 
 
-# ---------------------------------------------------------------- proactive
+def _run_stages(sc: Scenario, w: World, fleet: list[ErvState], step) -> list[StageOutcome]:
+    """The stage clock of the conventional and pdronetim policies.
 
-
-def run_proactive(sc: Scenario, world: World | None = None) -> RunResult:
-    return _cached_run("pdronetim", _run_proactive, sc, world)
-
-
-def _run_proactive(sc: Scenario, w: World) -> RunResult:
-    fleet = [
-        ErvState(id=_erv_id(i), cell=c) for i, c in enumerate(w.erv_cells)
-    ]
-    uavs = [
-        UavState(id=f"uav{i}", cell=c) for i, c in enumerate(w.uav_cells)
-    ]
-    obs_rng = _rng(sc.seed, _OBS)
-
-    all_incidents = _fresh_incidents(w)
-    by_id = {i.id: i for i in all_incidents}
-    pending = list(all_incidents)      # not yet reported
+    Each stage ingests the requests reported by its start, counts the free
+    vehicles, and calls step(stage, t, open incidents, free vehicles), which
+    serves what the policy serves and returns the policy's own StageOutcome
+    fields; cleared incidents then leave the open list. The loop covers
+    every scheduled stage (relocation duty even with no requests), then keeps
+    draining until every incident is served.
+    """
+    pending = _fresh_incidents(w)      # not yet reported, in report order
     open_inc: list[Incident] = []
-    beliefs: dict[str, DelayBelief] = {}
     stages: list[StageOutcome] = []
-    outcomes: list[IncidentOutcome] = []
-    assim: list[AssimilationRecord] = []
-    uav_total = 0.0
-
     stage = 0
     guard = _stage_guard(sc, w)
-    # cover every scheduled stage (relocation duty even with no requests),
-    # then keep draining until every incident is served
     while pending or open_inc or stage < len(sc.schedule):
         if stage > guard:
             raise CapExceededError(
@@ -339,62 +325,95 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
             open_inc.append(pending.pop(0))
 
         free = [e for e in fleet if e.is_free(t)]
+        fields = step(stage, t, open_inc, free)
+        open_inc = [i for i in open_inc if not i.cleared]
+        stages.append(StageOutcome(
+            stage=stage, time_h=t,
+            n_open=len(open_inc), n_free_ervs=len(free), **fields,
+        ))
+        stage += 1
+    return stages
+
+
+def _fleet(w: World) -> list[ErvState]:
+    return [ErvState(id=_erv_id(i), cell=c) for i, c in enumerate(w.erv_cells)]
+
+
+# ---------------------------------------------------------------- proactive
+
+
+def run_proactive(sc: Scenario, world: World | None = None) -> RunResult:
+    return _cached_run("pdronetim", _run_proactive, sc, world)
+
+
+def _run_proactive(sc: Scenario, w: World) -> RunResult:
+    fleet = _fleet(w)
+    uavs = [
+        UavState(id=f"uav{i}", cell=c) for i, c in enumerate(w.uav_cells)
+    ]
+    obs_rng = _rng(sc.seed, _OBS)
+    beliefs: dict[str, DelayBelief] = {}
+    outcomes: list[IncidentOutcome] = []
+    assim: list[AssimilationRecord] = []
+    uav_total = 0.0
+
+    def step(stage: int, t: float, open_inc: list[Incident],
+             free: list[ErvState]) -> dict:
+        nonlocal uav_total
+        fields: dict = {"erv_assignments": []}
         records: list[DispatchRecord] = []
-        erv_assignments: list = []
-        erv_cost = None
-        erv_messages = 0
-        erv_moves = 0
         # skip the solve when there is nothing to do: no open incidents and
         # nothing left to anticipate (past the forecast horizon)
-        worth_solving = bool(open_inc) or stage + 1 < w.forecast.field_.stages
-        if free and worth_solving:
+        if free and (open_inc or stage + 1 < w.forecast.field_.stages):
             ctx = StageContext(
                 net=w.net, forecast=w.forecast,
-                stage_time=t, stage_index=stage,
-                open_incidents=list(open_inc),
+                stage_time=t, stage_index=stage, open_incidents=open_inc,
                 lookahead=sc.lookahead, relocation_k=sc.relocation_k,
-                stage_gap=sc.stage_gap,
             )
-            problem, rctx = build_erv_problem(ctx, fleet)
+            problem = build_erv_problem(ctx, fleet)
             cfg = replace(sc.solver, seed=_int_seed(sc.seed, _SOLVER, stage))
             trace = solve(problem, cfg)
-            records = apply_assignment(rctx, fleet, trace.final_assignment)
-            erv_cost = trace.final_cost
-            erv_messages = trace.messages
-            erv_moves = sum(trace.moves)
-            for erv_id, cell in sorted(trace.final_assignment.items()):
-                kind = "dispatch" if any(
-                    r.erv_id == erv_id for r in records
-                ) else "relocate"
-                erv_assignments.append((erv_id, int(cell), kind))
+            records = apply_assignment(ctx, fleet, trace.final_assignment)
+            dispatched = {r.erv_id for r in records}
+            fields.update(
+                erv_assignments=[
+                    (erv_id, int(cell),
+                     "dispatch" if erv_id in dispatched else "relocate")
+                    for erv_id, cell in sorted(trace.final_assignment.items())
+                ],
+                erv_cost=trace.final_cost,
+                erv_messages=trace.messages,
+                erv_moves=sum(trace.moves),
+            )
 
         # UAV observation tasking for the incidents served this stage
-        uav_assignments: list = []
-        uav_utility = None
+        by_id = {i.id: i for i in open_inc}
         observed: dict[str, int] = {}
-        if records and uavs:
-            free_uavs = [u for u in uavs if u.is_free(t)]
-            if free_uavs:
-                benefits = {}
-                for r in records:
-                    inc = by_id[r.incident_id]
-                    benefits[inc.location] = priority_benefit(
-                        inc.severity, w.sparsity[inc.id], w.hazard[inc.id],
-                    )
-                u_problem = build_uav_problem(w.net, free_uavs, benefits)
-                u_cfg = replace(
-                    sc.solver, seed=_int_seed(sc.seed, _UAVSOLVER, stage)
+        free_uavs = [u for u in uavs if u.is_free(t)] if records else []
+        if free_uavs:
+            benefits = {}
+            for r in records:
+                inc = by_id[r.incident_id]
+                benefits[inc.location] = priority_benefit(
+                    inc.severity, w.sparsity[inc.id], w.hazard[inc.id],
                 )
-                u_trace = solve(u_problem, u_cfg)
-                observed = apply_uav_assignment(
-                    w.net, free_uavs, u_trace.final_assignment, t
-                )
-                uav_utility = u_trace.final_cost
-                if math.isfinite(uav_utility):
-                    uav_total += uav_utility
-                uav_assignments = sorted(
+            u_problem = build_uav_problem(w.net, free_uavs, benefits)
+            u_cfg = replace(
+                sc.solver, seed=_int_seed(sc.seed, _UAVSOLVER, stage)
+            )
+            u_trace = solve(u_problem, u_cfg)
+            observed = apply_uav_assignment(
+                w.net, free_uavs, u_trace.final_assignment, t
+            )
+            uav_utility = u_trace.final_cost
+            if math.isfinite(uav_utility):
+                uav_total += uav_utility
+            fields.update(
+                uav_assignments=sorted(
                     (uid, int(c)) for uid, c in observed.items()
-                )
+                ),
+                uav_utility=uav_utility,
+            )
 
         observed_cells = set(observed.values())
         for r in records:
@@ -434,17 +453,9 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                 obs_mean=obs_mean, obs_var=obs_var, beta=beta,
                 post_mean=post.mean, post_var=post.variance,
             ))
+        return fields
 
-        open_inc = [i for i in open_inc if not i.cleared]
-        stages.append(StageOutcome(
-            stage=stage, time_h=t,
-            n_open=len(open_inc), n_free_ervs=len(free),
-            erv_assignments=erv_assignments, erv_cost=erv_cost,
-            erv_messages=erv_messages, erv_moves=erv_moves,
-            uav_assignments=uav_assignments, uav_utility=uav_utility,
-        ))
-        stage += 1
-
+    stages = _run_stages(sc, w, fleet, step)
     return _finish("pdronetim", sc, stages, outcomes, assim, uav_total)
 
 
@@ -457,26 +468,11 @@ def run_conventional(sc: Scenario, world: World | None = None) -> RunResult:
 
 
 def _run_conventional(sc: Scenario, w: World) -> RunResult:
-    fleet = [
-        ErvState(id=_erv_id(i), cell=c) for i, c in enumerate(w.erv_cells)
-    ]
-    pending = _fresh_incidents(w)
-    open_inc: list[Incident] = []
-    stages: list[StageOutcome] = []
+    fleet = _fleet(w)
     outcomes: list[IncidentOutcome] = []
 
-    stage = 0
-    guard = _stage_guard(sc, w)
-    while pending or open_inc or stage < len(sc.schedule):
-        if stage > guard:
-            raise CapExceededError(
-                f"stage loop failed to drain after {guard} stages"
-            )
-        t = stage * sc.stage_gap
-        while pending and pending[0].report_time <= t + 1e-9:
-            open_inc.append(pending.pop(0))
-
-        free = [e for e in fleet if e.is_free(t)]
+    def step(stage: int, t: float, open_inc: list[Incident],
+             free: list[ErvState]) -> dict:
         assignments: list = []
         for inc in sorted(open_inc, key=lambda i: (i.report_time, i.id)):
             avail = [e for e in fleet if e.is_free(t)]
@@ -495,7 +491,6 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
             back = travel_time(w.net, inc.location, erv.initial_cell)
             erv.available_at = t + travel + inc.params.clearance + back
             erv.cell = erv.initial_cell
-            erv.log.append((t, inc.location, "dispatch"))
             assignments.append((erv.id, inc.location, "dispatch"))
             outcomes.append(IncidentOutcome(
                 incident_id=inc.id, cell=inc.location, severity=inc.severity,
@@ -503,17 +498,9 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
                 response_h=response, delay_veh_h=d, delay_var=v,
                 cooperating=False,
             ))
+        return {"erv_assignments": assignments}
 
-        open_inc = [i for i in open_inc if not i.cleared]
-        stages.append(StageOutcome(
-            stage=stage, time_h=t,
-            n_open=len(open_inc), n_free_ervs=len(free),
-            erv_assignments=assignments, erv_cost=None,
-            erv_messages=0, erv_moves=0,
-            uav_assignments=[], uav_utility=None,
-        ))
-        stage += 1
-
+    stages = _run_stages(sc, w, fleet, step)
     return _finish("conventional", sc, stages, outcomes, [], 0.0)
 
 
@@ -646,44 +633,8 @@ def run_opt(sc: Scenario, world: World | None = None,
             plan.append((idx, e, start))
         return total, plan
 
-    id_to_idx = {inc.id: i for i, inc in enumerate(incidents)}
-    erv_index = {_erv_id(e): e for e in range(n_erv)}
-
-    def replay(result: RunResult) -> tuple[float, list[tuple[int, int, float]]]:
-        """Re-run a realized policy's per-vehicle service orders with direct
-        motion. Skipping depot returns and relocation detours can only move
-        each service start earlier (triangle inequality), so the replayed
-        schedule is a point of this search space costing no more than the
-        policy's realized total."""
-        by_erv: list[list[IncidentOutcome]] = [[] for _ in range(n_erv)]
-        for o in result.incidents:
-            by_erv[erv_index[o.erv_id]].append(o)
-        pos = list(w.erv_cells)
-        free_at = [0.0] * n_erv
-        total = 0.0
-        plan = []
-        for e, served in enumerate(by_erv):
-            served.sort(key=lambda o: (o.report_h + o.response_h, o.incident_id))
-            for o in served:
-                i = id_to_idx[o.incident_id]
-                inc = incidents[i]
-                start = max(
-                    inc.report_time, free_at[e] + tt[pos[e]][inc.location]
-                )
-                total += expected_delay(inc.params, start - inc.report_time)
-                free_at[e] = start + inc.params.clearance
-                pos[e] = inc.location
-                plan.append((i, e, start))
-        return total, plan
-
-    # incumbents: greedy plus both realized policies replayed into this
-    # space, so the exact search starts at or below either policy's cost
-    # (on a world that already ran them, the stored runs are replayed)
-    incumbents = [greedy(), replay(run_conventional(sc, w)),
-                  replay(run_proactive(sc, w))]
-
     # (vehicle, service order) -> per-service (delay, start), shared by
-    # every polish trial of every incumbent
+    # every replay and every polish trial of every incumbent
     legs: dict[tuple[int, tuple[int, ...]], list[tuple[float, float]]] = {}
 
     def leg(e: int, seq: tuple[int, ...]) -> list[tuple[float, float]]:
@@ -709,6 +660,32 @@ def run_opt(sc: Scenario, world: World | None = None,
             for d, _ in leg(e, seq):
                 total += d
         return total
+
+    def seqs_plan(seqs: list[tuple[int, ...]]) -> list[tuple[int, int, float]]:
+        return [(i, e, start) for e, seq in enumerate(seqs)
+                for i, (_, start) in zip(seq, leg(e, seq))]
+
+    id_to_idx = {inc.id: i for i, inc in enumerate(incidents)}
+    erv_index = {_erv_id(e): e for e in range(n_erv)}
+
+    def replay(result: RunResult) -> tuple[float, list[tuple[int, int, float]]]:
+        """Re-run a realized policy's per-vehicle service orders with direct
+        motion. Skipping depot returns and relocation detours can only move
+        each service start earlier (triangle inequality), so the replayed
+        schedule is a point of this search space costing no more than the
+        policy's realized total."""
+        by_erv: list[list[int]] = [[] for _ in range(n_erv)]
+        for o in sorted(result.incidents,
+                        key=lambda o: (o.report_h + o.response_h, o.incident_id)):
+            by_erv[erv_index[o.erv_id]].append(id_to_idx[o.incident_id])
+        seqs = [tuple(s) for s in by_erv]
+        return seqs_cost(seqs), seqs_plan(seqs)
+
+    # incumbents: greedy plus both realized policies replayed into this
+    # space, so the exact search starts at or below either policy's cost
+    # (on a world that already ran them, the stored runs are replayed)
+    incumbents = [greedy(), replay(run_conventional(sc, w)),
+                  replay(run_proactive(sc, w))]
 
     def polish(cost: float, plan: list[tuple[int, int, float]]):
         """Steepest descent over single-incident relocations (any vehicle,
@@ -751,8 +728,7 @@ def run_opt(sc: Scenario, world: World | None = None,
             if step is None:
                 return cost, plan
             cost, seqs = step_cost, step
-            plan = [(i, e, start) for e, seq in enumerate(seqs)
-                    for i, (_, start) in zip(seq, leg(e, seq))]
+            plan = seqs_plan(seqs)
 
     best_cost, best_plan = min(
         (polish(c, pl) for c, pl in incumbents), key=lambda t: t[0]

@@ -15,8 +15,8 @@ Both run the same barrier-round loop:
   6. repeat until the first round in which no agent has a positive gain (a
      fixed point: no agent moves in it or in any later round), or for the
      configured iteration count; a stopped trace is still filled to
-     `iterations` rounds with the same best cost, 0 moves and the same
-     per-round message count
+     `iterations` rounds with the same best cost and 0 moves, and its
+     message total counts every round
 
 The DSA rule moves on a positive gain only, which is DSA-A's rule in Zhang et
 al. (2005). DSA-B also moves on a zero gain while the agent is in conflict, to
@@ -58,23 +58,14 @@ class SolverConfig:
         if not (0.0 <= self.dsa_threshold <= 1.0):
             raise InputError("dsa_threshold must lie in [0, 1]")
 
-    @property
-    def label(self) -> str:
-        if self.algorithm == "dsa":
-            return f"dsa-{self.dsa_threshold:g}"
-        return "mgm"
-
 
 @dataclass
 class SolveTrace:
-    algorithm: str
-    sense: str
     best_costs: list[float]      # best-known objective after each round
     final_assignment: Assignment  # best assignment seen (the answer)
     last_assignment: Assignment   # raw assignment when the loop stopped
     moves: list[int]             # moves applied per round
-    round_messages: list[int]    # messages exchanged per round
-    messages: int                # total
+    messages: int                # total over every round
 
     @property
     def final_cost(self) -> float:
@@ -134,8 +125,7 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
 
     best_costs: list[float] = []
     moves_per_round: list[int] = []
-    round_messages: list[int] = []
-    # everyone broadcasts its value; MGM adds a gain broadcast round
+    # per round, everyone broadcasts its value; MGM adds a gain broadcast
     msgs = sum(len(neighbors[a]) for a in order)
     if cfg.algorithm == "mgm":
         msgs *= 2
@@ -165,7 +155,6 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
             rest = cfg.iterations - len(best_costs)
             best_costs += [flip * best] * rest
             moves_per_round += [0] * rest
-            round_messages += [msgs] * rest
             break
 
         if cfg.algorithm == "mgm":
@@ -196,15 +185,11 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
             best_assignment = dict(current)
         best_costs.append(flip * best)
         moves_per_round.append(len(movers))
-        round_messages.append(msgs)
 
     return SolveTrace(
-        algorithm=cfg.algorithm,
-        sense=p.sense,
         best_costs=best_costs,
         final_assignment=best_assignment,
         last_assignment=current,
         moves=moves_per_round,
-        round_messages=round_messages,
-        messages=sum(round_messages),
+        messages=msgs * cfg.iterations,
     )

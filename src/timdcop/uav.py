@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class UavState:
     id: str
     cell: CellId
     available_at: float = 0.0
-    log: list = field(default_factory=list)
 
     def is_free(self, now: float) -> bool:
         return self.available_at <= now + 1e-9
@@ -127,7 +126,6 @@ def apply_uav_assignment(
         flight = travel_time(net, u.cell, cell)
         u.available_at = stage_time + flight
         u.cell = cell
-        u.log.append((stage_time, cell, "observe"))
         observed[uid] = cell
     return observed
 

@@ -1,0 +1,42 @@
+"""Exhaustive optimum of a DcopProblem, the oracle local search is tested against.
+
+No production path solves a stage exactly by enumeration, so the oracle
+lives with the tests that use it.
+"""
+import itertools
+import math
+
+from timdcop.dcop import Assignment, DcopProblem, total_cost
+from timdcop.errors import CapExceededError
+
+BRUTE_FORCE_CAP = 10**6
+
+
+def search_space(p: DcopProblem) -> int:
+    return math.prod(len(p.domains[a]) for a in p.agents)
+
+
+def brute_force_optimum(
+    p: DcopProblem, cap: int = BRUTE_FORCE_CAP
+) -> tuple[Assignment, float]:
+    """Exhaustive optimum; first assignment in lexicographic order wins ties.
+
+    Lexicographic means agents in declaration order, values in domain order.
+    Refuses problems whose assignment space exceeds the cap.
+    """
+    space = search_space(p)
+    if space > cap:
+        raise CapExceededError(
+            f"assignment space {space} exceeds cap {cap}"
+        )
+    better = (lambda x, y: x < y) if p.sense == "min" else (lambda x, y: x > y)
+    best: Assignment | None = None
+    best_cost = math.inf if p.sense == "min" else -math.inf
+    doms = [p.domains[a] for a in p.agents]
+    for combo in itertools.product(*doms):
+        asg = dict(zip(p.agents, combo))
+        cost = total_cost(p, asg)
+        if best is None or better(cost, best_cost):
+            best, best_cost = asg, cost
+    assert best is not None
+    return best, best_cost

@@ -14,13 +14,13 @@ from timdcop.incidents import expected_delay
 from timdcop.network import travel_row, travel_time
 
 
-def myopic_cost(ctx, erv, cell) -> float:
-    """Dispatch delay on an incident cell, else w_r on the next-stage miss
-    probability. Needs a resolved w_r."""
+def myopic_cost(ctx, erv, cell, w_r) -> float:
+    """Dispatch delay on an incident cell, else the relocation weight w_r on
+    the next-stage miss probability."""
     inc = incident_at(ctx, cell)
     if inc is not None:
         return expected_delay(inc.params, travel_time(ctx.net, erv.cell, cell))
-    return ctx.w_r * (1.0 - float(ctx.forecast.row(ctx.stage_index + 1)[cell]))
+    return w_r * (1.0 - float(ctx.forecast.row(ctx.stage_index + 1)[cell]))
 
 
 def coverage(ctx, cell) -> float:
@@ -35,14 +35,17 @@ def coverage(ctx, cell) -> float:
     return total
 
 
-def unary_cost(ctx, erv, cell) -> float:
-    return myopic_cost(ctx, erv, cell) + coverage(ctx, cell)
+def unary_cost(ctx, erv, cell, w_r) -> float:
+    return myopic_cost(ctx, erv, cell, w_r) + coverage(ctx, cell)
 
 
-def auto_relocation_weight(ctx, free, open_cells) -> float:
-    """100x the costliest (vehicle, open cell) dispatch, look-ahead included."""
+def relocation_weight(ctx, fleet) -> float:
+    """100x the costliest dispatch of a free vehicle to an open cell,
+    look-ahead included (a dispatch cost never reads the weight)."""
+    free = [e for e in fleet if e.is_free(ctx.stage_time)]
+    open_cells = {i.location for i in ctx.open_incidents if not i.cleared}
     worst = 0.0
     for e in free:
         for cell in open_cells:
-            worst = max(worst, unary_cost(ctx, e, cell))
+            worst = max(worst, unary_cost(ctx, e, cell, None))
     return RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)

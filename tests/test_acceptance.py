@@ -14,14 +14,10 @@ import pytest
 from scipy import stats
 
 from conftest import report
+from dcop_oracle import brute_force_optimum
 
 from timdcop.cli import main as cli_main
-from timdcop.dcop import (
-    BinaryConstraint,
-    DcopProblem,
-    brute_force_optimum,
-    total_cost,
-)
+from timdcop.dcop import BinaryConstraint, DcopProblem, total_cost
 from timdcop.erv import ErvState, StageContext, build_erv_problem
 from timdcop.incidents import TrafficParams, delay_variance, expected_delay, sample_incident
 from timdcop.scenarios import (
@@ -29,7 +25,6 @@ from timdcop.scenarios import (
     materialize,
     run_conventional,
     run_opt,
-    run_policy,
     run_proactive,
 )
 from timdcop.solvers import SolverConfig, solve
@@ -134,11 +129,10 @@ def dispatch_stage_problem(seed: int) -> DcopProblem:
         net=w.net, forecast=w.forecast,
         stage_time=0.0, stage_index=0,
         open_incidents=list(w.incidents),
-        lookahead=2, relocation_k=10, stage_gap=0.5,
+        lookahead=2, relocation_k=10,
     )
     fleet = [ErvState(id=f"erv{i}", cell=c) for i, c in enumerate(w.erv_cells)]
-    problem, _ = build_erv_problem(ctx, fleet)
-    return problem
+    return build_erv_problem(ctx, fleet)
 
 
 @pytest.fixture(scope="module")

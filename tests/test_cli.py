@@ -1,6 +1,7 @@
 """Command-line front end: outputs, exit codes, manifests, sweeps."""
 import csv
 import functools
+import hashlib
 import json
 import os
 import shutil
@@ -124,6 +125,66 @@ def test_manifest_rerun_is_byte_identical(tiny_scenario, tmp_path):
         "run", "--manifest", str(first / "manifest.json"), "--out", str(again),
     ]) == 0
     assert read_bytes(first) == read_bytes(again)
+
+
+# Two small fixed scenarios whose output files are pinned by sha256. Between
+# them they cover UAV tasking, assimilation and cooperation, relocation,
+# stages that drain after the schedule ends, MGM, a stage with no requests,
+# and the opt search; a refactor that claims the same bytes must keep every
+# pin.
+PINNED_RUNS = {
+    "uav-cooperation": (
+        {"seed": 11, "schedule": [2, 3, 1], "grid": {"rows": 5, "cols": 5},
+         "fleet": {"ervs": 3, "uavs": 2}},
+        {
+            "comparison.csv": "71db82c8f6c73494ce40927b6666d2f935a690805f52253eaab44e90a124f68c",
+            "conventional_incidents.csv": "8926f358bb10cb5729e22776d862818cc75c474b99a7c0a5bd45698dfded043f",
+            "conventional_result.json": "7d28854a00b3c3df566647bcc7735b31e4aff0593213a1839881c1f4f34c25a8",
+            "conventional_stages.csv": "cb7006cad92d75c5a9ce5db85d813aefbd891cc03eb0bae45baf39040ab7cf7e",
+            "manifest.json": "4cb0db998b36f4f5602c4805f10da7259ce1b7bbaaee6ac97a8f3a09bf952154",
+            "opt_incidents.csv": "c703e57a43c9344d22dfca2d652a0f8c819429bd27c29e5d010f07103c08eabd",
+            "opt_result.json": "e9aacb499ae9581d348d751cb5b0f77e33cac74b91791739266c564524da4bbc",
+            "opt_stages.csv": "4b80e5faebeb6f291eaaf51934a3578871c8df1dd34a9126914a44521a799bfd",
+            "pdronetim_assimilation.csv": "ffc7184c3644069fce51a7b243d9ed0ff8d9ec53b563a6dc1e0e0b6f9a6e111c",
+            "pdronetim_incidents.csv": "e50a720c453572f6461d121095e895ddb7a5392e9e598cae78caef94abb1a0e8",
+            "pdronetim_result.json": "5a6c0aef30b8bd2d8c89f886500398e555730e9594424f61e28817fc5a5e435a",
+            "pdronetim_stages.csv": "ce1be49f5ebff11a6d67e447061745a03252d5c78afc8f0cb8850db3e33c7589",
+        },
+    ),
+    "mgm-no-cooperation": (
+        {"seed": 20, "schedule": [2, 0, 2], "grid": {"rows": 4, "cols": 6},
+         "fleet": {"ervs": 2, "uavs": 1},
+         "solver": {"algorithm": "mgm", "iterations": 20}, "lookahead": 1,
+         "cooperation": False, "stage_gap_h": 0.25},
+        {
+            "comparison.csv": "bd22a3c4da167a8811addef74fd4303f74d6a4a9a049ed41832663daa31f8310",
+            "conventional_incidents.csv": "7c39f076268c2bddd20d42aa18f531c096ba5ad7b4646e527e25beb95588812a",
+            "conventional_result.json": "b0fdd175f6ac14bc9979216103adcc2dbbe34ccf1345fc0ccab5bfe190efbcf2",
+            "conventional_stages.csv": "2b4b75e77e4ae5775eaf9220f689e06718eedc4f35b3cb67236b49da921d4865",
+            "manifest.json": "f85f2450a57fa13fd0dcf4571b2ea1e9b67e85eb99bb9daa5f8de172056ee975",
+            "opt_incidents.csv": "fc09dfa50cf20526e1d06f4c76ec8844fe22252ca36b01717763c783924b152a",
+            "opt_result.json": "22c67f3fa2e705a0697d1a6e693bd3483e291dabd6e5d5a3d389a8f2cee42ed3",
+            "opt_stages.csv": "4b80e5faebeb6f291eaaf51934a3578871c8df1dd34a9126914a44521a799bfd",
+            "pdronetim_assimilation.csv": "2cee904316984ed06a3bf1d10ea6b3d2553220bcb1b157fabb5e873ce26a0725",
+            "pdronetim_incidents.csv": "b2ccf6c1d92e95e0268d243e4ef7c6b12495b0b47810adcd00b4be71438b2a25",
+            "pdronetim_result.json": "d1677cb3b44f3a9149b25aa47881e1563fcf0f39f067e851a9cd1406a60edc26",
+            "pdronetim_stages.csv": "fbc807b92f110c6aa00be56196bd9017d4b3845a025527e13eefeaae9977e5c2",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_outputs_match_pinned_sha256(name, tmp_path):
+    doc, pins = PINNED_RUNS[name]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path),
+                 "--policy", "conventional,pdronetim,opt", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in read_bytes(out).items()}
+    assert got == pins
 
 
 # ------------------------------------------------------------- exit codes
@@ -341,6 +402,18 @@ def test_parallel_sweep_matches_serial_bytes(tiny_scenario, tmp_path, monkeypatc
     assert read_bytes(serial) == read_bytes(parallel)
 
 
+@pytest.mark.parametrize("workers", ["x", "0", "-2", "1.5", "nan"])
+def test_bad_worker_count_exits_2(tiny_scenario, tmp_path, monkeypatch, capsys,
+                                  workers):
+    monkeypatch.setenv("TIMDCOP_WORKERS", workers)
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(tiny_scenario),
+                 "--axis", "uavs=0", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "TIMDCOP_WORKERS" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_axis_validation(tiny_scenario, tmp_path, capsys):
     base = ["sweep", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")]
     assert main(base + ["--axis", "speed=1,2"]) == 2
@@ -349,6 +422,14 @@ def test_sweep_axis_validation(tiny_scenario, tmp_path, capsys):
     assert main(base + ["--axis", "dsa_threshold=fast"]) == 2
     assert main(base + ["--axis", "dsa_threshold="]) == 2
     assert main(base + ["--axis", "ervs=1", "--trials", "0"]) == 2
+    assert main(base + ["--axis", "ervs=2.5"]) == 2
+    # a cooperation word that is neither on nor off is no silent "off"
+    assert main(base + ["--axis", "cooperation=banana"]) == 2
+    assert main(base + ["--axis", "cooperation=yes"]) == 2
+    assert not (tmp_path / "o").exists()
+    assert main(base + ["--axis", "cooperation=OFF,on", "--trials", "1"]) == 0
+    with open(tmp_path / "o" / "summary.csv") as fh:
+        assert [r[1] for r in csv.reader(fh)][1:] == ["False", "True"]
 
 
 def test_boolean_fields_read_json_booleans():
@@ -376,6 +457,19 @@ SWEEP_BASE = {"kind": "sweep", "scenario": TINY,
     {"trials": 1.5},
     {"trials": 0},
     {"trials": True},
+    # every axis value is checked against the axis's type when it loads
+    {"axis": {"name": "iterations", "values": ["x"]}},
+    {"axis": {"name": "ervs", "values": ["x"]}},
+    {"axis": {"name": "ervs", "values": [{"a": 1}]}},
+    {"axis": {"name": "ervs", "values": [2.5]}},
+    {"axis": {"name": "iterations", "values": [True]}},
+    {"axis": {"name": "kappa", "values": ["0.5"]}},
+    {"axis": {"name": "kappa", "values": [True]}},
+    {"axis": {"name": "kappa", "values": [float("inf")]}},
+    {"axis": {"name": "dsa_threshold", "values": [[0.5]]}},
+    {"axis": {"name": "algorithm", "values": [1]}},
+    {"axis": {"name": "cooperation", "values": ["false"]}},
+    {"axis": {"name": "cooperation", "values": [0]}},
 ])
 def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
     doc = {k: v for k, v in {**SWEEP_BASE, **bad}.items() if v is not None}
@@ -390,10 +484,14 @@ def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
 
 def test_checked_sweep_manifest_runs(tmp_path):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({**SWEEP_BASE, "trials": 2.0}))
+    path.write_text(json.dumps({**SWEEP_BASE, "trials": 2.0,
+                                "axis": {"name": "ervs", "values": [1.0, 2]}}))
     out = tmp_path / "o"
     assert main(["sweep", "--manifest", str(path), "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["trials"] == 2
+    manifest = (out / "manifest.json").read_text()
+    assert json.loads(manifest)["trials"] == 2
+    # values reach the runs and the outputs parsed: 1.0 is the count 1
+    assert '"values": [\n      1,\n      2\n    ]' in manifest
 
 
 def test_cli_entry_point_is_installed():

@@ -1,16 +1,15 @@
-"""Constraint-problem container and the exhaustive optimum baseline."""
+"""Constraint-problem container and the exhaustive optimum oracle."""
 import math
 import random
 
 import numpy as np
 import pytest
 
+from dcop_oracle import brute_force_optimum, search_space
 from timdcop.dcop import (
     BinaryConstraint,
     DcopProblem,
     all_different_table,
-    brute_force_optimum,
-    search_space,
     total_cost,
 )
 from timdcop.errors import CapExceededError, InputError

@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from erv_oracle import auto_relocation_weight, myopic_cost, unary_cost
+from dcop_oracle import brute_force_optimum
+from erv_oracle import myopic_cost, relocation_weight, unary_cost
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timdcop import network
-from timdcop.dcop import brute_force_optimum
 from timdcop.erv import (
     FUTURE_PARAMS,
     ErvState,
@@ -58,7 +58,6 @@ def make_ctx(net, field_=None, incidents=(), **kw) -> StageContext:
         open_incidents=list(incidents),
         lookahead=0,
         relocation_k=3,
-        stage_gap=0.5,
     )
     defaults.update(kw)
     return StageContext(**defaults)
@@ -72,7 +71,7 @@ def incident(id_, cell, report_time=0.0, params=PARAMS) -> Incident:
 
 def built_cost(ctx, fleet, erv, cell):
     """The unary entry build_erv_problem gives `erv` on `cell`."""
-    problem, _ = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     return problem.unary[erv.id][problem.index[erv.id][cell]]
 
 
@@ -82,7 +81,7 @@ def built_cost(ctx, fleet, erv, cell):
 def test_dispatch_cost_is_weighted_expected_delay():
     net = build_grid(3, 3, (0.4, 1.2), seed=5)
     inc = incident("i0", 4)
-    ctx = make_ctx(net, incidents=[inc], w_r=1000.0)
+    ctx = make_ctx(net, incidents=[inc])
     erv = ErvState(id="e0", cell=0)
     # the dispatch weight is 1: the entry is the expected delay itself
     want = expected_delay(inc.params, travel_time(net, 0, 4))
@@ -91,9 +90,10 @@ def test_dispatch_cost_is_weighted_expected_delay():
 
 def test_relocation_cost_of_hopeless_cell_is_full_weight():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    ctx = make_ctx(net, w_r=42.0, relocation_k=4)  # zero field: probability 0
+    ctx = make_ctx(net, relocation_k=4)  # zero field: probability 0
     erv = ErvState(id="e", cell=0)
-    assert built_cost(ctx, [erv], erv, 3) == 42.0
+    # no open incident to scale from: w_r is 100 x the dispatch weight
+    assert built_cost(ctx, [erv], erv, 3) == 100.0
 
 
 def test_likelier_cells_are_cheaper_to_cover():
@@ -101,10 +101,10 @@ def test_likelier_cells_are_cheaper_to_cover():
     values = np.zeros((4, 6))
     values[1, 2] = 0.7   # stage u+1 drives this stage's relocation price
     values[1, 5] = 0.2
-    ctx = make_ctx(net, field_=PrimaryProbField(values=values), w_r=10.0)
+    ctx = make_ctx(net, field_=PrimaryProbField(values=values))
     erv = ErvState(id="e", cell=0)
-    assert built_cost(ctx, [erv], erv, 2) == pytest.approx(3.0)
-    assert built_cost(ctx, [erv], erv, 5) == pytest.approx(8.0)
+    assert built_cost(ctx, [erv], erv, 2) == pytest.approx(30.0)
+    assert built_cost(ctx, [erv], erv, 5) == pytest.approx(80.0)
     assert built_cost(ctx, [erv], erv, 2) < built_cost(ctx, [erv], erv, 5)
 
 
@@ -119,7 +119,6 @@ def test_relocation_candidates_rank_ties_and_exclusions():
         net,
         field_=PrimaryProbField(values=values),
         incidents=[incident("i0", 8)],
-        w_r=10.0,
     )
     assert relocation_candidates(ctx, 3) == [7, 2, 5]  # tie 2/5 -> lower index
     assert relocation_candidates(ctx, 2) == [7, 2]
@@ -138,7 +137,7 @@ def test_relocation_candidates_match_a_scan_of_every_ranked_cell(seed):
     cells = rng.choice(16, size=int(rng.integers(0, 10)), replace=False)
     incidents = [incident(f"i{n}", int(c)) for n, c in enumerate(cells)]
     ctx = make_ctx(net, field_=PrimaryProbField(values=values),
-                   incidents=incidents, w_r=10.0)
+                   incidents=incidents)
     ranked = np.argsort(-ctx.forecast.row(1), kind="stable").tolist()
     for k in range(17):
         assert relocation_candidates(ctx, k) == [
@@ -149,7 +148,7 @@ def test_forecast_hotspots_drop_zero_probability_cells():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     values = np.zeros((4, 4))
     values[2, 1] = 0.3
-    ctx = make_ctx(net, field_=PrimaryProbField(values=values), w_r=10.0)
+    ctx = make_ctx(net, field_=PrimaryProbField(values=values))
     assert forecast_hotspots(ctx, 2, 4) == [(1, 0.3)]
     assert forecast_hotspots(ctx, 1, 4) == []
     [(c, p)] = forecast_hotspots(ctx, 2, 4)
@@ -161,7 +160,7 @@ def test_incident_at_returns_oldest_then_lowest_id():
     a = incident("i-late", 1, report_time=0.5)
     b = incident("i-b", 1, report_time=0.0)
     c = incident("i-a", 1, report_time=0.0)
-    ctx = make_ctx(net, incidents=[a, b, c], w_r=10.0)
+    ctx = make_ctx(net, incidents=[a, b, c])
     assert incident_at(ctx, 1) is c  # earliest report, then lexicographic id
     assert incident_at(ctx, 2) is None
     c.cleared = True
@@ -171,11 +170,12 @@ def test_incident_at_returns_oldest_then_lowest_id():
 # ------------------------------------------------------------- look-ahead
 
 
-def coverage_of(problem, resolved, erv):
+def coverage_of(problem, ctx, erv):
     """Per candidate cell: the look-ahead share of the built unary costs."""
     row = problem.unary[erv.id]
+    w_r = relocation_weight(ctx, [erv])
     return {
-        cell: row[j] - myopic_cost(resolved, erv, cell)
+        cell: row[j] - myopic_cost(ctx, erv, cell, w_r)
         for j, cell in enumerate(problem.domains[erv.id])
     }
 
@@ -188,22 +188,21 @@ def test_built_costs_add_expected_delay_to_forecast_hotspots(seed):
     erv = ErvState(id="e0", cell=0)
     ctx = make_ctx(net, field_=field_, incidents=[inc], lookahead=2,
                    relocation_k=4, stage_index=1)
-    problem, resolved = build_erv_problem(ctx, [erv])
+    problem = build_erv_problem(ctx, [erv])
     hotspots = [
         hit for t in (1, 2) for hit in forecast_hotspots(ctx, 1 + t, 4)
     ]
     assert hotspots
-    for cell, got in coverage_of(problem, resolved, erv).items():
+    for cell, got in coverage_of(problem, ctx, erv).items():
         want = sum(
             p * expected_delay(FUTURE_PARAMS, travel_time(net, cell, c))
             for c, p in hotspots
         )
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-    myopic, resolved0 = build_erv_problem(replace(ctx, lookahead=0), [erv])
-    assert all(
-        v == 0.0 for v in coverage_of(myopic, resolved0, erv).values()
-    )
+    ctx0 = replace(ctx, lookahead=0)
+    myopic = build_erv_problem(ctx0, [erv])
+    assert all(v == 0.0 for v in coverage_of(myopic, ctx0, erv).values())
 
 
 def test_coverage_is_cheaper_nearer_the_hotspot():
@@ -213,10 +212,10 @@ def test_coverage_is_cheaper_nearer_the_hotspot():
     ctx = make_ctx(net, field_=PrimaryProbField(values=values),
                    lookahead=2, relocation_k=3)
     erv = ErvState(id="e", cell=0)
-    problem, resolved = build_erv_problem(ctx, [erv])
+    problem = build_erv_problem(ctx, [erv])
     # zero next-stage field: the candidates are the first cells by index
     assert problem.domains["e"] == [0, 1, 2]
-    cover = coverage_of(problem, resolved, erv)
+    cover = coverage_of(problem, ctx, erv)
     # cell 1 is one hop from the centre, cells 0 and 2 two hops
     assert 0.0 < cover[1] < cover[0]
     assert cover[0] == pytest.approx(cover[2])
@@ -234,7 +233,7 @@ def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
     erv = ErvState(id="e0", cell=0)
     ctx = make_ctx(net, field_=field_, incidents=[later, old, first],
                    lookahead=2, relocation_k=4, stage_index=1)
-    problem, resolved = build_erv_problem(ctx, [erv])
+    problem = build_erv_problem(ctx, [erv])
     assert incident_at(ctx, 5) is first
     cover = 0.0
     for t in (1, 2):
@@ -242,12 +241,13 @@ def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
             cover += p * expected_delay(FUTURE_PARAMS, travel_time(net, 5, c))
     assert cover > 0.0
     j = problem.domains["e0"].index(5)
-    assert problem.unary["e0"][j] == unary_cost(resolved, erv, 5)
     dispatch = expected_delay(first.params, travel_time(net, 0, 5))
     assert problem.unary["e0"][j] == dispatch + cover
     assert dispatch != expected_delay(slow, travel_time(net, 0, 5))
-    # the one open cell is also the costliest dispatch behind the auto w_r
-    assert resolved.w_r == 100.0 * (dispatch + cover)
+    # the one open cell is also the costliest dispatch behind w_r
+    w_r = 100.0 * (dispatch + cover)
+    assert problem.unary["e0"].tolist() == [
+        unary_cost(ctx, erv, c, w_r) for c in problem.domains["e0"]]
 
 
 def test_build_past_the_forecast_horizon_opens_only_dispatch_rows():
@@ -257,7 +257,7 @@ def test_build_past_the_forecast_horizon_opens_only_dispatch_rows():
                    relocation_k=3, stage_index=5)
     assert [forecast_hotspots(ctx, 5 + t, 3) for t in (1, 2)] == [[], []]
     fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=4)]
-    problem, _ = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     assert problem.domains["e0"] == [8, 0, 1, 2]
     # rows from the vehicles to the incident, none for the coverage term
     assert sorted(net._dist_cache) == [0, 4]
@@ -267,12 +267,11 @@ def test_build_past_the_forecast_horizon_opens_only_dispatch_rows():
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), lookahead=st.sampled_from([0, 1, 2]),
-       explicit_w_r=st.booleans())
-def test_built_stage_equals_the_scalar_oracle(seed, lookahead, explicit_w_r):
-    """Every unary entry and the resolved w_r equal the per-cell scalar
-    pricing bit for bit, and the build opens the rows the oracle opens, in
-    at most one Dijkstra call."""
+@given(seed=st.integers(0, 2**32 - 1), lookahead=st.sampled_from([0, 1, 2]))
+def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
+    """Every unary entry, w_r included, equals the per-cell scalar pricing
+    bit for bit, and the build opens the rows the oracle opens, in at most
+    one Dijkstra call."""
     rng = np.random.default_rng(seed)
     rows, cols = (int(x) for x in rng.integers(2, 6, size=2))
     n = rows * cols
@@ -294,7 +293,6 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead, explicit_w_r):
     ctx = make_ctx(
         net, field_=field_, incidents=incidents, lookahead=lookahead,
         relocation_k=int(rng.integers(0, 6)), stage_index=int(rng.integers(0, 5)),
-        w_r=float(rng.uniform(1.5, 1e6)) if explicit_w_r else None,
     )
 
     calls = []
@@ -306,7 +304,7 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead, explicit_w_r):
 
     network._dijkstra = counted
     try:
-        problem, resolved = build_erv_problem(ctx, fleet)
+        problem = build_erv_problem(ctx, fleet)
     finally:
         network._dijkstra = dijkstra
     assert len(calls) <= 1
@@ -314,15 +312,10 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead, explicit_w_r):
     free = [e for e in fleet if e.is_free(0.0)]
     scalar_net = build_grid(rows, cols, (0.1, 1.5), seed=seed)
     scalar = replace(ctx, net=scalar_net)
-    if explicit_w_r:
-        assert resolved.w_r == ctx.w_r
-    else:
-        open_cells = sorted({i.location for i in incidents if not i.cleared})
-        assert resolved.w_r == auto_relocation_weight(scalar, free, open_cells)
-    scalar = replace(scalar, w_r=resolved.w_r)
+    w_r = relocation_weight(scalar, fleet)
     for e in free:
         got = problem.unary[e.id].tolist()
-        assert got == [unary_cost(scalar, e, c) for c in problem.domains[e.id]]
+        assert got == [unary_cost(scalar, e, c, w_r) for c in problem.domains[e.id]]
     assert sorted(net._dist_cache) == sorted(scalar_net._dist_cache)
     assert all(net._dist_cache[s] == row for s, row in scalar_net._dist_cache.items())
 
@@ -335,9 +328,8 @@ def test_two_ervs_one_incident_sends_exactly_one():
     inc = incident("i0", 4)
     ctx = make_ctx(net, incidents=[inc])
     fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=8)]
-    problem, resolved = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     assert problem.agents == ["e0", "e1"]
-    assert resolved.w_r is not None
     best, _ = brute_force_optimum(problem)
     assert sum(1 for cell in best.values() if cell == 4) == 1
     assert len(set(best.values())) == 2
@@ -350,7 +342,7 @@ def test_one_erv_two_incidents_takes_the_cheaper_delay():
     b = sample_incident("b", 3, 7, 0.0, rng)
     ctx = make_ctx(net, incidents=[a, b])
     erv = ErvState(id="e0", cell=1)
-    problem, resolved = build_erv_problem(ctx, [erv])
+    problem = build_erv_problem(ctx, [erv])
     assert problem.binary == [] and len(problem.unary) == 1
     best, _ = brute_force_optimum(problem)
     want = min(
@@ -372,13 +364,14 @@ def test_stage_objective_counts_each_vehicle_once(algorithm):
     ]
     fleet = [ErvState(id=f"e{i}", cell=c) for i, c in enumerate((0, 4, 8))]
     ctx = make_ctx(net, field_=field_, incidents=incidents)
-    problem, resolved = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     assert len(problem.binary) == 3
     trace = solve(problem, SolverConfig(algorithm, iterations=20, seed=1))
     chosen = trace.final_assignment
     assert len(set(chosen.values())) == 3
     # lookahead 0: each unary entry is exactly the vehicle's myopic cost
-    want = sum(myopic_cost(resolved, e, chosen[e.id]) for e in fleet)
+    w_r = relocation_weight(ctx, fleet)
+    want = sum(myopic_cost(ctx, e, chosen[e.id], w_r) for e in fleet)
     assert trace.final_cost == pytest.approx(want, rel=1e-12)
     assert trace.final_cost == sum(
         problem.unary[e.id][problem.index[e.id][chosen[e.id]]] for e in fleet
@@ -391,10 +384,12 @@ def test_idle_fleet_spreads_over_top_probability_cells():
     values[1] = [0.05, 0.3, 0.0, 0.6, 0.1, 0.0, 0.45, 0.0, 0.2]
     ctx = make_ctx(net, field_=PrimaryProbField(values=values), relocation_k=3)
     fleet = [ErvState(id=f"e{i}", cell=i) for i in range(3)]
-    problem, resolved = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     best, _ = brute_force_optimum(problem)
     assert set(best.values()) == {3, 6, 1}  # the three likeliest cells
-    assert resolved.w_r == pytest.approx(100.0)  # no dispatches to scale from
+    # no dispatches to scale from: w_r is 100 on each miss probability
+    assert problem.unary["e0"] == pytest.approx(
+        [100.0 * (1.0 - values[1][c]) for c in problem.domains["e0"]])
 
 
 def test_busy_vehicles_are_left_out_of_the_stage_problem():
@@ -404,7 +399,7 @@ def test_busy_vehicles_are_left_out_of_the_stage_problem():
         ErvState(id="e0", cell=0, available_at=5.0),
         ErvState(id="e1", cell=3, available_at=0.9),
     ]
-    problem, _ = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     assert problem.agents == ["e1"]
     with pytest.raises(InputError):
         build_erv_problem(
@@ -418,12 +413,14 @@ def test_auto_weight_is_hundredfold_worst_dispatch():
     a, b = incident("a", 2), incident("b", 6)
     ctx = make_ctx(net, incidents=[a, b])
     fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=4)]
-    _, resolved = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     worst = max(
         expected_delay(i.params, travel_time(net, e.cell, i.location))
         for e in fleet for i in (a, b)
     )
-    assert resolved.w_r == pytest.approx(100.0 * worst, rel=1e-12)
+    # zero field, no look-ahead: a relocation entry is w_r itself
+    assert problem.domains["e0"][:2] == [2, 6]
+    assert problem.unary["e0"][2:] == pytest.approx([100.0 * worst] * 3, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -442,7 +439,7 @@ def test_open_incidents_outrank_relocation_under_auto_weight(seed):
         ErvState(id=f"e{j}", cell=int(cells[n_open + j])) for j in range(n_free)
     ]
     ctx = make_ctx(net, field_=field_, incidents=incidents, relocation_k=2)
-    problem, _ = build_erv_problem(ctx, fleet)
+    problem = build_erv_problem(ctx, fleet)
     best, cost = brute_force_optimum(problem)
     assert math.isfinite(cost)
     chosen = set(best.values())
@@ -453,8 +450,6 @@ def test_open_incidents_outrank_relocation_under_auto_weight(seed):
 
 def test_context_validation():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    with pytest.raises(InputError):
-        make_ctx(net, w_r=1.0)  # must exceed the dispatch weight, 1
     with pytest.raises(InputError):
         make_ctx(net, lookahead=3)
     with pytest.raises(InputError):
@@ -468,18 +463,16 @@ def test_context_validation():
 def test_dispatch_bookkeeping_and_record():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     inc = incident("i0", 1, report_time=0.0)
-    ctx = make_ctx(net, incidents=[inc], stage_time=1.0, w_r=10.0)
+    ctx = make_ctx(net, incidents=[inc], stage_time=1.0)
     erv = ErvState(id="e0", cell=0)
     records = apply_assignment(ctx, [erv], {"e0": 1})
     assert len(records) == 1
     rec = records[0]
     assert rec.incident_id == "i0" and rec.erv_id == "e0"
-    assert rec.travel_h == pytest.approx(0.5)
     assert rec.response_h == pytest.approx(1.5)  # waited 1.0 + travel 0.5
     assert inc.cleared is True
     assert erv.cell == 1
     assert erv.available_at == pytest.approx(1.8)  # 1.0 + 0.5 + 0.3 clearance
-    assert erv.log == [(1.0, 1, "dispatch")]
     assert not erv.is_free(1.7)
     assert erv.is_free(1.8)
 
@@ -487,20 +480,19 @@ def test_dispatch_bookkeeping_and_record():
 def test_relocation_bookkeeping_clears_nothing():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     inc = incident("i0", 8)
-    ctx = make_ctx(net, incidents=[inc], stage_time=2.0, w_r=10.0)
+    ctx = make_ctx(net, incidents=[inc], stage_time=2.0)
     erv = ErvState(id="e0", cell=0)
     records = apply_assignment(ctx, [erv], {"e0": 4})
     assert records == []
     assert inc.cleared is False
     assert erv.cell == 4
     assert erv.available_at == pytest.approx(3.0)  # 2.0 + two 0.5 edges
-    assert erv.log == [(2.0, 4, "relocate")]
     assert erv.initial_cell == 0  # depot memory survives moves
 
 
 def test_apply_assignment_rejects_unknown_or_busy_vehicles():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    ctx = make_ctx(net, w_r=10.0)
+    ctx = make_ctx(net)
     with pytest.raises(InputError):
         apply_assignment(ctx, [ErvState(id="e0", cell=0)], {"ghost": 1})
     with pytest.raises(InputError):
@@ -514,18 +506,18 @@ def test_two_stage_cycle_frees_the_vehicle_again():
     inc0 = incident("i0", 1, report_time=0.0)
     inc1 = incident("i1", 2, report_time=0.5)
     erv = ErvState(id="e0", cell=0)
-    ctx0 = make_ctx(net, incidents=[inc0], stage_time=0.0, w_r=10.0)
+    ctx0 = make_ctx(net, incidents=[inc0], stage_time=0.0)
     apply_assignment(ctx0, [erv], {"e0": 1})
     assert erv.available_at == pytest.approx(0.8)
     # busy at the next stage boundary, so it cannot be tasked there
-    ctx1 = make_ctx(net, incidents=[inc1], stage_time=0.5, w_r=10.0)
+    ctx1 = make_ctx(net, incidents=[inc1], stage_time=0.5)
     assert not erv.is_free(0.5)
     with pytest.raises(InputError):
         build_erv_problem(ctx1, [erv])
     # one stage later it is free and can clear the backlog (auto weight
     # keeps the dispatch ahead of any relocation cell)
     ctx2 = make_ctx(net, incidents=[inc1], stage_time=1.0)
-    problem, _ = build_erv_problem(ctx2, [erv])
+    problem = build_erv_problem(ctx2, [erv])
     best, _ = brute_force_optimum(problem)
     assert best == {"e0": 2}
     records = apply_assignment(ctx2, [erv], best)

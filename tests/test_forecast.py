@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_oracle import grid_neighbors
 from timdcop.errors import InputError
 from timdcop.forecast import (
     DependencyKernel,
@@ -39,8 +40,8 @@ def probability_oracle(values, delta, cell, stage) -> float:
 def default_kernel_oracle(net, lag1=0.3, lag2=0.1) -> dict:
     """default_kernel's couplings by a double loop over cells and neighbours."""
     delta = {}
-    for k in net.cells():
-        for j in net.neighbors(k):
+    for k in range(net.n_cells):
+        for j in grid_neighbors(net, k):
             if lag1 > 0:
                 delta[(j, 1, k)] = lag1
             if lag2 > 0:
@@ -249,8 +250,8 @@ def test_default_kernel_couples_grid_neighbourhood():
     delta = delta_of(default_kernel(net))
     # every directed neighbour pair appears at both lags
     assert len(delta) == 16
-    for k in net.cells():
-        for j in net.neighbors(k):
+    for k in range(net.n_cells):
+        for j in grid_neighbors(net, k):
             assert delta[(j, 1, k)] == 0.3
             assert delta[(j, 2, k)] == 0.1
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_oracle import grid_neighbors
 from timdcop.errors import InputError
 from timdcop.network import (
     GridNetwork,
     build_grid,
-    cell_rowcol,
     travel_row,
     travel_rows,
     travel_time,
@@ -32,7 +32,7 @@ def best_simple_path_time(net: GridNetwork, start: int, goal: int) -> float:
         if node == goal:
             best = cost
             continue
-        for nxt in net.neighbors(node):
+        for nxt in grid_neighbors(net, node):
             if nxt not in seen:
                 link = net.edge_time[(min(node, nxt), max(node, nxt))]
                 stack.append((nxt, cost + link, seen | {nxt}))
@@ -43,8 +43,8 @@ def best_simple_path_time(net: GridNetwork, start: int, goal: int) -> float:
 @pytest.mark.parametrize("seed", [0, 7])
 def test_shortest_path_matches_enumeration(rows, cols, seed):
     net = build_grid(rows, cols, (0.1, 1.5), seed=seed)
-    for a in net.cells():
-        for b in net.cells():
+    for a in range(net.n_cells):
+        for b in range(net.n_cells):
             assert travel_time(net, a, b) == pytest.approx(
                 best_simple_path_time(net, a, b), rel=1e-12
             )
@@ -139,8 +139,8 @@ def test_raising_one_edge_never_shortens_any_path():
     net = build_grid(3, 3, seed=13)
     base = {
         (a, b): travel_time(net, a, b)
-        for a in net.cells()
-        for b in net.cells()
+        for a in range(net.n_cells)
+        for b in range(net.n_cells)
     }
     bumped_key = next(iter(sorted(net.edge_time)))
     heavier = dict(net.edge_time)
@@ -166,7 +166,7 @@ def test_build_is_deterministic_per_seed():
 )
 def test_metric_properties_hold_everywhere(rows, cols, seed):
     net = build_grid(rows, cols, seed=seed)
-    cells = list(net.cells())
+    cells = list(range(net.n_cells))
     for a in cells:
         assert travel_time(net, a, a) == 0.0
         for b in cells:
@@ -207,7 +207,7 @@ def test_travel_row_is_the_cached_row_travel_time_reads():
     row = travel_row(net, 5)
     assert row is travel_row(net, 5)  # built once, then cached
     assert len(net._dist_cache) == 1
-    assert row == [travel_time(net, 5, b) for b in net.cells()]
+    assert row == [travel_time(net, 5, b) for b in range(net.n_cells)]
     assert all(type(t) is float for t in row)
     with pytest.raises(InputError):
         travel_row(net, 12)
@@ -250,9 +250,3 @@ def test_same_cell_lookups_build_no_row():
     net = build_grid(3, 3, seed=2)
     assert travel_time(net, 4, 4) == 0.0
     assert net._dist_cache == {} and net._graph is None
-
-
-def test_cell_rowcol_inverts_row_major_index():
-    for cell in range(12):
-        r, c = cell_rowcol(cell, 4)
-        assert r * 4 + c == cell
