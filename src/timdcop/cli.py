@@ -10,10 +10,12 @@ stage-loop bound exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -24,10 +26,12 @@ from .scenarios import (
     POLICIES,
     Scenario,
     materialize,
+    number,
     result_to_json,
     run_policy,
     scenario_from_dict,
     scenario_to_dict,
+    string,
     whole_number,
     write_incident_csv,
     write_stage_csv,
@@ -60,14 +64,12 @@ def _axis_value(axis: str, x):
     if kind == "count":
         return whole_number(x, what)
     if kind == "number":
-        if (isinstance(x, bool) or not isinstance(x, (int, float))
-                or not math.isfinite(x)):
+        x = number(x, what)
+        if not math.isfinite(x):
             raise InputError(f"{what} must be a finite number, got {x!r}")
-        return float(x)
-    if kind == "text":
-        if not isinstance(x, str):
-            raise InputError(f"{what} must be a string, got {x!r}")
         return x
+    if kind == "text":
+        return string(x, what)
     if not isinstance(x, bool):
         raise InputError(f"{what} must be true or false, got {x!r}")
     return x
@@ -116,8 +118,32 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _out_path(raw: str) -> Path:
+    """--out, checked before any policy runs: the nearest part of it that
+    exists must be a directory. Nothing is created here."""
+    out = Path(raw)
+    there = next((p for p in (out, *out.parents) if p.exists()), None)
+    if there is not None and not there.is_dir():
+        raise InputError(f"--out {raw}: {there} is not a directory")
+    return out
+
+
+@contextlib.contextmanager
+def _filling(out: Path):
+    """Create --out once, after every result is in hand, and map a failure
+    to create or write it to exit 2; a directory made here that could not be
+    filled is removed again."""
+    made = not out.exists()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        if made:
+            shutil.rmtree(out, ignore_errors=True)
+        raise InputError(f"cannot write {out}: {exc}") from exc
+
+
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -169,39 +195,39 @@ def cmd_run(args) -> int:
     else:
         policies = _parse_policies(args.policy)
 
-    out = Path(args.out)
+    out = _out_path(args.out)
     world = materialize(sc)
-    results = []
-    for policy in policies:
-        res = run_policy(sc, policy, world)
-        results.append(res)
-        _write(out / f"{policy}_result.json", result_to_json(res))
-        write_stage_csv(res, out / f"{policy}_stages.csv")
-        write_incident_csv(res, out / f"{policy}_incidents.csv")
-        if res.assimilation:
-            write_assimilation_csv(res.assimilation, out / f"{policy}_assimilation.csv")
+    results = [run_policy(sc, policy, world) for policy in policies]
+    for policy, res in zip(policies, results):
         print(
             f"{policy}: delay {res.total_delay_veh_h:.1f} veh-h, "
             f"response {res.total_response_min:.1f} min, "
             f"{len(res.incidents)} incidents"
         )
 
-    if len(results) > 1:
-        with open(out / "comparison.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["policy", "total_delay_veh_h", "total_response_min"])
-            for res in results:
-                w.writerow([
-                    res.policy,
-                    repr(res.total_delay_veh_h),
-                    repr(res.total_response_min),
-                ])
-
-    _write(out / "manifest.json", json.dumps({
-        "kind": "run",
-        "scenario": scenario_to_dict(sc),
-        "policies": policies,
-    }, sort_keys=True, indent=2) + "\n")
+    with _filling(out):
+        for policy, res in zip(policies, results):
+            _write(out / f"{policy}_result.json", result_to_json(res))
+            write_stage_csv(res, out / f"{policy}_stages.csv")
+            write_incident_csv(res, out / f"{policy}_incidents.csv")
+            if res.assimilation:
+                write_assimilation_csv(res.assimilation,
+                                       out / f"{policy}_assimilation.csv")
+        if len(results) > 1:
+            with open(out / "comparison.csv", "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["policy", "total_delay_veh_h", "total_response_min"])
+                for res in results:
+                    w.writerow([
+                        res.policy,
+                        repr(res.total_delay_veh_h),
+                        repr(res.total_response_min),
+                    ])
+        _write(out / "manifest.json", json.dumps({
+            "kind": "run",
+            "scenario": scenario_to_dict(sc),
+            "policies": policies,
+        }, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -250,6 +276,7 @@ def cmd_sweep(args) -> int:
     if trials < 1:
         raise InputError("--trials must be >= 1")
 
+    out = _out_path(args.out)
     grid = [
         (scenario_to_dict(sc), policy, axis, v, t)
         for v in values
@@ -263,38 +290,37 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(p) for p in grid]
     rows.sort(key=lambda r: (str(r[1]), r[2]))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([
-            "axis", "value", "trial", "seed",
-            "total_delay_veh_h", "total_response_min",
-        ])
-        for r in rows:
-            w.writerow([r[0], r[1], r[2], r[3], repr(r[4]), repr(r[5])])
+    with _filling(out):
+        with open(out / "sweep.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow([
+                "axis", "value", "trial", "seed",
+                "total_delay_veh_h", "total_response_min",
+            ])
+            for r in rows:
+                w.writerow([r[0], r[1], r[2], r[3], repr(r[4]), repr(r[5])])
 
-    # per-value mean and standard error
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["axis", "value", "trials", "mean_delay_veh_h", "se_delay_veh_h"])
-        for v in values:
-            sel = [r[4] for r in rows if r[1] == v]
-            mean = sum(sel) / len(sel)
-            if len(sel) > 1:
-                var = sum((x - mean) ** 2 for x in sel) / (len(sel) - 1)
-                se = (var / len(sel)) ** 0.5
-            else:
-                se = 0.0
-            w.writerow([axis, v, len(sel), repr(mean), repr(se)])
+        # per-value mean and standard error
+        with open(out / "summary.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["axis", "value", "trials", "mean_delay_veh_h", "se_delay_veh_h"])
+            for v in values:
+                sel = [r[4] for r in rows if r[1] == v]
+                mean = sum(sel) / len(sel)
+                if len(sel) > 1:
+                    var = sum((x - mean) ** 2 for x in sel) / (len(sel) - 1)
+                    se = (var / len(sel)) ** 0.5
+                else:
+                    se = 0.0
+                w.writerow([axis, v, len(sel), repr(mean), repr(se)])
 
-    _write(out / "manifest.json", json.dumps({
-        "kind": "sweep",
-        "scenario": scenario_to_dict(sc),
-        "axis": {"name": axis, "values": values},
-        "trials": trials,
-        "policy": policy,
-    }, sort_keys=True, indent=2) + "\n")
+        _write(out / "manifest.json", json.dumps({
+            "kind": "sweep",
+            "scenario": scenario_to_dict(sc),
+            "axis": {"name": axis, "values": values},
+            "trials": trials,
+            "policy": policy,
+        }, sort_keys=True, indent=2) + "\n")
     print(f"sweep over {axis}: {len(values)} values x {trials} trials")
     return 0
 

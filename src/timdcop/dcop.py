@@ -44,14 +44,20 @@ class DcopProblem:
             raise InputError(f"sense must be min or max, got {self.sense!r}")
         if len(set(self.agents)) != len(self.agents):
             raise InputError("duplicate agent ids")
+        # one value -> position map per distinct domain list, shared by every
+        # agent that holds that list (builders pass one list to every agent)
         self.index = {}
+        by_list: dict[int, dict] = {}
         for a in self.agents:
             dom = self.domains.get(a)
             if not dom:
                 raise InputError(f"agent {a!r} has an empty domain")
-            self.index[a] = {v: i for i, v in enumerate(dom)}
-            if len(self.index[a]) != len(dom):
-                raise InputError(f"agent {a!r} has repeated domain values")
+            index = by_list.get(id(dom))
+            if index is None:
+                index = by_list[id(dom)] = {v: i for i, v in enumerate(dom)}
+                if len(index) != len(dom):
+                    raise InputError(f"agent {a!r} has repeated domain values")
+            self.index[a] = index
         for a in self.unary:
             if a not in self.index:
                 raise InputError(f"unary costs for undeclared agent {a!r}")
@@ -68,14 +74,6 @@ class DcopProblem:
                 c.table, (len(self.domains[c.a]), len(self.domains[c.b])),
                 f"binary table {c.a!r}-{c.b!r}",
             )
-
-    def neighbors(self, agent: AgentId) -> list:
-        seen = []
-        for c in self.binary:
-            other = c.b if c.a == agent else c.a if c.b == agent else None
-            if other is not None and other not in seen:
-                seen.append(other)
-        return seen
 
 
 def _shaped(costs, shape: tuple, what: str) -> np.ndarray:

@@ -167,7 +167,7 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:
     conflict = all_different_table(domain, domain)
     return DcopProblem(
         agents=agents,
-        domains={eid: list(domain) for eid in agents},
+        domains=dict.fromkeys(agents, domain),
         unary=dict(zip(agents, unary)),
         binary=[
             BinaryConstraint(a=ea, b=eb, table=conflict)

@@ -469,12 +469,22 @@ def run_conventional(sc: Scenario, world: World | None = None) -> RunResult:
 
 def _run_conventional(sc: Scenario, w: World) -> RunResult:
     fleet = _fleet(w)
+    depots = {e.initial_cell for e in fleet}
     outcomes: list[IncidentOutcome] = []
 
     def step(stage: int, t: float, open_inc: list[Incident],
              free: list[ErvState]) -> dict:
         assignments: list = []
-        for inc in sorted(open_inc, key=lambda i: (i.report_time, i.id)):
+        queue = sorted(open_inc, key=lambda i: (i.report_time, i.id))
+        if free and queue:
+            # open in one Dijkstra call only rows the run is sure to read: a
+            # free vehicle (always at its depot) is priced on the first
+            # incident, and an incident off every depot sends its vehicle home
+            travel_rows(w.net, [
+                *(e.cell for e in free if e.cell != queue[0].location),
+                *(i.location for i in queue if i.location not in depots),
+            ])
+        for inc in queue:
             avail = [e for e in fleet if e.is_free(t)]
             if not avail:
                 break
@@ -867,6 +877,23 @@ def whole_number(x, what: str) -> int:
     return int(x)
 
 
+def number(x, what: str) -> float:
+    """A JSON number: an int or a float, never a boolean or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise InputError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"{what} is too large, got {x!r}") from None
+
+
+def string(x, what: str) -> str:
+    """A JSON string, never a number or a structure converted to one."""
+    if not isinstance(x, str):
+        raise InputError(f"{what} must be a string, got {x!r}")
+    return x
+
+
 def _flag(x, what: str) -> bool:
     """A switch: JSON true or false, nothing that merely converts to one."""
     if not isinstance(x, bool):
@@ -882,9 +909,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         solver_d = _object(d.get("solver", {}), "solver")
         fc = _object(d.get("forecast", {}), "forecast")
         solver = SolverConfig(
-            algorithm=str(solver_d.get("algorithm", "dsa")),
+            algorithm=string(solver_d.get("algorithm", "dsa"), "solver.algorithm"),
             iterations=whole_number(solver_d.get("iterations", 45), "solver.iterations"),
-            dsa_threshold=float(solver_d.get("dsa_threshold", 0.9)),
+            dsa_threshold=number(solver_d.get("dsa_threshold", 0.9),
+                                 "solver.dsa_threshold"),
         )
         return Scenario(
             seed=whole_number(d["seed"], "seed"),
@@ -892,21 +920,23 @@ def scenario_from_dict(d: dict) -> Scenario:
             rows=whole_number(grid.get("rows", 10), "grid.rows"),
             cols=whole_number(grid.get("cols", 10), "grid.cols"),
             edge_time_range=tuple(
-                float(x) for x in grid.get("edge_time_range", (0.1, 1.5))
+                number(x, "an edge_time_range entry")
+                for x in grid.get("edge_time_range", (0.1, 1.5))
             ),
             n_ervs=whole_number(fleet.get("ervs", 3), "fleet.ervs"),
             n_uavs=whole_number(fleet.get("uavs", 0), "fleet.uavs"),
-            stage_gap=float(d.get("stage_gap_h", 0.5)),
+            stage_gap=number(d.get("stage_gap_h", 0.5), "stage_gap_h"),
             solver=solver,
-            prob_range=tuple(float(x) for x in fc.get("prob_range", (0.0, 0.15))),
+            prob_range=tuple(number(x, "a prob_range entry")
+                             for x in fc.get("prob_range", (0.0, 0.15))),
             normalize_field=_flag(fc.get("normalize", False), "forecast.normalize"),
-            field_budget=float(fc.get("budget", 1.0)),
-            forecast_signal=float(fc.get("signal", 0.35)),
+            field_budget=number(fc.get("budget", 1.0), "forecast.budget"),
+            forecast_signal=number(fc.get("signal", 0.35), "forecast.signal"),
             lookahead=whole_number(d.get("lookahead", 2), "lookahead"),
             relocation_k=whole_number(d.get("relocation_k", 10), "relocation_k"),
             cooperation=_flag(d.get("cooperation", True), "cooperation"),
-            kappa=float(d.get("kappa", 0.5)),
-            name=str(d.get("name", "")),
+            kappa=number(d.get("kappa", 0.5), "kappa"),
+            name=string(d.get("name", ""), "name"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):

@@ -31,6 +31,16 @@ Moves within a round are computed against the same snapshot and applied
 together. The trace records the best-known objective after every round, so
 the result is an anytime one: MGM's sequence never worsens, DSA's current
 assignment may oscillate but the reported best cannot.
+
+A round runs over agent indices with tables prepared once per solve: unary
+vectors and binary tables are multiplied by the sense sign once (IEEE
+negation is exact and commutes with addition, so -(u + c) == (-u) + (-c)),
+each table is laid out in both orientations so that a neighbour's current
+position selects a contiguous row (a table several pairs share, like the
+builders' all-different table, is laid out once), and neighbours come from
+one pass over the binary constraints. The move rules, the random stream
+(one draw per agent per DSA round, in agent order) and every trace field are
+those of the plain dict-per-round loop in tests/solver_oracle.py.
 """
 from __future__ import annotations
 
@@ -39,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcop import AgentId, Assignment, DcopProblem, Value, total_cost
+from .dcop import Assignment, DcopProblem, total_cost
 from .errors import InputError
 
 
@@ -106,51 +116,66 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     flip = 1.0 if p.sense == "min" else -1.0
 
-    order = list(p.agents)
-    # tie-break rank: position in the declared agent order (builders declare
+    # agents by index; an index is also the tie-break rank (builders declare
     # agents sorted by id, so this is "lowest agent id")
-    rank = {a: i for i, a in enumerate(order)}
-    neighbors = {a: p.neighbors(a) for a in order}
-    # per agent: its unary vector, then (table with its values on the rows,
-    # other agent) for every binary constraint it is in, in declaration order
-    unary = {a: p.unary.get(a, np.zeros(len(p.domains[a]))) for a in order}
-    tables: dict[AgentId, list] = {a: [] for a in order}
+    order = list(p.agents)
+    at = {a: i for i, a in enumerate(order)}
+    domains = [p.domains[a] for a in order]
+    # costs carry the sense sign, so every agent minimizes
+    unary = []
+    for a, dom in zip(order, domains):
+        vec = p.unary.get(a)
+        unary.append(np.zeros(len(dom)) if vec is None else flip * vec)
+    # per agent: (rows, neighbour index) for every binary table it is in, in
+    # declaration order, where rows[k] is its cost vector with the neighbour
+    # at position k; a table shared by several pairs is laid out once
+    layouts: dict[int, tuple[list, list]] = {}
+    tables: list[list] = [[] for _ in order]
+    neighbors: list[list[int]] = [[] for _ in order]
     for c in p.binary:
-        tables[c.a].append((c.table, c.b))
-        tables[c.b].append((c.table.T, c.a))
+        i, j = at[c.a], at[c.b]
+        laid = layouts.get(id(c.table))
+        if laid is None:
+            signed = flip * c.table
+            laid = layouts[id(c.table)] = (
+                list(np.ascontiguousarray(signed.T)),
+                list(np.ascontiguousarray(signed)))
+        tables[i].append((laid[0], j))
+        tables[j].append((laid[1], i))
+        if j not in neighbors[i]:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
 
     current = _initial_assignment(p, rng)
+    pos = [p.index[a][current[a]] for a in order]
     best_assignment = dict(current)
     best = flip * total_cost(p, current)
 
     best_costs: list[float] = []
     moves_per_round: list[int] = []
     # per round, everyone broadcasts its value; MGM adds a gain broadcast
-    msgs = sum(len(neighbors[a]) for a in order)
+    msgs = sum(map(len, neighbors))
     if cfg.algorithm == "mgm":
         msgs *= 2
 
+    agents = range(len(order))
+    proposals = [0] * len(order)
+    gains = [0.0] * len(order)
     for _ in range(cfg.iterations):
-        snapshot = dict(current)
-        pos = {a: p.index[a][snapshot[a]] for a in order}
-
-        proposals: dict[AgentId, Value] = {}
-        gains: dict[AgentId, float] = {}
-        for a in order:
-            local = unary[a]
-            for table, other in tables[a]:
-                local = local + table[:, pos[other]]
-            local = flip * local
-            cur_cost = float(local[pos[a]])
-            j = int(np.argmin(local))
-            best_cost = float(local[j])
+        for i in agents:
+            local = unary[i]
+            for table_rows, j in tables[i]:
+                local = local + table_rows[pos[j]]
+            cur_cost = local.item(pos[i])
+            k = local.argmin()
+            best_cost = local.item(k)
             if best_cost < cur_cost:
-                proposals[a] = p.domains[a][j]
+                proposals[i] = k
             else:
-                proposals[a], best_cost = snapshot[a], cur_cost
-            gains[a] = _gain(cur_cost, best_cost)
+                proposals[i], best_cost = pos[i], cur_cost
+            gains[i] = _gain(cur_cost, best_cost)
 
-        if all(g <= 0.0 for g in gains.values()):
+        if all(g <= 0.0 for g in gains):
             # fixed point: no agent moves now or in any later round
             rest = cfg.iterations - len(best_costs)
             best_costs += [flip * best] * rest
@@ -159,25 +184,21 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
 
         if cfg.algorithm == "mgm":
             movers = []
-            for a in order:
-                g = gains[a]
+            for i in agents:
+                g = gains[i]
                 if g <= 0.0:
                     continue
-                wins = all(
-                    g > gains[b] or (g == gains[b] and rank[a] < rank[b])
-                    for b in neighbors[a]
-                )
-                if wins:
-                    movers.append(a)
+                if all(g > gains[j] or (g == gains[j] and i < j)
+                       for j in neighbors[i]):
+                    movers.append(i)
         else:
-            draws = {a: rng.random() for a in order}
-            movers = [
-                a for a in order
-                if gains[a] > 0.0 and draws[a] < cfg.dsa_threshold
-            ]
+            # one draw per agent, in agent order, mover or not
+            movers = [i for i in agents
+                      if rng.random() < cfg.dsa_threshold and gains[i] > 0.0]
 
-        for a in movers:
-            current[a] = proposals[a]
+        for i in movers:
+            pos[i] = proposals[i]
+            current[order[i]] = domains[i][proposals[i]]
 
         cost = flip * total_cost(p, current)
         if cost < best:

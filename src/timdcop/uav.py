@@ -97,7 +97,7 @@ def build_uav_problem(
     conflict = all_different_table(domain, domain, sense="max")
     problem = DcopProblem(
         agents=agents,
-        domains={uid: list(domain) for uid in agents},
+        domains=dict.fromkeys(agents, domain),
         unary=unary,
         binary=[
             BinaryConstraint(a=ua, b=ub, table=conflict)

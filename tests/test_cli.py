@@ -7,14 +7,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import timdcop
 import timdcop.scenarios as scenarios
 from timdcop.cli import main
-from timdcop.errors import ModelDomainError
+from timdcop.errors import CapExceededError, ModelDomainError
 from timdcop.scenarios import (
     Scenario,
     run_opt,
@@ -265,6 +268,16 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     {"cooperation": 0},
     {"forecast": {"normalize": "no"}},
     {"forecast": {"normalize": None}},
+    {"stage_gap_h": "0.5"},
+    {"forecast": {"budget": True}},
+    {"name": {"a": 1}},
+    {"kappa": "0.5"},
+    {"solver": {"dsa_threshold": True}},
+    {"solver": {"algorithm": 5}},
+    {"forecast": {"signal": "0.3"}},
+    {"grid": {"edge_time_range": ["0.1", 1.5]}},
+    {"forecast": {"prob_range": [False, 0.1]}},
+    {"kappa": 10**400},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -280,6 +293,69 @@ def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# what a hand-edited scenario may hold instead of the value a field needs
+# (no tiny positive numbers: a stage gap of 1e-300 is valid and never drains)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 1.5, -3, [], {}]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+
+def or_junk(valid):
+    # junk one time in twenty, so that most generated scenarios still run
+    return st.integers(0, 19).flatmap(lambda k: JUNK if k == 0 else valid)
+
+
+def section(**fields):
+    return or_junk(st.fixed_dictionaries({}, optional=fields))
+
+
+def ordered_pair(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+SCENARIO_DICTS = or_junk(st.fixed_dictionaries(
+    {"seed": or_junk(st.integers(0, 50)),
+     "schedule": or_junk(st.lists(st.integers(0, 3), min_size=1, max_size=3))},
+    optional={
+        "name": or_junk(st.text(max_size=5)),
+        "grid": section(rows=or_junk(st.integers(2, 5)),
+                        cols=or_junk(st.integers(2, 5)),
+                        edge_time_range=or_junk(ordered_pair(0.05, 2.0))),
+        "fleet": section(ervs=or_junk(st.integers(0, 3)),
+                         uavs=or_junk(st.integers(0, 2))),
+        "stage_gap_h": or_junk(st.floats(0.1, 1.0)),
+        "solver": section(algorithm=or_junk(st.sampled_from(["mgm", "dsa"])),
+                          iterations=or_junk(st.integers(1, 10)),
+                          dsa_threshold=or_junk(st.floats(0.0, 1.0))),
+        "forecast": section(prob_range=or_junk(ordered_pair(0.0, 0.3)),
+                            normalize=or_junk(st.booleans()),
+                            budget=or_junk(st.floats(0.1, 2.0)),
+                            signal=or_junk(st.floats(0.0, 1.0))),
+        "lookahead": or_junk(st.integers(0, 2)),
+        "relocation_k": or_junk(st.integers(0, 5)),
+        "cooperation": or_junk(st.booleans()),
+        "kappa": or_junk(st.floats(0.05, 2.0)),
+    },
+))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=SCENARIO_DICTS)
+def test_generated_scenarios_exit_with_a_mapped_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "o"
+        code = main(["run", "--scenario", str(path),
+                     "--policy", "conventional,pdronetim,opt", "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert out.exists() == (code == 0)
 
 
 def test_short_stage_gap_drains(tmp_path):
@@ -319,6 +395,59 @@ def test_model_domain_error_exits_1(tiny_scenario, tmp_path, monkeypatch, capsys
         "--policy", "pdronetim", "--out", str(tmp_path / "o"),
     ]) == 1
     assert "model error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_that_is_a_file_exits_2(tiny_scenario, tmp_path, monkeypatch,
+                                    capsys, command):
+    ran = []
+    monkeypatch.setattr("timdcop.cli.run_policy",
+                        lambda *a, **kw: ran.append(a) or run_policy(*a, **kw))
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    extra = ["--axis", "uavs=0", "--trials", "1"] if command == "sweep" else []
+    for out in (taken, taken / "below"):
+        assert main([command, "--scenario", str(tiny_scenario), *extra,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "not a directory" in err and "Traceback" not in err
+    assert ran == []  # rejected before any policy ran
+    assert taken.read_text() == "keep me"
+
+
+@pytest.mark.parametrize("error, code", [
+    (CapExceededError("evaluation cap"), 3),
+    (ModelDomainError("belief variance went negative"), 1),
+])
+def test_failed_policy_leaves_no_out(tiny_scenario, tmp_path, monkeypatch,
+                                     error, code):
+    def opt_fails(sc, policy, world=None):
+        if policy == "opt":
+            raise error
+        return run_policy(sc, policy, world)
+
+    monkeypatch.setattr("timdcop.cli.run_policy", opt_fails)
+    out = tmp_path / "o"
+    assert main([
+        "run", "--scenario", str(tiny_scenario),
+        "--policy", "conventional,pdronetim,opt", "--out", str(out),
+    ]) == code
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2_and_is_removed(tiny_scenario, tmp_path,
+                                               monkeypatch, capsys):
+    def full_disk(res, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("timdcop.cli.write_incident_csv", full_disk)
+    out = tmp_path / "o"
+    assert main([
+        "run", "--scenario", str(tiny_scenario), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- sweeps

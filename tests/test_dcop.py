@@ -233,18 +233,21 @@ def test_repeated_domain_values_and_foreign_values_are_rejected():
         total_cost(p, {"a": 2})
 
 
+def test_agents_sharing_a_domain_list_share_its_index():
+    dom = ["c1", "c2", None]
+    p = DcopProblem(agents=["a", "b", "c"],
+                    domains={"a": dom, "b": dom, "c": ["c2", "c1", None]})
+    assert p.index["a"] is p.index["b"]
+    assert p.index["a"] == {"c1": 0, "c2": 1, None: 2}
+    assert p.index["c"] == {"c2": 0, "c1": 1, None: 2}
+    with pytest.raises(InputError):
+        twice = [1, 1]
+        DcopProblem(agents=["a", "b"], domains={"a": twice, "b": twice})
+
+
 def test_all_different_table_marks_equal_values_only():
     t = all_different_table([3, 5, None], [5, None, 3])
     assert t.shape == (3, 3)
     assert t[0, 2] == t[1, 0] == math.inf
     assert np.count_nonzero(t) == 2  # None never conflicts, even with None
     assert all_different_table([1, None], [1, None], sense="max")[0, 0] == -math.inf
-
-
-def test_neighbors_come_from_binary_constraints():
-    p = table_problem(
-        {(a, v): 0.0 for a in "abc" for v in (0, 1)}, ["a", "b", "c"], [0, 1]
-    )
-    assert set(p.neighbors("a")) == {"b", "c"}
-    solo = DcopProblem(agents=["a"], domains={"a": [0]})
-    assert solo.neighbors("a") == []

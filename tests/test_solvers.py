@@ -1,15 +1,28 @@
 """Local search: move rules, anytime property, determinism."""
+import functools
 import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcop_oracle import brute_force_optimum
+from solver_oracle import reference_solve
 from timdcop import solvers
-from timdcop.dcop import BinaryConstraint, DcopProblem, total_cost
+from timdcop.dcop import (
+    BinaryConstraint,
+    DcopProblem,
+    all_different_table,
+    total_cost,
+)
+from timdcop.erv import ErvState, StageContext, build_erv_problem
 from timdcop.errors import InputError
+from timdcop.scenarios import Scenario, materialize
 from timdcop.solvers import SolverConfig, solve
+from timdcop.uav import UavState, build_uav_problem
 
 
 def random_table_problem(seed: int, n_agents=3, n_values=4) -> DcopProblem:
@@ -232,6 +245,96 @@ def test_lone_agent_stops_at_its_fixed_point(algorithm, monkeypatch):
     assert trace.moves == [1] + [0] * 44
     assert trace.best_costs == [1.0] * 45
     assert trace.messages == 0  # no neighbours to message
+
+
+# ------------------------------------------------------- reference loop
+
+configs = st.builds(
+    SolverConfig,
+    algorithm=st.sampled_from(["mgm", "dsa"]),
+    iterations=st.integers(1, 30),
+    dsa_threshold=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# small whole costs tie often, which exercises the first-lowest and rank rules
+costs = st.one_of(st.integers(0, 3).map(float),
+                  st.sampled_from([-2.5, 0.1, 0.2, 0.30000000000000004, 1e300]))
+
+
+@st.composite
+def table_problems(draw) -> DcopProblem:
+    """1-9 agents, either one domain list and one table shared by every pair
+    or a domain and a table of their own; min or max; unary vectors on some
+    agents only; the hard sentinel is +inf under min and -inf under max."""
+    sense = draw(st.sampled_from(["min", "max"]))
+    hard = math.inf if sense == "min" else -math.inf
+    agents = [f"a{i}" for i in range(draw(st.integers(1, 9)))]
+    cells = st.lists(st.one_of(st.integers(0, 12), st.none()), min_size=1,
+                     max_size=6, unique=True)
+    shared = draw(st.booleans())
+    if shared:
+        dom = draw(cells)
+        domains = dict.fromkeys(agents, dom)
+        table = all_different_table(dom, dom, sense) + draw(
+            st.lists(costs, min_size=len(dom) ** 2, max_size=len(dom) ** 2)
+            .map(lambda xs: np.reshape(xs, (len(dom), len(dom)))))
+    else:
+        domains = {a: draw(cells) for a in agents}
+
+    def vector(n):
+        return draw(st.lists(st.one_of(costs, st.just(hard)),
+                             min_size=n, max_size=n))
+
+    unary = {a: vector(len(domains[a])) for a in agents if draw(st.booleans())}
+    binary = []
+    for i, a in enumerate(agents):
+        for b in agents[i + 1:]:
+            if shared:
+                binary.append(BinaryConstraint(a=a, b=b, table=table))
+            elif draw(st.booleans()):
+                rows = [vector(len(domains[b])) for _ in domains[a]]
+                binary.append(BinaryConstraint(a=a, b=b, table=rows))
+    return DcopProblem(agents=agents, domains=domains, unary=unary,
+                       binary=binary, sense=sense)
+
+
+@functools.lru_cache(maxsize=None)
+def small_world(seed: int):
+    return materialize(Scenario(seed=seed, schedule=(3, 3), rows=4, cols=4))
+
+
+@st.composite
+def erv_problems(draw) -> DcopProblem:
+    w = small_world(draw(st.integers(0, 3)))
+    cell = st.integers(0, w.net.n_cells - 1)
+    ctx = StageContext(
+        net=w.net, forecast=w.forecast, stage_time=0.0,
+        stage_index=draw(st.integers(0, 1)),
+        open_incidents=draw(st.lists(st.sampled_from(w.incidents), max_size=4,
+                                     unique_by=lambda i: i.id)),
+        lookahead=draw(st.integers(0, 2)), relocation_k=draw(st.integers(0, 4)),
+    )
+    fleet = [ErvState(id=f"erv{i}", cell=c)
+             for i, c in enumerate(draw(st.lists(cell, min_size=1, max_size=9)))]
+    return build_erv_problem(ctx, fleet)
+
+
+@st.composite
+def uav_problems(draw) -> DcopProblem:
+    w = small_world(draw(st.integers(0, 3)))
+    cell = st.integers(0, w.net.n_cells - 1)
+    uavs = [UavState(id=f"uav{i}", cell=c)
+            for i, c in enumerate(draw(st.lists(cell, min_size=1, max_size=9)))]
+    benefits = draw(st.dictionaries(cell, st.integers(2, 40).map(float),
+                                    min_size=1, max_size=5))
+    return build_uav_problem(w.net, uavs, benefits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(table_problems(), erv_problems(), uav_problems()),
+       cfg=configs)
+def test_solve_matches_the_reference_loop(p, cfg):
+    assert solve(p, cfg) == reference_solve(p, cfg)
 
 
 # ------------------------------------------------------------ bookkeeping
