@@ -10,15 +10,19 @@ duration r (hours, mean response+clearance, variance r_var):
     Var[TD] = ((q - s1_mean)^2 + s1_sd^2) * (r_var + r_mean^2) / (3*q^2)
               - (q - s1_mean)^2 * r_mean^2 / (4*q^2)
 
-Both are clamped at zero (parameter draws can push the leading bracket
+The bracket and 2 (s - q) are constants of the parameters, computed once on
+TrafficParams. E[TD] is clamped at zero (parameter draws can push the bracket
 negative); clamp events are counted on a module-level tally so harnesses can
-report how often the model saturated. Requires s > q: at or below saturation
-the queue never clears and the model has no finite answer.
+report how often the model saturated. Var[TD] needs no clamp: it equals
+(A r_var / 3 + r_mean^2 (g / 12 + s1_sd^2 / 3)) / q^2 >= 0 with
+A = (q - s1_mean)^2 + s1_sd^2 and g = (q - s1_mean)^2. TrafficParams requires
+s > q: at or below saturation the queue never clears and the model has no
+finite answer.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +76,9 @@ class TrafficParams:
     """Link/incident parameters feeding the delay model.
 
     Mean incident duration is not stored: it is response_time + clearance,
-    and the response time is only known per assignment.
+    and the response time is only known per assignment. `bracket` and
+    `twice_gap` are the delay formula's constants:
+    E[TD] = bracket * (r_mean^2 + r_var) / twice_gap.
     """
 
     s: float        # freeway capacity (vph)
@@ -81,12 +87,21 @@ class TrafficParams:
     q: float        # traffic demand (vph)
     r_var: float    # variance of incident duration (h^2)
     clearance: float  # clearance time (h)
+    bracket: float = field(init=False, repr=False, compare=False)
+    twice_gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q <= 0:
             raise ModelDomainError(f"demand must be positive, got {self.q}")
+        if self.s <= self.q:
+            raise ModelDomainError(
+                f"capacity must exceed demand (s={self.s}, q={self.q})"
+            )
         if self.s1_sd < 0 or self.r_var < 0 or self.clearance < 0:
             raise ModelDomainError("negative spread/clearance parameter")
+        object.__setattr__(self, "bracket", self.s1_mean**2 + self.s1_sd**2
+                           - (self.s + self.q) * self.s1_mean + self.s * self.q)
+        object.__setattr__(self, "twice_gap", 2.0 * (self.s - self.q))
 
 
 @dataclass
@@ -100,7 +115,7 @@ class Incident:
 
 
 class ClampTally:
-    """Counts delay/variance evaluations that saturated at zero."""
+    """Counts delay evaluations that saturated at zero."""
 
     def __init__(self) -> None:
         self.count = 0
@@ -162,15 +177,10 @@ def expected_delay(p: TrafficParams, response_time: float) -> float:
     Mean duration is response_time + clearance. Negative raw values (possible
     when the reduced-capacity draw exceeds capacity/demand) clamp to zero.
     """
-    if p.s <= p.q:
-        raise ModelDomainError(
-            f"capacity must exceed demand (s={p.s}, q={p.q})"
-        )
     if response_time < 0:
         raise ModelDomainError(f"negative response time {response_time}")
     r_mean = response_time + p.clearance
-    bracket = p.s1_mean**2 + p.s1_sd**2 - (p.s + p.q) * p.s1_mean + p.s * p.q
-    raw = bracket * (r_mean**2 + p.r_var) / (2.0 * (p.s - p.q))
+    raw = p.bracket * (r_mean**2 + p.r_var) / p.twice_gap
     if raw < 0.0:
         clamped.bump()
         return 0.0
@@ -181,25 +191,18 @@ def expected_delays(params: Sequence[TrafficParams], response) -> np.ndarray:
     """expected_delay of params[j] at every response[..., j], as one array.
 
     The last axis of `response` runs over `params`. Every element equals the
-    scalar function bit for bit: each column's bracket and 2 (s - q) come from
-    the scalar formula, and the square is np.float_power, which calls libm pow
-    as Python's float ** does (an ndarray's ** 2 multiplies instead, and
-    differs in the last bit on some inputs). The clamp tally counts every
-    clamped element.
+    scalar function bit for bit: each column reads the same bracket and
+    twice_gap, and the square is np.float_power, which calls libm pow as
+    Python's float ** does (an ndarray's ** 2 multiplies instead, and differs
+    in the last bit on some inputs). The clamp tally counts every clamped
+    element.
     """
-    for p in params:
-        if p.s <= p.q:
-            raise ModelDomainError(
-                f"capacity must exceed demand (s={p.s}, q={p.q})"
-            )
     response = np.asarray(response, dtype=float)
     negative = response < 0
     if negative.any():
         raise ModelDomainError(f"negative response time {response[negative][0]}")
     bracket, clearance, r_var, twice_gap = np.array([
-        (p.s1_mean**2 + p.s1_sd**2 - (p.s + p.q) * p.s1_mean + p.s * p.q,
-         p.clearance, p.r_var, 2.0 * (p.s - p.q))
-        for p in params
+        (p.bracket, p.clearance, p.r_var, p.twice_gap) for p in params
     ], dtype=float).reshape(-1, 4).T
     r_mean = response + clearance
     raw = bracket * (np.float_power(r_mean, 2) + r_var) / twice_gap
@@ -217,10 +220,7 @@ def delay_variance(p: TrafficParams, response_time: float) -> float:
         raise ModelDomainError(f"negative response time {response_time}")
     r_mean = response_time + p.clearance
     gap_sq = (p.q - p.s1_mean) ** 2
-    raw = (gap_sq + p.s1_sd**2) * (p.r_var + r_mean**2) / (3.0 * p.q**2) \
+    # no clamp: the subtracted term is at most 3/4 of the first (module doc)
+    return (gap_sq + p.s1_sd**2) * (p.r_var + r_mean**2) / (3.0 * p.q**2) \
         - gap_sq * r_mean**2 / (4.0 * p.q**2)
-    if raw < 0.0:
-        clamped.bump()
-        return 0.0
-    return raw
 

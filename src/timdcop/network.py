@@ -94,17 +94,6 @@ def travel_rows(net: GridNetwork, sources: list[CellId]) -> list[list[float]]:
     return [cache[s] for s in sources]
 
 
-def travel_row(net: GridNetwork, source: CellId) -> list[float]:
-    """travel_rows for one source, without the batch bookkeeping that would
-    slow each cache miss of travel_time."""
-    if not 0 <= source < net.n_cells:
-        raise InputError(f"cell out of range: {source} (grid has {net.n_cells} cells)")
-    row = net._dist_cache.get(source)
-    if row is None:
-        row = net._dist_cache[source] = _dijkstra(net, [source])[0]
-    return row
-
-
 def travel_time(net: GridNetwork, a: CellId, b: CellId) -> float:
     """Shortest-path travel time in hours between two cells."""
     n = net.n_cells
@@ -112,7 +101,7 @@ def travel_time(net: GridNetwork, a: CellId, b: CellId) -> float:
         raise InputError(f"cell out of range: {a}, {b} (grid has {n} cells)")
     if a == b:
         return 0.0
-    row = net._dist_cache.get(a)  # the hot path skips a call into travel_row
+    row = net._dist_cache.get(a)  # the hot path skips a call into travel_rows
     if row is None:
-        row = travel_row(net, a)
+        row = travel_rows(net, [a])[0]
     return row[b]

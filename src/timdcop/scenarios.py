@@ -113,6 +113,9 @@ class Scenario:
                     f"{name} must be two finite floats lo <= hi, got {lo_hi}")
         if self.n_ervs < 1:
             raise InputError("need at least one ERV")
+        if self.n_ervs > self.rows * self.cols:  # keeps all-different satisfiable
+            raise InputError(f"{self.n_ervs} ERVs on a {self.rows}x{self.cols} "
+                             "grid: at most one per cell")
         if self.n_uavs < 0:
             raise InputError("negative UAV count")
         if not (math.isfinite(self.stage_gap) and self.stage_gap > 0):
@@ -282,11 +285,6 @@ def _stage_guard(sc: Scenario, world: World) -> int:
             + per_incident * len(world.incidents))
 
 
-def _fresh_incidents(w: World) -> list[Incident]:
-    # runs mutate the cleared flag; never touch the shared world's objects
-    return [replace(i, cleared=False) for i in w.incidents]
-
-
 def _erv_id(e: int) -> str:
     return f"erv{e}"
 
@@ -310,7 +308,9 @@ def _run_stages(sc: Scenario, w: World, fleet: list[ErvState], step) -> list[Sta
     every scheduled stage (relocation duty even with no requests), then keeps
     draining until every incident is served.
     """
-    pending = _fresh_incidents(w)      # not yet reported, in report order
+    # not yet reported, in report order; copies, because a run sets the
+    # cleared flag and the world is shared
+    pending = [replace(i, cleared=False) for i in w.incidents]
     open_inc: list[Incident] = []
     stages: list[StageOutcome] = []
     stage = 0
@@ -519,62 +519,93 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
 
 def run_opt(sc: Scenario, world: World | None = None,
             cap: int = OPT_EVAL_CAP) -> RunResult:
-    """Clairvoyant exact baseline.
+    """Clairvoyant exact baseline (see _ExactSearch).
 
-    Searches every assignment of incidents to vehicles with free per-vehicle
-    service order; vehicles drive straight to their next commitment as soon
-    as they are free (service cannot start before the report). Services are
-    enumerated as a single event sequence in nondecreasing
-    (start, vehicle, incident) order, which names each schedule exactly once.
-
-    Branch and bound. A state's floor combines two admissible parts (see
-    remaining_floor): the best-direct-arrival delay per unserved incident,
-    and a one-to-one matching of incidents to (vehicle, rank) slots that
-    charges each rank the cheapest clearances and inbound legs it must
-    absorb. The search starts from the best of three polished incumbents —
-    a greedy schedule and both realized policies replayed with direct
-    motion — so it returns at or below either policy's cost by
-    construction. States surviving their own floor count as evaluations;
-    exceeding `cap` raises CapExceededError.
+    The search starts from the best of three polished incumbents -- a greedy
+    schedule and both realized policies replayed with direct motion -- so it
+    returns at or below either policy's cost by construction (on a world
+    that already ran them, the stored runs are replayed). States surviving
+    their own floor count as evaluations; exceeding `cap` raises
+    CapExceededError.
     """
     w = world if world is not None else materialize(sc)
-    incidents = sorted(_fresh_incidents(w), key=lambda i: (i.report_time, i.id))
-    n = len(incidents)
-    n_erv = len(w.erv_cells)
+    search = _ExactSearch(w)
+    incumbents = [search.greedy(), search.replay(run_conventional(sc, w)),
+                  search.replay(run_proactive(sc, w))]
+    cost, seqs = min((search.polish(cost, seqs) for cost, seqs in incumbents),
+                     key=lambda t: t[0])
+    plan, nodes = search.search(cost, seqs, cap)
 
-    # travel rows for every position the search can reach, in one Dijkstra call
-    sources = sorted(set(w.erv_cells) | {i.location for i in incidents})
-    tt = dict(zip(sources, travel_rows(w.net, sources)))
-    tt_np = {src: np.asarray(row) for src, row in tt.items()}
+    outcomes = []
+    for i, e, start in plan:
+        inc = search.incidents[i]
+        response = start - inc.report_time
+        outcomes.append(IncidentOutcome(
+            incident_id=inc.id, cell=inc.location, severity=inc.severity,
+            report_h=inc.report_time, erv_id=_erv_id(e),
+            response_h=response,
+            delay_veh_h=expected_delay(inc.params, response),
+            delay_var=delay_variance(inc.params, response),
+            cooperating=False,
+        ))
+    return _finish("opt", sc, [], outcomes, [], 0.0, opt_nodes=nodes)
 
-    # delay_i(response) = max(0, coef_i * ((response + clr_i)^2 + var_i))
-    rep = np.array([i.report_time for i in incidents])
-    loc = np.array([i.location for i in incidents])
-    clr = np.array([i.params.clearance for i in incidents])
-    var = np.array([i.params.r_var for i in incidents])
-    coef = np.array([
-        (i.params.s1_mean**2 + i.params.s1_sd**2
-         - (i.params.s + i.params.q) * i.params.s1_mean
-         + i.params.s * i.params.q) / (2.0 * (i.params.s - i.params.q))
-        for i in incidents
-    ])
-    # plain-float copies for the per-incident direct floor
-    rep_l, loc_l, clr_l, var_l, coef_l = (
-        a.tolist() for a in (rep, loc, clr, var, coef)
-    )
 
-    # minimum inbound travel per incident: every service occupies its
-    # vehicle for at least this plus the clearance (zero when a vehicle
-    # could already stand on the cell)
-    multi = {c for c in loc_l if loc_l.count(c) > 1}
-    tin = np.array([
-        0.0 if (c in w.erv_cells or c in multi)
-        else min(tt[s][c] for s in sources if s != c)
-        for c in loc_l
-    ])
+class _ExactSearch:
+    """Branch and bound over every service schedule of a world.
 
-    def remaining_floor(remaining: frozenset, pos: tuple, free_at: tuple,
-                        last_start: float, need: float) -> float:
+    Incidents are indexed in canonical (report time, id) order. A schedule
+    is one service order (a tuple of incident indices) per vehicle; a
+    vehicle drives straight to its next commitment as soon as it is free,
+    and service cannot start before the report. Incumbents pass between the
+    methods as (cost, schedule); `plan` turns a schedule into (incident,
+    vehicle, start) triples. The search enumerates services as one event
+    sequence in nondecreasing (start, vehicle, incident) order, which names
+    each schedule exactly once, and prunes a state by `floor`.
+
+    A delay is max(0, coef * ((response + clearance)^2 + r_var)) with
+    coef = bracket / twice_gap, the delay model's constants per incident.
+    """
+
+    def __init__(self, w: World) -> None:
+        self.incidents = sorted(w.incidents, key=lambda i: (i.report_time, i.id))
+        self.erv_cells = list(w.erv_cells)
+        self.n_erv = n_erv = len(self.erv_cells)
+        self.erv_index = {_erv_id(e): e for e in range(n_erv)}
+        self.id_to_idx = {inc.id: i for i, inc in enumerate(self.incidents)}
+
+        # travel rows for every position the search can reach, in one
+        # Dijkstra call
+        sources = sorted(set(self.erv_cells)
+                         | {i.location for i in self.incidents})
+        self.tt = tt = dict(zip(sources, travel_rows(w.net, sources)))
+        self.tt_np = {src: np.asarray(row) for src, row in tt.items()}
+
+        params = [i.params for i in self.incidents]
+        self.rep = np.array([i.report_time for i in self.incidents])
+        self.loc = np.array([i.location for i in self.incidents])
+        self.clr = np.array([p.clearance for p in params])
+        self.var = np.array([p.r_var for p in params])
+        self.coef = np.array([p.bracket / p.twice_gap for p in params])
+        # plain-float copies for the per-incident direct floor
+        self.rep_l, self.loc_l, self.clr_l, self.var_l, self.coef_l = (
+            a.tolist() for a in (self.rep, self.loc, self.clr, self.var, self.coef)
+        )
+        # minimum inbound travel per incident: every service occupies its
+        # vehicle for at least this plus the clearance (zero when a vehicle
+        # could already stand on the cell)
+        multi = {c for c in self.loc_l if self.loc_l.count(c) > 1}
+        self.tin = np.array([
+            0.0 if (c in self.erv_cells or c in multi)
+            else min(tt[s][c] for s in sources if s != c)
+            for c in self.loc_l
+        ])
+        # (vehicle, service order) -> per-service (delay, start), shared by
+        # every replay and every polish trial of every incumbent
+        self.legs: dict[tuple[int, tuple[int, ...]], list[tuple[float, float]]] = {}
+
+    def floor(self, remaining: frozenset, pos: tuple, free_at: tuple,
+              last_start: float, need: float) -> float:
         """Admissible bound on the cost of the unserved incidents.
 
         Direct part: each incident costs at least the delay of the best
@@ -588,6 +619,9 @@ def run_opt(sc: Scenario, world: World | None = None,
         inbound legs chained together; the cheapest one-to-one matching of
         incidents to (vehicle, rank) slots is then still a lower bound.
         """
+        n_erv, tt = self.n_erv, self.tt
+        loc_l, rep_l, clr_l, var_l, coef_l = (
+            self.loc_l, self.rep_l, self.clr_l, self.var_l, self.coef_l)
         base = last_start if last_start > 0.0 else 0.0
         states = [(free_at[e], tt[pos[e]]) for e in range(n_erv)]
         # plain floats, squared as x * x like numpy's ** 2 in the refinement
@@ -607,105 +641,88 @@ def run_opt(sc: Scenario, world: World | None = None,
             return direct
 
         idx = np.fromiter(remaining, dtype=int, count=k)
-        locs = loc[idx]
-        cf, cl, vr = coef[idx], clr[idx], var[idx]
+        locs, rep, tin = self.loc[idx], self.rep[idx], self.tin[idx]
+        cf, cl, vr = self.coef[idx], self.clr[idx], self.var[idx]
         # prefix sums of the cheapest r - 1 clearances / inbound legs
         ccum = np.concatenate(([0.0], np.cumsum(np.sort(cl))))[:k]
-        tcum = np.concatenate(([0.0], np.cumsum(np.sort(tin[idx]))))[:k]
+        tcum = np.concatenate(([0.0], np.cumsum(np.sort(tin))))[:k]
         blocks = []
         for e in range(n_erv):
-            tt_e = tt_np[pos[e]][locs]  # (k,)
-            travel = np.maximum(tt_e[None, :], tcum[:, None] + tin[idx][None, :])
+            tt_e = self.tt_np[pos[e]][locs]  # (k,)
+            travel = np.maximum(tt_e[None, :], tcum[:, None] + tin[None, :])
             start = free_at[e] + ccum[:, None] + travel
-            start = np.maximum(np.maximum(start, rep[idx][None, :]), base)
-            cost = cf[None, :] * ((start - rep[idx][None, :] + cl[None, :]) ** 2
+            start = np.maximum(np.maximum(start, rep[None, :]), base)
+            cost = cf[None, :] * ((start - rep[None, :] + cl[None, :]) ** 2
                                   + vr[None, :])
             blocks.append(np.maximum(cost, 0.0))
         costm = np.concatenate(blocks, axis=0)  # (n_erv * k ranks, k)
         rows, cols = linear_sum_assignment(costm.T)
         return max(direct, float(costm.T[rows, cols].sum()))
 
-    # greedy warm start (report order, earliest-start vehicle) seeds the bound
-    def greedy() -> tuple[float, list[tuple[int, int, float]]]:
-        pos = list(w.erv_cells)
-        free_at = [0.0] * n_erv
-        total = 0.0
-        plan = []
-        for idx, inc in enumerate(incidents):
-            cands = []
-            for e in range(n_erv):
-                arrive = free_at[e] + tt[pos[e]][inc.location]
-                cands.append((max(arrive, inc.report_time), e))
-            start, e = min(cands)
-            total += expected_delay(inc.params, start - inc.report_time)
-            free_at[e] = start + inc.params.clearance
-            pos[e] = inc.location
-            plan.append((idx, e, start))
-        return total, plan
-
-    # (vehicle, service order) -> per-service (delay, start), shared by
-    # every replay and every polish trial of every incumbent
-    legs: dict[tuple[int, tuple[int, ...]], list[tuple[float, float]]] = {}
-
-    def leg(e: int, seq: tuple[int, ...]) -> list[tuple[float, float]]:
-        out = legs.get((e, seq))
+    def leg(self, e: int, seq: tuple[int, ...]) -> list[tuple[float, float]]:
+        """Per-service (delay, start) of vehicle e serving seq in order."""
+        out = self.legs.get((e, seq))
         if out is None:
-            out = legs[(e, seq)] = []
-            at, free = w.erv_cells[e], 0.0
+            out = self.legs[(e, seq)] = []
+            at, free = self.erv_cells[e], 0.0
             for i in seq:
-                inc = incidents[i]
-                start = max(inc.report_time, free + tt[at][inc.location])
+                inc = self.incidents[i]
+                start = max(inc.report_time, free + self.tt[at][inc.location])
                 out.append((expected_delay(inc.params, start - inc.report_time),
                             start))
                 free = start + inc.params.clearance
                 at = inc.location
         return out
 
-    def seqs_cost(seqs: list[tuple[int, ...]]) -> float:
+    def cost(self, seqs) -> float:
         # plain adds in vehicle then service order, not sum() (which
-        # compensates from Python 3.12): which trials pass the 1e-9 test
-        # below, and so opt's answer, depends on these exact floats
+        # compensates from Python 3.12): which trials pass the 1e-9 test in
+        # polish, and so opt's answer, depends on these exact floats
         total = 0.0
         for e, seq in enumerate(seqs):
-            for d, _ in leg(e, seq):
+            for d, _ in self.leg(e, seq):
                 total += d
         return total
 
-    def seqs_plan(seqs: list[tuple[int, ...]]) -> list[tuple[int, int, float]]:
+    def plan(self, seqs) -> list[tuple[int, int, float]]:
         return [(i, e, start) for e, seq in enumerate(seqs)
-                for i, (_, start) in zip(seq, leg(e, seq))]
+                for i, (_, start) in zip(seq, self.leg(e, seq))]
 
-    id_to_idx = {inc.id: i for i, inc in enumerate(incidents)}
-    erv_index = {_erv_id(e): e for e in range(n_erv)}
+    def greedy(self) -> tuple[float, list[tuple[int, ...]]]:
+        """Report order, each incident to the vehicle that can start it
+        first (lowest index on ties). The cost is added in report order as
+        the schedule grows: the search prunes against this exact float."""
+        pos = list(self.erv_cells)
+        free_at = [0.0] * self.n_erv
+        total = 0.0
+        seqs: list[tuple[int, ...]] = [()] * self.n_erv
+        for i, inc in enumerate(self.incidents):
+            start, e = min(
+                (max(free_at[e] + self.tt[pos[e]][inc.location], inc.report_time), e)
+                for e in range(self.n_erv))
+            total += expected_delay(inc.params, start - inc.report_time)
+            free_at[e] = start + inc.params.clearance
+            pos[e] = inc.location
+            seqs[e] += (i,)
+        return total, seqs
 
-    def replay(result: RunResult) -> tuple[float, list[tuple[int, int, float]]]:
-        """Re-run a realized policy's per-vehicle service orders with direct
+    def replay(self, result: RunResult) -> tuple[float, list[tuple[int, ...]]]:
+        """A realized policy's per-vehicle service orders, run with direct
         motion. Skipping depot returns and relocation detours can only move
-        each service start earlier (triangle inequality), so the replayed
-        schedule is a point of this search space costing no more than the
-        policy's realized total."""
-        by_erv: list[list[int]] = [[] for _ in range(n_erv)]
+        each service start earlier (triangle inequality), so the schedule
+        costs no more than the policy's realized total."""
+        seqs: list[tuple[int, ...]] = [()] * self.n_erv
         for o in sorted(result.incidents,
                         key=lambda o: (o.report_h + o.response_h, o.incident_id)):
-            by_erv[erv_index[o.erv_id]].append(id_to_idx[o.incident_id])
-        seqs = [tuple(s) for s in by_erv]
-        return seqs_cost(seqs), seqs_plan(seqs)
+            seqs[self.erv_index[o.erv_id]] += (self.id_to_idx[o.incident_id],)
+        return self.cost(seqs), seqs
 
-    # incumbents: greedy plus both realized policies replayed into this
-    # space, so the exact search starts at or below either policy's cost
-    # (on a world that already ran them, the stored runs are replayed)
-    incumbents = [greedy(), replay(run_conventional(sc, w)),
-                  replay(run_proactive(sc, w))]
-
-    def polish(cost: float, plan: list[tuple[int, int, float]]):
-        """Steepest descent over single-incident relocations (any vehicle,
-        any position) and pairwise exchanges until no move improves. The
-        result stays a valid schedule, so the exact search below only
-        confirms or beats it."""
-        by_erv: list[list[int]] = [[] for _ in range(n_erv)]
-        for i, e, start in sorted(plan, key=lambda t: t[2]):
-            by_erv[e].append(i)
-        seqs = [tuple(s) for s in by_erv]
+    def polish(self, cost: float, seqs) -> tuple[float, list[tuple[int, ...]]]:
+        """Steepest descent from schedule `seqs` of cost `cost` over
+        single-incident relocations (any vehicle, any position) and pairwise
+        exchanges until no move improves; returns the final cost and
+        schedule."""
+        n_erv = self.n_erv
         while True:
             step_cost, step = cost, None
             for a in range(n_erv):
@@ -720,11 +737,10 @@ def run_opt(sc: Scenario, world: World | None = None,
                             trial = list(seqs)
                             trial[a] = rest_a
                             trial[b] = into[:q] + (moved,) + into[q:]
-                            c = seqs_cost(trial)
+                            c = self.cost(trial)
                             if c < step_cost - 1e-9:
                                 step_cost, step = c, trial
-            slots = [(e, p) for e in range(n_erv)
-                     for p in range(len(seqs[e]))]
+            slots = [(e, p) for e in range(n_erv) for p in range(len(seqs[e]))]
             for x in range(len(slots)):
                 for y in range(x + 1, len(slots)):
                     (a, p), (b, q) = slots[x], slots[y]
@@ -732,90 +748,82 @@ def run_opt(sc: Scenario, world: World | None = None,
                     trial = list(seqs)
                     trial[a] = trial[a][:p] + (v,) + trial[a][p + 1:]
                     trial[b] = trial[b][:q] + (u,) + trial[b][q + 1:]
-                    c = seqs_cost(trial)
+                    c = self.cost(trial)
                     if c < step_cost - 1e-9:
                         step_cost, step = c, trial
             if step is None:
-                return cost, plan
+                return cost, seqs
             cost, seqs = step_cost, step
-            plan = seqs_plan(seqs)
 
-    best_cost, best_plan = min(
-        (polish(c, pl) for c, pl in incumbents), key=lambda t: t[0]
-    )
-
-    nodes = 0
-    pos0 = list(w.erv_cells)
-
-    def dfs(remaining: frozenset, pos: tuple, free_at: tuple,
-            partial: float, last_event: tuple[float, int, int],
-            plan: list[tuple[int, int, float]]) -> None:
-        """Expand one bound-surviving state: schedule every remaining
-        incident as the next event in canonical (start, vehicle, incident)
-        order, pruning each child by its own admissible floor before it
-        counts as an evaluation."""
-        nonlocal nodes, best_cost, best_plan
+    def _children(self, remaining: frozenset, pos: tuple, free_at: tuple,
+                  last_event: tuple[float, int, int]) -> list[tuple[float, int, int]]:
+        """Every (start, vehicle, incident) that may follow last_event in
+        canonical order, earliest first; of vehicles in the same state, only
+        the first is tried."""
         cands = []
-        seen_states = set()
-        for e in range(n_erv):
+        seen = set()
+        for e in range(self.n_erv):
             state = (pos[e], free_at[e])
-            if state in seen_states:  # interchangeable vehicles
+            if state in seen:  # interchangeable vehicles
                 continue
-            seen_states.add(state)
-            row = tt[pos[e]]
+            seen.add(state)
+            row = self.tt[pos[e]]
             for i in remaining:
-                inc = incidents[i]
-                start = max(free_at[e] + row[inc.location], inc.report_time)
-                if (start, e, i) <= last_event:  # canonical event order
+                start = max(free_at[e] + row[self.loc_l[i]], self.rep_l[i])
+                if (start, e, i) <= last_event:
                     continue
                 cands.append((start, e, i))
         cands.sort()  # early starts first: good incumbents appear quickly
-        for start, e, i in cands:
-            inc = incidents[i]
-            cost_i = expected_delay(inc.params, start - inc.report_time)
-            new_partial = partial + cost_i
-            if new_partial >= best_cost:
-                continue
-            child_remaining = remaining - {i}
-            plan.append((i, e, start))
-            if not child_remaining:
-                best_cost = new_partial
-                best_plan = list(plan)
-                plan.pop()
-                continue
-            child_pos = pos[:e] + (inc.location,) + pos[e + 1:]
-            child_free = (free_at[:e] + (start + inc.params.clearance,)
-                          + free_at[e + 1:])
-            if new_partial + remaining_floor(
-                    child_remaining, child_pos, child_free, start,
-                    best_cost - new_partial) < best_cost:
-                nodes += 1
-                if nodes > cap:
-                    raise CapExceededError(
-                        f"opt search exceeded {cap} evaluations"
-                    )
-                dfs(child_remaining, child_pos, child_free,
-                    new_partial, (start, e, i), plan)
-            plan.pop()
+        return cands
 
-    root = frozenset(range(n))
-    if n and 0.0 + remaining_floor(
-            root, tuple(pos0), (0.0,) * n_erv, 0.0, best_cost) < best_cost:
-        dfs(root, tuple(pos0), (0.0,) * n_erv, 0.0, (-math.inf, -1, -1), [])
-
-    outcomes = []
-    for i, e, start in best_plan:
-        inc = incidents[i]
-        response = start - inc.report_time
-        outcomes.append(IncidentOutcome(
-            incident_id=inc.id, cell=inc.location, severity=inc.severity,
-            report_h=inc.report_time, erv_id=_erv_id(e),
-            response_h=response,
-            delay_veh_h=expected_delay(inc.params, response),
-            delay_var=delay_variance(inc.params, response),
-            cooperating=False,
-        ))
-    return _finish("opt", sc, [], outcomes, [], 0.0, opt_nodes=nodes)
+    def search(self, cost: float, seqs, cap: int
+               ) -> tuple[list[tuple[int, int, float]], int]:
+        """Depth-first search from the incumbent schedule `seqs` of cost
+        `cost`; returns the best plan found and the number of evaluations
+        (children that survived their own floor)."""
+        incidents, floor, children_of = self.incidents, self.floor, self._children
+        best_cost, best_plan = cost, self.plan(seqs)
+        pos, free_at = tuple(self.erv_cells), (0.0,) * self.n_erv
+        root = frozenset(range(len(incidents)))
+        nodes = 0
+        if not root or floor(root, pos, free_at, 0.0, best_cost) >= best_cost:
+            return best_plan, nodes
+        # one frame per expanded state: (untried children, state); every
+        # frame above the root owns the last entry of plan
+        plan: list[tuple[int, int, float]] = []
+        frames = [(iter(children_of(root, pos, free_at, (-math.inf, -1, -1))),
+                   root, pos, free_at, 0.0)]
+        while frames:
+            children, remaining, pos, free_at, partial = frames[-1]
+            for start, e, i in children:
+                inc = incidents[i]
+                new_partial = partial + expected_delay(
+                    inc.params, start - inc.report_time)
+                if new_partial >= best_cost:
+                    continue
+                child = remaining - {i}
+                if not child:
+                    best_cost, best_plan = new_partial, [*plan, (i, e, start)]
+                    continue
+                child_pos = pos[:e] + (inc.location,) + pos[e + 1:]
+                child_free = (free_at[:e] + (start + inc.params.clearance,)
+                              + free_at[e + 1:])
+                if new_partial + floor(child, child_pos, child_free, start,
+                                       best_cost - new_partial) < best_cost:
+                    nodes += 1
+                    if nodes > cap:
+                        raise CapExceededError(
+                            f"opt search exceeded {cap} evaluations")
+                    plan.append((i, e, start))
+                    frames.append((iter(children_of(
+                        child, child_pos, child_free, (start, e, i))),
+                        child, child_pos, child_free, new_partial))
+                    break
+            else:
+                frames.pop()
+                if plan:
+                    plan.pop()
+        return best_plan, nodes
 
 
 def run_policy(sc: Scenario, policy: str, world: World | None = None) -> RunResult:

@@ -14,9 +14,9 @@ Both run the same barrier-round loop:
      an independent uniform draw falls below the activation threshold
   6. repeat until the first round in which no agent has a positive gain (a
      fixed point: no agent moves in it or in any later round), or for the
-     configured iteration count; a stopped trace is still filled to
-     `iterations` rounds with the same best cost and 0 moves, and its
-     message total counts every round
+     configured iteration count; the trace ends at the fixed-point round,
+     recorded with 0 moves, and the message total still counts every
+     configured round (a synchronous protocol keeps exchanging values)
 
 The DSA rule moves on a positive gain only, which is DSA-A's rule in Zhang et
 al. (2005). DSA-B also moves on a zero gain while the agent is in conflict, to
@@ -40,7 +40,8 @@ position selects a contiguous row (a table several pairs share, like the
 builders' all-different table, is laid out once), and neighbours come from
 one pass over the binary constraints. The move rules, the random stream
 (one draw per agent per DSA round, in agent order) and every trace field are
-those of the plain dict-per-round loop in tests/solver_oracle.py.
+those of the plain dict-per-round loop in tests/solver_oracle.py, which fills
+a stopped trace out to `iterations` rounds with the best cost and 0 moves.
 """
 from __future__ import annotations
 
@@ -71,11 +72,11 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    best_costs: list[float]      # best-known objective after each round
+    best_costs: list[float]      # best-known objective after each round run
     final_assignment: Assignment  # best assignment seen (the answer)
     last_assignment: Assignment   # raw assignment when the loop stopped
-    moves: list[int]             # moves applied per round
-    messages: int                # total over every round
+    moves: list[int]             # moves applied per round run
+    messages: int                # total over every configured round
 
     @property
     def final_cost(self) -> float:
@@ -109,8 +110,7 @@ def _gain(cur: float, best: float) -> float:
 
 def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
     """Run the configured local search for cfg.iterations barrier rounds,
-    stopping early at a fixed point (the trace still has cfg.iterations
-    entries)."""
+    stopping early at a fixed point (the trace ends at that round)."""
     if cfg.algorithm == "dsa" and cfg.seed is None:
         raise InputError("DSA needs an explicit seed")
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
@@ -177,9 +177,8 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
 
         if all(g <= 0.0 for g in gains):
             # fixed point: no agent moves now or in any later round
-            rest = cfg.iterations - len(best_costs)
-            best_costs += [flip * best] * rest
-            moves_per_round += [0] * rest
+            best_costs.append(flip * best)
+            moves_per_round.append(0)
             break
 
         if cfg.algorithm == "mgm":

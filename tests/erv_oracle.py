@@ -11,7 +11,7 @@ from timdcop.erv import (
     incident_at,
 )
 from timdcop.incidents import expected_delay
-from timdcop.network import travel_row, travel_time
+from timdcop.network import travel_rows, travel_time
 
 
 def myopic_cost(ctx, erv, cell, w_r) -> float:
@@ -30,7 +30,7 @@ def coverage(ctx, cell) -> float:
     for t in range(1, ctx.lookahead + 1):
         for c, p in forecast_hotspots(ctx, ctx.stage_index + t,
                                       max(ctx.relocation_k, 1)):
-            response = 0.0 if c == cell else travel_row(ctx.net, cell)[c]
+            response = 0.0 if c == cell else travel_rows(ctx.net, [cell])[0][c]
             total += p * expected_delay(FUTURE_PARAMS, response)
     return total
 

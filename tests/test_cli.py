@@ -278,6 +278,8 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     {"grid": {"edge_time_range": ["0.1", 1.5]}},
     {"forecast": {"prob_range": [False, 0.1]}},
     {"kappa": 10**400},
+    {"seed": 3, "schedule": [2, 1], "grid": {"rows": 2, "cols": 2},
+     "fleet": {"ervs": 6}},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"

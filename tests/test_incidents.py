@@ -237,10 +237,9 @@ def test_expected_delays_clamp_and_reject_like_the_scalar():
                             [expected_delay(WORKED, 0.0), 0.0]]
     assert clamped.count == 2
     assert expected_delays([], [[], []]).shape == (2, 0)
-    saturated = TrafficParams(s=1000.0, s1_mean=900.0, s1_sd=0.0, q=1000.0,
-                              r_var=0.1, clearance=0.3)
-    with pytest.raises(ModelDomainError):
-        expected_delays([WORKED, saturated], [1.0, 1.0])
+    with pytest.raises(ModelDomainError):  # saturated: s <= q
+        TrafficParams(s=1000.0, s1_mean=900.0, s1_sd=0.0, q=1000.0,
+                      r_var=0.1, clearance=0.3)
     with pytest.raises(ModelDomainError):
         expected_delays([WORKED], [[0.5], [-0.1]])
 
@@ -249,10 +248,10 @@ def test_expected_delays_clamp_and_reject_like_the_scalar():
 
 
 def test_rejects_capacity_at_or_below_demand():
-    p = TrafficParams(s=1000.0, s1_mean=900.0, s1_sd=0.0, q=1000.0,
-                      r_var=0.1, clearance=0.3)
-    with pytest.raises(ModelDomainError):
-        expected_delay(p, 1.0)
+    for s in (1000.0, 999.0):
+        with pytest.raises(ModelDomainError):
+            TrafficParams(s=s, s1_mean=900.0, s1_sd=0.0, q=1000.0,
+                          r_var=0.1, clearance=0.3)
 
 
 def test_rejects_negative_response_time():

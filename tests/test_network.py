@@ -11,7 +11,6 @@ from timdcop.errors import InputError
 from timdcop.network import (
     GridNetwork,
     build_grid,
-    travel_row,
     travel_rows,
     travel_time,
 )
@@ -204,13 +203,13 @@ def test_rejects_out_of_range_cells():
 
 def test_travel_row_is_the_cached_row_travel_time_reads():
     net = build_grid(3, 4, seed=17)
-    row = travel_row(net, 5)
-    assert row is travel_row(net, 5)  # built once, then cached
+    row = travel_rows(net, [5])[0]
+    assert row is travel_rows(net, [5])[0]  # built once, then cached
     assert len(net._dist_cache) == 1
     assert row == [travel_time(net, 5, b) for b in range(net.n_cells)]
     assert all(type(t) is float for t in row)
     with pytest.raises(InputError):
-        travel_row(net, 12)
+        travel_rows(net, [12])
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (10, 10), (40, 40)])
@@ -221,7 +220,7 @@ def test_batched_rows_equal_one_source_rows(rows, cols):
     batched = build_grid(rows, cols, seed=rows)
     single = build_grid(rows, cols, seed=rows)
     got = travel_rows(batched, sources)
-    assert got == [travel_row(single, s) for s in sources]
+    assert got == [travel_rows(single, [s])[0] for s in sources]
     assert len(batched._dist_cache) == len(set(sources))
     assert all(got[i] is batched._dist_cache[s] for i, s in enumerate(sources))
 
@@ -230,7 +229,7 @@ def test_travel_rows_open_only_the_missing_rows_in_one_call(monkeypatch):
     from timdcop import network
 
     net = build_grid(4, 4, seed=3)
-    first = travel_row(net, 5)
+    first = travel_rows(net, [5])[0]
     calls = []
     dijkstra = network._dijkstra
     monkeypatch.setattr(network, "_dijkstra",

@@ -1,12 +1,18 @@
 """End-to-end policy runs: accounting identities, orderings, reproducibility."""
 import csv
+import itertools
 import math
+import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timdcop import forecast
+from timdcop import forecast, scenarios
 from timdcop.errors import CapExceededError, InputError
+from timdcop.incidents import expected_delay
 from timdcop.scenarios import (
     Scenario,
     materialize,
@@ -249,6 +255,62 @@ def test_exact_search_is_pinned(seed, schedule, nodes, total):
     res = run_opt(Scenario(seed=seed, schedule=schedule, n_ervs=3, n_uavs=0))
     assert res.opt_nodes == nodes
     assert repr(res.total_delay_veh_h) == total
+
+
+def best_completion(search, remaining, pos, free_at, last_start) -> float:
+    """Brute force: the cheapest way to serve `remaining` from a search state,
+    over every split into per-vehicle service orders whose starts are all at
+    or after last_start (inf when there is none)."""
+    # per vehicle: the cheapest cost of serving exactly a subset, over orders
+    cheapest = [{} for _ in pos]
+
+    def extend(e, at, free, served, cost):
+        if cost < cheapest[e].get(served, math.inf):
+            cheapest[e][served] = cost
+        for i in remaining - served:
+            inc = search.incidents[i]
+            start = max(inc.report_time, free + search.tt[at][inc.location])
+            if start >= last_start:
+                extend(e, inc.location, start + inc.params.clearance,
+                       served | {i},
+                       cost + expected_delay(inc.params, start - inc.report_time))
+
+    for e in range(len(pos)):
+        extend(e, pos[e], free_at[e], frozenset(), 0.0)
+    order = sorted(remaining)
+    best = math.inf
+    for owners in itertools.product(range(len(pos)), repeat=len(order)):
+        best = min(best, sum(
+            cheapest[e].get(frozenset(i for i, o in zip(order, owners) if o == e),
+                            math.inf)
+            for e in range(len(pos))))
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ervs=st.integers(1, 3),
+       schedule=st.lists(st.integers(0, 3), min_size=1, max_size=3)
+       .filter(lambda s: 1 <= sum(s) <= 7),
+       side=st.integers(3, 5))
+def test_exact_floor_never_exceeds_the_best_completion(seed, n_ervs, schedule, side):
+    states = []
+
+    class Recording(scenarios._ExactSearch):
+        def floor(self, remaining, pos, free_at, last_start, need):
+            value = super().floor(remaining, pos, free_at, last_start, need)
+            states.append((self, remaining, pos, free_at, last_start, value))
+            return value
+
+    sc = small(seed, schedule, rows=side, cols=side, n_ervs=n_ervs)
+    with mock.patch.object(scenarios, "_ExactSearch", Recording):
+        run_opt(sc)
+    # the root and a sample of the states the search reached
+    picked = states[:1] + random.Random(seed).sample(states[1:],
+                                                     min(len(states) - 1, 12))
+    for search, remaining, pos, free_at, last_start, value in picked:
+        best = best_completion(search, remaining, pos, free_at, last_start)
+        # the floor and the true cost round differently: allow a few ulps
+        assert value <= best + 1e-9 * max(1.0, best)
 
 
 def test_evaluation_cap_stops_the_exact_search():

@@ -3,6 +3,8 @@ import functools
 import hashlib
 import math
 import random
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +52,14 @@ def random_table_problem(seed: int, n_agents=3, n_values=4) -> DcopProblem:
     )
 
 
+def padded(trace, iterations: int):
+    """The trace filled out to `iterations` rounds with its last best cost and
+    0 moves, the form the pins below and tests/solver_oracle.py report."""
+    rest = iterations - len(trace.moves)
+    return replace(trace, best_costs=trace.best_costs + trace.best_costs[-1:] * rest,
+                   moves=trace.moves + [0] * rest)
+
+
 def forced_collision_problem() -> DcopProblem:
     """'b' draws first; whenever it takes c1, 'a' must collide with it."""
     return DcopProblem(
@@ -70,8 +80,10 @@ def test_conflict_escape(algorithm, seed):
         SolverConfig(algorithm=algorithm, iterations=5, seed=seed),
     )
     if algorithm == "mgm":
-        # b's escape gain is infinite, so it wins round 1 outright
-        assert math.isfinite(trace.best_costs[1])
+        # b's escape gain is infinite, so it wins round 1 outright, and
+        # round 2 at the latest is the fixed point
+        assert math.isfinite(trace.best_costs[0])
+        assert len(trace.moves) <= 2
     assert math.isfinite(trace.best_costs[-1])
     assert trace.final_assignment == {"b": "c2", "a": "c1"}
     assert trace.final_cost == pytest.approx(1.0)
@@ -84,13 +96,13 @@ def test_lone_agent_moves_to_the_first_cheapest_value(algorithm):
     # seed 4 starts at "y"; the tied best values are "x" and "z"
     trace = solve(p, SolverConfig(algorithm, iterations=3, dsa_threshold=1.0,
                                   seed=4))
-    assert trace.moves == [1, 0, 0]
+    assert trace.moves == [1, 0]  # the trace ends at the fixed-point round
     assert trace.last_assignment == {"a": "x"}
     assert trace.final_cost == 1.0
     # a value tied with the best never moves: "z" stays put under seed 0
     stay = solve(p, SolverConfig(algorithm, iterations=3, dsa_threshold=1.0,
                                  seed=0))
-    assert stay.moves == [0, 0, 0] and stay.last_assignment == {"a": "z"}
+    assert stay.moves == [0] and stay.last_assignment == {"a": "z"}
 
 
 def test_dsa_threshold_zero_never_moves():
@@ -212,8 +224,9 @@ def test_traces_match_the_full_length_loop():
         h = hashlib.sha256()
         for algorithm, threshold in (("mgm", 0.9), ("dsa", 0.1), ("dsa", 0.5),
                                      ("dsa", 0.9)):
-            t = solve(p, SolverConfig(algorithm, iterations=30,
-                                      dsa_threshold=threshold, seed=seed))
+            t = padded(solve(p, SolverConfig(algorithm, iterations=30,
+                                             dsa_threshold=threshold, seed=seed)),
+                       30)
             # the pins hash a per-round message list; every round sends
             # the same count, so it is rebuilt from the total
             per_round = [t.messages // len(t.moves)] * len(t.moves)
@@ -242,9 +255,21 @@ def test_lone_agent_stops_at_its_fixed_point(algorithm, monkeypatch):
     trace = solve(p, SolverConfig(algorithm, iterations=45, dsa_threshold=1.0,
                                   seed=4))
     assert len(calls) <= 3
-    assert trace.moves == [1] + [0] * 44
-    assert trace.best_costs == [1.0] * 45
+    assert trace.moves == [1, 0]
+    assert trace.best_costs == [1.0, 1.0]
     assert trace.messages == 0  # no neighbours to message
+
+
+def test_a_huge_round_budget_costs_only_the_rounds_run():
+    p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
+                    unary={"a": [3.0, 1.0, 2.0, 1.0]})
+    t0 = time.perf_counter()
+    trace = solve(p, SolverConfig("dsa", iterations=3_000_000,
+                                  dsa_threshold=1.0, seed=4))
+    elapsed = time.perf_counter() - t0
+    assert len(trace.best_costs) == len(trace.moves) <= 2
+    assert trace.final_cost == 1.0
+    assert elapsed < 0.5  # milliseconds on an idle core
 
 
 # ------------------------------------------------------- reference loop
@@ -334,7 +359,9 @@ def uav_problems(draw) -> DcopProblem:
 @given(p=st.one_of(table_problems(), erv_problems(), uav_problems()),
        cfg=configs)
 def test_solve_matches_the_reference_loop(p, cfg):
-    assert solve(p, cfg) == reference_solve(p, cfg)
+    trace = solve(p, cfg)
+    assert len(trace.moves) <= cfg.iterations
+    assert padded(trace, cfg.iterations) == reference_solve(p, cfg)
 
 
 # ------------------------------------------------------------ bookkeeping
@@ -353,9 +380,9 @@ def test_message_accounting_per_round():
 def test_trace_metadata_and_length():
     p = random_table_problem(1)
     trace = solve(p, SolverConfig("dsa", iterations=9, dsa_threshold=0.5, seed=2))
-    assert len(trace.best_costs) == 9
-    assert len(trace.moves) == 9
-    assert trace.messages == 6 * 9  # every round counts, stopped or not
+    # round 1 is already a fixed point, so the trace holds that round only
+    assert len(trace.best_costs) == len(trace.moves) == 1
+    assert trace.messages == 6 * 9  # every configured round counts
 
 
 def test_identical_seeds_give_bit_identical_traces():
