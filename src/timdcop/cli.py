@@ -25,6 +25,7 @@ from .errors import CapExceededError, InputError, ModelDomainError
 from .scenarios import (
     POLICIES,
     Scenario,
+    _flag,
     materialize,
     number,
     result_to_json,
@@ -70,9 +71,7 @@ def _axis_value(axis: str, x):
         return x
     if kind == "text":
         return string(x, what)
-    if not isinstance(x, bool):
-        raise InputError(f"{what} must be true or false, got {x!r}")
-    return x
+    return _flag(x, what)
 
 
 def _text_number(text: str, what: str) -> float:
@@ -275,6 +274,8 @@ def cmd_sweep(args) -> int:
         policy = _parse_policies(args.policy)[0]
     if trials < 1:
         raise InputError("--trials must be >= 1")
+    for v in values:  # a value the scenario rejects exits 2 before any run
+        _apply_axis(sc, axis, v)
 
     out = _out_path(args.out)
     grid = [

@@ -22,7 +22,7 @@ hotspot) and one (vehicle x open cell) response matrix, each priced by one
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,12 +30,10 @@ from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError
 from .forecast import Forecast
 from .incidents import Incident, expected_delays, reference_params
-from .network import CellId, GridNetwork, travel_rows, travel_time
+from .network import TIME_EPS, CellId, GridNetwork, travel_rows, travel_time
 
 DISPATCH_WEIGHT = 1.0  # a dispatch costs its expected delay, unscaled
 RELOCATION_WEIGHT_FACTOR = 100.0
-DEFAULT_RELOCATION_K = 10
-AVAIL_EPS = 1e-9
 FUTURE_PARAMS = reference_params()  # prices forecast (not yet sampled) incidents
 
 
@@ -51,32 +49,30 @@ class ErvState:
             self.initial_cell = self.cell
 
     def is_free(self, now: float) -> bool:
-        return self.available_at <= now + AVAIL_EPS
+        return self.available_at <= now + TIME_EPS
 
 
 @dataclass
 class StageContext:
-    """Everything a stage solve needs to price candidate cells."""
+    """Everything a stage solve needs to price candidate cells. `oldest`
+    maps each open cell to the incident a vehicle sent there serves: its
+    oldest open one by (report time, id)."""
 
     net: GridNetwork
     forecast: Forecast
     stage_time: float            # hours
     stage_index: int             # forecast stage u
     open_incidents: list[Incident]
-    lookahead: int = 2
-    relocation_k: int = DEFAULT_RELOCATION_K
+    lookahead: int
+    relocation_k: int
+    oldest: dict[CellId, Incident] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lookahead < 0 or self.lookahead > 2:
             raise InputError("lookahead must be 0, 1 or 2")
-
-
-def incident_at(ctx: StageContext, cell: CellId) -> Incident | None:
-    """Oldest open incident on a cell, if any (that one gets served first)."""
-    hits = [i for i in ctx.open_incidents if i.location == cell and not i.cleared]
-    if not hits:
-        return None
-    return min(hits, key=lambda i: (i.report_time, i.id))
+        self.oldest = {}
+        for i in sorted(self.open_incidents, key=lambda i: (i.report_time, i.id)):
+            self.oldest.setdefault(i.location, i)
 
 
 def relocation_candidates(ctx: StageContext, k: int) -> list[CellId]:
@@ -84,10 +80,9 @@ def relocation_candidates(ctx: StageContext, k: int) -> list[CellId]:
 
     Ties break toward the lower cell index so candidate sets are stable.
     """
-    occupied = {i.location for i in ctx.open_incidents if not i.cleared}
-    # at most len(occupied) of the first k + len(occupied) ranked cells drop out
-    ranked = ctx.forecast.ranking(ctx.stage_index + 1)[:k + len(occupied)]
-    return [c for c in ranked.tolist() if c not in occupied][:k]
+    # at most one ranked cell per open cell drops out
+    ranked = ctx.forecast.ranking(ctx.stage_index + 1)[:k + len(ctx.oldest)]
+    return [c for c in ranked.tolist() if c not in ctx.oldest][:k]
 
 
 def forecast_hotspots(ctx: StageContext, stage: int, k: int) -> list[tuple[CellId, float]]:
@@ -114,14 +109,7 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:
     if not free:
         raise InputError("no free ERVs at this stage")
 
-    # per open cell, the incident incident_at would pick: the oldest uncleared
-    oldest: dict[CellId, Incident] = {}
-    for i in ctx.open_incidents:
-        if not i.cleared:
-            held = oldest.get(i.location)
-            if held is None or (i.report_time, i.id) < (held.report_time, held.id):
-                oldest[i.location] = i
-    open_cells = sorted(oldest)
+    open_cells = sorted(ctx.oldest)
     k = max(ctx.relocation_k, len(free))  # keep the conflict graph satisfiable
     domain = open_cells + relocation_candidates(ctx, k)
 
@@ -151,7 +139,7 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:
 
     # (vehicle x open cell) dispatch costs, priced once for w_r and the unary
     n_open = len(open_cells)
-    dispatch = expected_delays([oldest[c].params for c in open_cells],
+    dispatch = expected_delays([ctx.oldest[c].params for c in open_cells],
                                _responses(rows, [e.cell for e in free], open_cells)) \
         + coverage[:n_open]
 
@@ -179,7 +167,7 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:
 
 @dataclass
 class DispatchRecord:
-    incident_id: str
+    incident: Incident
     erv_id: str
     response_h: float  # waiting since report + travel
 
@@ -191,11 +179,13 @@ def apply_assignment(
 ) -> list[DispatchRecord]:
     """Commit a solved stage assignment to the fleet.
 
-    Dispatched vehicles hold until response + clearance has elapsed and their
-    incident is marked cleared; relocating vehicles hold for the travel time.
-    Returns one record per served incident.
+    A vehicle sent to an open cell serves the cell's oldest open incident
+    and holds until response + clearance has elapsed; every other vehicle
+    (a relocation, or a second vehicle on a cell already served) holds for
+    the travel time. Returns one record per served incident.
     """
     by_id = {e.id: e for e in fleet}
+    unserved = dict(ctx.oldest)
     records: list[DispatchRecord] = []
     for erv_id, cell in assignment.items():
         erv = by_id.get(erv_id)
@@ -203,16 +193,15 @@ def apply_assignment(
             raise InputError(f"assignment names unknown ERV {erv_id!r}")
         if not erv.is_free(ctx.stage_time):
             raise InputError(f"ERV {erv_id} is not free at t={ctx.stage_time}")
-        inc = incident_at(ctx, cell)
+        inc = unserved.pop(cell, None)
         travel = travel_time(ctx.net, erv.cell, cell)
         erv.cell = cell
         if inc is None:
             erv.available_at = ctx.stage_time + travel
             continue
         waited = ctx.stage_time - inc.report_time
-        inc.cleared = True
         erv.available_at = ctx.stage_time + travel + inc.params.clearance
         records.append(DispatchRecord(
-            incident_id=inc.id, erv_id=erv_id, response_h=waited + travel,
+            incident=inc, erv_id=erv_id, response_h=waited + travel,
         ))
     return records

@@ -104,14 +104,16 @@ class TrafficParams:
         object.__setattr__(self, "twice_gap", 2.0 * (self.s - self.q))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Incident:
+    """A request. Frozen: runs share the world's incidents; what is open is
+    the stage loop's state."""
+
     id: str
     location: CellId
     severity: int
     report_time: float  # hours
     params: TrafficParams
-    cleared: bool = False
 
 
 class ClampTally:
@@ -147,14 +149,8 @@ def sample_incident(
     report_time: float,
     rng: np.random.Generator,
 ) -> Incident:
-    params = sample_params(severity, rng)
-    return Incident(
-        id=incident_id,
-        location=location,
-        severity=severity,
-        report_time=report_time,
-        params=params,
-    )
+    return Incident(incident_id, location, severity, report_time,
+                    sample_params(severity, rng))
 
 
 def reference_params() -> TrafficParams:

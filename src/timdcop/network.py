@@ -20,6 +20,8 @@ from .errors import InputError
 
 CellId = int
 
+TIME_EPS = 1e-9  # hours: clock readings this close count as the same instant
+
 DEFAULT_EDGE_RANGE = (0.1, 1.5)
 
 

@@ -43,12 +43,13 @@ from .erv import (
 )
 from .forecast import FieldConfig, Forecast, default_kernel, generate_field
 from .incidents import (
+    SEVERITY_RANGES,
     Incident,
     delay_variance,
     expected_delay,
     sample_incident,
 )
-from .network import GridNetwork, build_grid, travel_rows, travel_time
+from .network import TIME_EPS, GridNetwork, build_grid, travel_rows, travel_time
 from .solvers import SolverConfig, solve
 from .uav import (
     AssimilationRecord,
@@ -65,6 +66,11 @@ from .uav import (
 POLICIES = ("conventional", "pdronetim", "opt")
 
 OPT_EVAL_CAP = 10**6
+# load-time ceilings on a scenario's work: a 100x100 grid with 1,000 requests
+# at the default gap is bounded by about 1.2e6 stages; 45 rounds is the default
+MAX_STAGES = 10**7
+MAX_ITERATIONS = 10_000
+_MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
 _NET, _INC, _FIELD, _ATTRS, _POS, _SOLVER, _UAVSOLVER, _OBS = range(8)
@@ -134,6 +140,13 @@ class Scenario:
         if not (math.isfinite(self.field_budget) and self.field_budget > 0):
             raise InputError(
                 f"forecast budget must be positive and finite, got {self.field_budget}")
+        if self.solver.iterations > MAX_ITERATIONS:
+            raise InputError(f"solver.iterations must be at most {MAX_ITERATIONS}, "
+                             f"got {self.solver.iterations}")
+        if not _stage_bound(self) <= MAX_STAGES:  # a NaN bound fails too
+            raise InputError(
+                f"stage gap {self.stage_gap} h allows more than {MAX_STAGES} "
+                "stages on this grid and schedule")
 
 
 @dataclass
@@ -254,8 +267,13 @@ class RunResult:
 
 
 def _finish(policy: str, sc: Scenario, stages, outcomes, records,
-            uav_total: float, opt_nodes: int = 0) -> RunResult:
+            opt_nodes: int = 0) -> RunResult:
     outcomes = sorted(outcomes, key=lambda o: o.incident_id)
+    # plain adds in stage order, not sum() (which compensates from 3.12)
+    uav_total = 0.0
+    for s in stages:
+        if s.uav_utility is not None and math.isfinite(s.uav_utility):
+            uav_total += s.uav_utility
     return RunResult(
         policy=policy,
         seed=sc.seed,
@@ -269,20 +287,20 @@ def _finish(policy: str, sc: Scenario, stages, outcomes, records,
     )
 
 
-def _stage_guard(sc: Scenario, world: World) -> int:
-    """Livelock bound on the stage loop, from the world.
+def _stage_bound(sc: Scenario) -> float:
+    """Livelock bound on the stage loop, from the scenario alone, in floats.
 
     A shortest path crosses at most rows + cols - 2 links, each no slower
     than the top of the edge range. Even one vehicle serving incidents one
     at a time after the last request spends at most a leg already under
-    way, a leg to the incident, the largest clearance and a leg back (or a
-    relocation) per incident, plus the wait for the next stage.
+    way, a leg to the incident, the largest clearance of any severity and a
+    leg back (or a relocation) per incident, plus the wait for the next
+    stage. Each quotient gets + 1 for rounding its stage count up.
     """
     leg = (sc.rows + sc.cols - 2) * sc.edge_time_range[1]
-    clearance = max((i.params.clearance for i in world.incidents), default=0.0)
-    per_incident = math.ceil((2 * leg + clearance) / sc.stage_gap) + 1
-    return (len(sc.schedule) + math.ceil(leg / sc.stage_gap)
-            + per_incident * len(world.incidents))
+    per_incident = (2 * leg + _MAX_CLEARANCE) / sc.stage_gap + 2
+    return (len(sc.schedule) + leg / sc.stage_gap + 1
+            + per_incident * sum(sc.schedule))
 
 
 def _erv_id(e: int) -> str:
@@ -303,30 +321,31 @@ def _run_stages(sc: Scenario, w: World, fleet: list[ErvState], step) -> list[Sta
 
     Each stage ingests the requests reported by its start, counts the free
     vehicles, and calls step(stage, t, open incidents, free vehicles), which
-    serves what the policy serves and returns the policy's own StageOutcome
-    fields; cleared incidents then leave the open list. The loop covers
-    every scheduled stage (relocation duty even with no requests), then keeps
-    draining until every incident is served.
+    serves what the policy serves and returns (the incidents it served, the
+    policy's own StageOutcome fields); the served incidents then leave the
+    open list. The loop covers every scheduled stage (relocation duty even
+    with no requests), then keeps draining until every incident is served.
     """
-    # not yet reported, in report order; copies, because a run sets the
-    # cleared flag and the world is shared
-    pending = [replace(i, cleared=False) for i in w.incidents]
+    incidents, reported = w.incidents, 0  # report order; frozen, so shared
     open_inc: list[Incident] = []
     stages: list[StageOutcome] = []
     stage = 0
-    guard = _stage_guard(sc, w)
-    while pending or open_inc or stage < len(sc.schedule):
-        if stage > guard:
+    bound = _stage_bound(sc)
+    while reported < len(incidents) or open_inc or stage < len(sc.schedule):
+        if stage > bound:
             raise CapExceededError(
-                f"stage loop failed to drain after {guard} stages"
+                f"stage loop failed to drain after {int(bound)} stages"
             )
         t = stage * sc.stage_gap
-        while pending and pending[0].report_time <= t + 1e-9:
-            open_inc.append(pending.pop(0))
+        while (reported < len(incidents)
+               and incidents[reported].report_time <= t + TIME_EPS):
+            open_inc.append(incidents[reported])
+            reported += 1
 
         free = [e for e in fleet if e.is_free(t)]
-        fields = step(stage, t, open_inc, free)
-        open_inc = [i for i in open_inc if not i.cleared]
+        served, fields = step(stage, t, open_inc, free)
+        done = {i.id for i in served}
+        open_inc = [i for i in open_inc if i.id not in done]
         stages.append(StageOutcome(
             stage=stage, time_h=t,
             n_open=len(open_inc), n_free_ervs=len(free), **fields,
@@ -352,14 +371,11 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
         UavState(id=f"uav{i}", cell=c) for i, c in enumerate(w.uav_cells)
     ]
     obs_rng = _rng(sc.seed, _OBS)
-    beliefs: dict[str, DelayBelief] = {}
     outcomes: list[IncidentOutcome] = []
     assim: list[AssimilationRecord] = []
-    uav_total = 0.0
 
     def step(stage: int, t: float, open_inc: list[Incident],
-             free: list[ErvState]) -> dict:
-        nonlocal uav_total
+             free: list[ErvState]) -> tuple[list[Incident], dict]:
         fields: dict = {"erv_assignments": []}
         records: list[DispatchRecord] = []
         # skip the solve when there is nothing to do: no open incidents and
@@ -386,17 +402,17 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                 erv_moves=sum(trace.moves),
             )
 
-        # UAV observation tasking for the incidents served this stage
-        by_id = {i.id: i for i in open_inc}
+        # UAV observation tasking for the incidents served this stage, at
+        # most one per cell
+        served = [r.incident for r in records]
         observed: dict[str, int] = {}
         free_uavs = [u for u in uavs if u.is_free(t)] if records else []
         if free_uavs:
-            benefits = {}
-            for r in records:
-                inc = by_id[r.incident_id]
-                benefits[inc.location] = priority_benefit(
-                    inc.severity, w.sparsity[inc.id], w.hazard[inc.id],
-                )
+            benefits = {
+                inc.location: priority_benefit(
+                    inc.severity, w.sparsity[inc.id], w.hazard[inc.id])
+                for inc in served
+            }
             u_problem = build_uav_problem(w.net, free_uavs, benefits)
             u_cfg = replace(
                 sc.solver, seed=_int_seed(sc.seed, _UAVSOLVER, stage)
@@ -405,26 +421,24 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
             observed = apply_uav_assignment(
                 w.net, free_uavs, u_trace.final_assignment, t
             )
-            uav_utility = u_trace.final_cost
-            if math.isfinite(uav_utility):
-                uav_total += uav_utility
             fields.update(
                 uav_assignments=sorted(
                     (uid, int(c)) for uid, c in observed.items()
                 ),
-                uav_utility=uav_utility,
+                uav_utility=u_trace.final_cost,
             )
 
-        observed_cells = set(observed.values())
+        # this stage's delay belief per served cell: (incident id, belief)
+        beliefs: dict[int, tuple[str, DelayBelief]] = {}
         for r in records:
-            inc = by_id[r.incident_id]
-            coop = sc.cooperation and inc.location in observed_cells
+            inc = r.incident
+            coop = sc.cooperation and inc.location in observed.values()
             response = cooperation_effect(
                 r.response_h, w.hazard[inc.id], coop
             )
             d = expected_delay(inc.params, response)
             v = delay_variance(inc.params, response)
-            beliefs[inc.id] = DelayBelief(mean=d, variance=v)
+            beliefs[inc.location] = (inc.id, DelayBelief(mean=d, variance=v))
             outcomes.append(IncidentOutcome(
                 incident_id=inc.id, cell=inc.location, severity=inc.severity,
                 report_h=inc.report_time, erv_id=r.erv_id,
@@ -432,31 +446,26 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                 cooperating=coop,
             ))
 
-        # data assimilation for every overflight of a fresh dispatch
-        cell_to_record = {by_id[r.incident_id].location: r for r in records}
+        # data assimilation for every overflight (UAVs observe served cells
+        # only, at most one UAV per cell)
         for uid in sorted(observed):
-            cell = observed[uid]
-            r = cell_to_record.get(cell)
-            if r is None:
-                continue
-            prior = beliefs[r.incident_id]
+            inc_id, prior = beliefs[observed[uid]]
             if prior.variance <= 0:
                 continue
             obs_mean, obs_var = simulate_observation(
                 prior, prior.mean, obs_rng, kappa=sc.kappa
             )
             post, beta = assimilate(prior, obs_mean, obs_var)
-            beliefs[r.incident_id] = post
             assim.append(AssimilationRecord(
-                incident_id=r.incident_id, uav_id=uid,
+                incident_id=inc_id, uav_id=uid,
                 prior_mean=prior.mean, prior_var=prior.variance,
                 obs_mean=obs_mean, obs_var=obs_var, beta=beta,
                 post_mean=post.mean, post_var=post.variance,
             ))
-        return fields
+        return served, fields
 
     stages = _run_stages(sc, w, fleet, step)
-    return _finish("pdronetim", sc, stages, outcomes, assim, uav_total)
+    return _finish("pdronetim", sc, stages, outcomes, assim)
 
 
 # ------------------------------------------------------------- conventional
@@ -473,8 +482,9 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
     outcomes: list[IncidentOutcome] = []
 
     def step(stage: int, t: float, open_inc: list[Incident],
-             free: list[ErvState]) -> dict:
+             free: list[ErvState]) -> tuple[list[Incident], dict]:
         assignments: list = []
+        served: list[Incident] = []
         queue = sorted(open_inc, key=lambda i: (i.report_time, i.id))
         if free and queue:
             # open in one Dijkstra call only rows the run is sure to read: a
@@ -496,7 +506,7 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
             response = (t - inc.report_time) + travel
             d = expected_delay(inc.params, response)
             v = delay_variance(inc.params, response)
-            inc.cleared = True
+            served.append(inc)
             # serve, then drive home; busy for the whole tour
             back = travel_time(w.net, inc.location, erv.initial_cell)
             erv.available_at = t + travel + inc.params.clearance + back
@@ -508,10 +518,10 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
                 response_h=response, delay_veh_h=d, delay_var=v,
                 cooperating=False,
             ))
-        return {"erv_assignments": assignments}
+        return served, {"erv_assignments": assignments}
 
     stages = _run_stages(sc, w, fleet, step)
-    return _finish("conventional", sc, stages, outcomes, [], 0.0)
+    return _finish("conventional", sc, stages, outcomes, [])
 
 
 # ---------------------------------------------------------------------- opt
@@ -548,7 +558,7 @@ def run_opt(sc: Scenario, world: World | None = None,
             delay_var=delay_variance(inc.params, response),
             cooperating=False,
         ))
-    return _finish("opt", sc, [], outcomes, [], 0.0, opt_nodes=nodes)
+    return _finish("opt", sc, [], outcomes, [], opt_nodes=nodes)
 
 
 class _ExactSearch:

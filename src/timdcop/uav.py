@@ -5,8 +5,8 @@ UAVs bid for incident cells with a priority benefit
     benefit = severity * (sensor_sparsity + hazard_index_level)
 
 (severity 1..4, both indices 1..5, so benefits span 2..40), discounted by
-flight distance at a fixed exchange rate (default: one benefit unit per
-0.1 h of travel). Two UAVs on one cell is a hard conflict; an idle slot
+flight distance at a fixed exchange rate (one benefit unit per 0.1 h of
+travel). Two UAVs on one cell is a hard conflict; an idle slot
 (None) is always available at utility zero. The sub-team maximizes.
 
 An on-scene UAV feeds two mechanisms:
@@ -27,12 +27,12 @@ import numpy as np
 
 from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError, ModelDomainError
-from .network import CellId, GridNetwork, travel_time
+from .network import TIME_EPS, CellId, GridNetwork, travel_time
 
 # hazard level -> fractional response-time reduction under cooperation
 HAZARD_REDUCTION = {1: 0.03, 2: 0.05, 3: 0.07, 4: 0.09, 5: 0.11}
 
-DEFAULT_BENEFIT_PER_HOUR = 10.0  # one benefit unit per 0.1 h of flight
+BENEFIT_PER_HOUR = 10.0  # one benefit unit per 0.1 h of flight
 DEFAULT_OBS_VAR_RATIO = 0.5     # kappa: obs variance as a share of prior
 
 
@@ -43,7 +43,7 @@ class UavState:
     available_at: float = 0.0
 
     def is_free(self, now: float) -> bool:
-        return self.available_at <= now + 1e-9
+        return self.available_at <= now + TIME_EPS
 
 
 @dataclass
@@ -71,7 +71,6 @@ def build_uav_problem(
     net: GridNetwork,
     uavs: list[UavState],
     benefits: dict[CellId, float],
-    benefit_per_hour: float = DEFAULT_BENEFIT_PER_HOUR,
 ) -> DcopProblem:
     """Maximize summed site benefit minus flight-distance discount.
 
@@ -89,13 +88,13 @@ def build_uav_problem(
     agents = [u.id for u in fleet]
     unary = {
         u.id: [
-            benefits[c] - benefit_per_hour * travel_time(net, u.cell, c)
+            benefits[c] - BENEFIT_PER_HOUR * travel_time(net, u.cell, c)
             for c in cells
         ] + [0.0]
         for u in fleet
     }
     conflict = all_different_table(domain, domain, sense="max")
-    problem = DcopProblem(
+    return DcopProblem(
         agents=agents,
         domains=dict.fromkeys(agents, domain),
         unary=unary,
@@ -105,7 +104,6 @@ def build_uav_problem(
         ],
         sense="max",
     )
-    return problem
 
 
 def apply_uav_assignment(

@@ -8,7 +8,6 @@ from timdcop.erv import (
     FUTURE_PARAMS,
     RELOCATION_WEIGHT_FACTOR,
     forecast_hotspots,
-    incident_at,
 )
 from timdcop.incidents import expected_delay
 from timdcop.network import travel_rows, travel_time
@@ -17,7 +16,7 @@ from timdcop.network import travel_rows, travel_time
 def myopic_cost(ctx, erv, cell, w_r) -> float:
     """Dispatch delay on an incident cell, else the relocation weight w_r on
     the next-stage miss probability."""
-    inc = incident_at(ctx, cell)
+    inc = ctx.oldest.get(cell)
     if inc is not None:
         return expected_delay(inc.params, travel_time(ctx.net, erv.cell, cell))
     return w_r * (1.0 - float(ctx.forecast.row(ctx.stage_index + 1)[cell]))
@@ -43,9 +42,8 @@ def relocation_weight(ctx, fleet) -> float:
     """100x the costliest dispatch of a free vehicle to an open cell,
     look-ahead included (a dispatch cost never reads the weight)."""
     free = [e for e in fleet if e.is_free(ctx.stage_time)]
-    open_cells = {i.location for i in ctx.open_incidents if not i.cleared}
     worst = 0.0
     for e in free:
-        for cell in open_cells:
+        for cell in ctx.oldest:
             worst = max(worst, unary_cost(ctx, e, cell, None))
     return RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)

@@ -280,6 +280,12 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     {"kappa": 10**400},
     {"seed": 3, "schedule": [2, 1], "grid": {"rows": 2, "cols": 2},
      "fleet": {"ervs": 6}},
+    {"seed": 1, "schedule": [2], "grid": {"rows": 3, "cols": 3},
+     "fleet": {"ervs": 1}, "stage_gap_h": 1e-9},
+    {"seed": 1, "schedule": [2], "grid": {"rows": 3, "cols": 3},
+     "fleet": {"ervs": 1}, "stage_gap_h": 5e-324},
+    {"seed": 1, "schedule": [2], "grid": {"rows": 3, "cols": 3},
+     "fleet": {"ervs": 2}, "solver": {"iterations": 100000000, "dsa_threshold": 0}},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -298,10 +304,10 @@ def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
 
 
 # what a hand-edited scenario may hold instead of the value a field needs
-# (no tiny positive numbers: a stage gap of 1e-300 is valid and never drains)
 JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
-    st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 1.5, -3, [], {}]),
+    st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 1.5, -3, 1e-9,
+                     5e-324, [], {}]),
     st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
 )
@@ -379,7 +385,7 @@ def test_short_stage_gap_drains(tmp_path):
 
 def test_stage_loop_guard_breach_exits_3(tiny_scenario, tmp_path, monkeypatch,
                                          capsys):
-    monkeypatch.setattr(scenarios, "_stage_guard", lambda sc, world: 0)
+    monkeypatch.setattr(scenarios, "_stage_bound", lambda sc: 0)
     assert main([
         "run", "--scenario", str(tiny_scenario),
         "--policy", "pdronetim", "--out", str(tmp_path / "o"),
@@ -601,6 +607,8 @@ SWEEP_BASE = {"kind": "sweep", "scenario": TINY,
     {"axis": {"name": "algorithm", "values": [1]}},
     {"axis": {"name": "cooperation", "values": ["false"]}},
     {"axis": {"name": "cooperation", "values": [0]}},
+    # and against the scenario, before any sweep point runs
+    {"axis": {"name": "iterations", "values": [5, 20000]}},
 ])
 def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
     doc = {k: v for k, v in {**SWEEP_BASE, **bad}.items() if v is not None}

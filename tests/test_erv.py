@@ -18,7 +18,6 @@ from timdcop.erv import (
     apply_assignment,
     build_erv_problem,
     forecast_hotspots,
-    incident_at,
     relocation_candidates,
 )
 from timdcop.errors import InputError
@@ -160,11 +159,13 @@ def test_incident_at_returns_oldest_then_lowest_id():
     a = incident("i-late", 1, report_time=0.5)
     b = incident("i-b", 1, report_time=0.0)
     c = incident("i-a", 1, report_time=0.0)
-    ctx = make_ctx(net, incidents=[a, b, c])
-    assert incident_at(ctx, 1) is c  # earliest report, then lexicographic id
-    assert incident_at(ctx, 2) is None
-    c.cleared = True
-    assert incident_at(ctx, 1) is b
+    d = incident("i-d", 3, report_time=0.5)
+    ctx = make_ctx(net, incidents=[a, b, c, d])
+    # earliest report, then lexicographic id; a cell with no incident is absent
+    assert ctx.oldest == {1: c, 3: d}
+    assert ctx.oldest[1] is c and 2 not in ctx.oldest
+    # a served incident leaves the open list, and the next one takes the cell
+    assert make_ctx(net, incidents=[a, b, d]).oldest[1] is b
 
 
 # ------------------------------------------------------------- look-ahead
@@ -226,15 +227,14 @@ def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
     net = build_grid(4, 4, (0.3, 1.0), seed=2)
     field_ = generate_field(16, 6, seed=41)
     slow = replace(PARAMS, s1_mean=700.0)
-    old = incident("i-old", 5, report_time=0.0, params=slow)
-    old.cleared = True
+    # an older incident on the cell was served: it is not in the open list
     first = incident("i-first", 5, report_time=0.2)
     later = incident("i-later", 5, report_time=0.4, params=slow)
     erv = ErvState(id="e0", cell=0)
-    ctx = make_ctx(net, field_=field_, incidents=[later, old, first],
+    ctx = make_ctx(net, field_=field_, incidents=[later, first],
                    lookahead=2, relocation_k=4, stage_index=1)
     problem = build_erv_problem(ctx, [erv])
-    assert incident_at(ctx, 5) is first
+    assert ctx.oldest == {5: first}
     cover = 0.0
     for t in (1, 2):
         for c, p in forecast_hotspots(ctx, 1 + t, 4):
@@ -282,8 +282,8 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
         inc = sample_incident(f"i{j}", int(rng.integers(1, 5)),
                               int(rng.integers(0, n)),
                               float(rng.integers(0, 3)) / 2, rng)
-        inc.cleared = bool(rng.random() < 0.2)
-        incidents.append(inc)
+        if rng.random() >= 0.2:  # one in five was served: not open
+            incidents.append(inc)
     fleet = [
         ErvState(id=f"e{j}", cell=int(rng.integers(0, n)),
                  available_at=float(rng.random() < 0.2))
@@ -468,9 +468,8 @@ def test_dispatch_bookkeeping_and_record():
     records = apply_assignment(ctx, [erv], {"e0": 1})
     assert len(records) == 1
     rec = records[0]
-    assert rec.incident_id == "i0" and rec.erv_id == "e0"
+    assert rec.incident is inc and rec.erv_id == "e0"
     assert rec.response_h == pytest.approx(1.5)  # waited 1.0 + travel 0.5
-    assert inc.cleared is True
     assert erv.cell == 1
     assert erv.available_at == pytest.approx(1.8)  # 1.0 + 0.5 + 0.3 clearance
     assert not erv.is_free(1.7)
@@ -483,8 +482,7 @@ def test_relocation_bookkeeping_clears_nothing():
     ctx = make_ctx(net, incidents=[inc], stage_time=2.0)
     erv = ErvState(id="e0", cell=0)
     records = apply_assignment(ctx, [erv], {"e0": 4})
-    assert records == []
-    assert inc.cleared is False
+    assert records == []  # the open incident on cell 8 is not served
     assert erv.cell == 4
     assert erv.available_at == pytest.approx(3.0)  # 2.0 + two 0.5 edges
     assert erv.initial_cell == 0  # depot memory survives moves

@@ -331,6 +331,5 @@ def test_reference_params_are_severity_averaged_midpoints():
 def test_incident_dataclass_shape():
     p = WORKED
     inc = Incident(id="x", location=4, severity=2, report_time=1.5, params=p)
-    assert not inc.cleared
-    inc.cleared = True
-    assert inc.cleared
+    assert (inc.id, inc.location, inc.severity, inc.report_time, inc.params) == (
+        "x", 4, 2, 1.5, p)

@@ -1,5 +1,6 @@
 """End-to-end policy runs: accounting identities, orderings, reproducibility."""
 import csv
+import dataclasses
 import itertools
 import math
 import random
@@ -180,11 +181,13 @@ def test_runs_are_pure_functions_of_the_scenario():
 def test_shared_world_is_never_mutated_by_a_run():
     sc = small(316, (2, 2), n_ervs=2)
     world = materialize(sc)
+    before = [dataclasses.astuple(i) for i in world.incidents]
     first = run_proactive(sc, world).total_delay_veh_h
-    assert all(not i.cleared for i in world.incidents)
     run_conventional(sc, world)
     run_opt(sc, world)
-    assert all(not i.cleared for i in world.incidents)
+    assert [dataclasses.astuple(i) for i in world.incidents] == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        world.incidents[0].report_time = 0.0
     # a later call on this world returns the stored run, so compare it with
     # a run on a freshly built world
     assert run_proactive(sc, materialize(sc)).total_delay_veh_h == first
@@ -409,6 +412,21 @@ def test_scenario_validation():
             Scenario(**{"seed": 0, **bad})
     with pytest.raises(InputError):
         materialize(small(0, (17,), rows=4, cols=4))  # 17 requests, 16 cells
+
+
+def test_stage_bound_and_rounds_have_a_ceiling_at_load():
+    # a large world at the default gap stays well under the stage ceiling
+    big = Scenario(seed=0, schedule=(1000,), rows=100, cols=100)
+    assert 1e6 < scenarios._stage_bound(big) < scenarios.MAX_STAGES
+    tiny = dict(seed=1, schedule=(2,), rows=3, cols=3, n_ervs=1)
+    for gap in (1e-9, 5e-324):  # about 3e10 stages; an infinite bound
+        with pytest.raises(InputError, match="stages"):
+            Scenario(**tiny, stage_gap=gap)
+    sc = Scenario(**tiny)
+    most = scenarios.MAX_ITERATIONS
+    assert replace(sc, solver=replace(sc.solver, iterations=most)).solver.iterations == most
+    with pytest.raises(InputError, match="iterations"):
+        replace(sc, solver=replace(sc.solver, iterations=most + 1))
 
 
 # ---------------------------------------------------------- serialization
