@@ -17,6 +17,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -127,24 +128,45 @@ def _out_path(raw: str) -> Path:
     return out
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 @contextlib.contextmanager
 def _filling(out: Path):
-    """Create --out once, after every result is in hand, and map a failure
-    to create or write it to exit 2; a directory made here that could not be
-    filled is removed again."""
-    made = not out.exists()
+    """Yield a fresh sibling directory of --out to write into, once every
+    result is in hand. On success its files move into --out, or the sibling
+    becomes --out when there is none yet; on failure it is removed, so a
+    failed write leaves --out as it was. A failure to create, write or move
+    maps to exit 2."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        yield
+        out.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     except OSError as exc:
-        if made:
-            shutil.rmtree(out, ignore_errors=True)
         raise InputError(f"cannot write {out}: {exc}") from exc
+    try:
+        work.chmod(0o777 & ~_umask())  # as mkdir would make --out
+        yield work
+        if out.is_dir():
+            for path in work.iterdir():
+                os.replace(path, out / path.name)
+        else:
+            os.rename(work, out)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def _write(path: Path, text: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _manifest_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _apply_axis(sc: Scenario, axis: str, value) -> Scenario:
@@ -204,16 +226,16 @@ def cmd_run(args) -> int:
             f"{len(res.incidents)} incidents"
         )
 
-    with _filling(out):
+    with _filling(out) as work:
         for policy, res in zip(policies, results):
-            _write(out / f"{policy}_result.json", result_to_json(res))
-            write_stage_csv(res, out / f"{policy}_stages.csv")
-            write_incident_csv(res, out / f"{policy}_incidents.csv")
+            _write(work / f"{policy}_result.json", result_to_json(res))
+            write_stage_csv(res, work / f"{policy}_stages.csv")
+            write_incident_csv(res, work / f"{policy}_incidents.csv")
             if res.assimilation:
                 write_assimilation_csv(res.assimilation,
-                                       out / f"{policy}_assimilation.csv")
+                                       work / f"{policy}_assimilation.csv")
         if len(results) > 1:
-            with open(out / "comparison.csv", "w", newline="") as fh:
+            with open(work / "comparison.csv", "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["policy", "total_delay_veh_h", "total_response_min"])
                 for res in results:
@@ -222,11 +244,11 @@ def cmd_run(args) -> int:
                         repr(res.total_delay_veh_h),
                         repr(res.total_response_min),
                     ])
-        _write(out / "manifest.json", json.dumps({
+        _write(work / "manifest.json", _manifest_text({
             "kind": "run",
             "scenario": scenario_to_dict(sc),
             "policies": policies,
-        }, sort_keys=True, indent=2) + "\n")
+        }))
     return 0
 
 
@@ -291,8 +313,8 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(p) for p in grid]
     rows.sort(key=lambda r: (str(r[1]), r[2]))
 
-    with _filling(out):
-        with open(out / "sweep.csv", "w", newline="") as fh:
+    with _filling(out) as work:
+        with open(work / "sweep.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow([
                 "axis", "value", "trial", "seed",
@@ -301,27 +323,34 @@ def cmd_sweep(args) -> int:
             for r in rows:
                 w.writerow([r[0], r[1], r[2], r[3], repr(r[4]), repr(r[5])])
 
-        # per-value mean and standard error
-        with open(out / "summary.csv", "w", newline="") as fh:
+        # per-value mean and standard error, with plain adds in trial order,
+        # not sum() (which compensates from 3.12)
+        with open(work / "summary.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["axis", "value", "trials", "mean_delay_veh_h", "se_delay_veh_h"])
             for v in values:
                 sel = [r[4] for r in rows if r[1] == v]
-                mean = sum(sel) / len(sel)
+                mean = 0.0
+                for x in sel:
+                    mean += x
+                mean /= len(sel)
                 if len(sel) > 1:
-                    var = sum((x - mean) ** 2 for x in sel) / (len(sel) - 1)
+                    var = 0.0
+                    for x in sel:
+                        var += (x - mean) ** 2
+                    var /= len(sel) - 1
                     se = (var / len(sel)) ** 0.5
                 else:
                     se = 0.0
                 w.writerow([axis, v, len(sel), repr(mean), repr(se)])
 
-        _write(out / "manifest.json", json.dumps({
+        _write(work / "manifest.json", _manifest_text({
             "kind": "sweep",
             "scenario": scenario_to_dict(sc),
             "axis": {"name": axis, "values": values},
             "trials": trials,
             "policy": policy,
-        }, sort_keys=True, indent=2) + "\n")
+        }))
     print(f"sweep over {axis}: {len(values)} values x {trials} trials")
     return 0
 

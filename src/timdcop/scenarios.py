@@ -26,9 +26,10 @@ every incident is served, so totals always cover the full request set.
 """
 from __future__ import annotations
 
-import json
+import csv
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -269,8 +270,12 @@ class RunResult:
 def _finish(policy: str, sc: Scenario, stages, outcomes, records,
             opt_nodes: int = 0) -> RunResult:
     outcomes = sorted(outcomes, key=lambda o: o.incident_id)
-    # plain adds in stage order, not sum() (which compensates from 3.12)
-    uav_total = 0.0
+    # plain adds in outcome and stage order, not sum() (which compensates
+    # from 3.12), so the totals do not depend on the interpreter
+    delay_total = response_total = uav_total = 0.0
+    for o in outcomes:
+        delay_total += o.delay_veh_h
+        response_total += o.response_h
     for s in stages:
         if s.uav_utility is not None and math.isfinite(s.uav_utility):
             uav_total += s.uav_utility
@@ -280,8 +285,8 @@ def _finish(policy: str, sc: Scenario, stages, outcomes, records,
         stages=stages,
         incidents=outcomes,
         assimilation=records,
-        total_delay_veh_h=sum(o.delay_veh_h for o in outcomes),
-        total_response_min=sum(o.response_h for o in outcomes) * 60.0,
+        total_delay_veh_h=delay_total,
+        total_response_min=response_total * 60.0,
         total_uav_utility=uav_total,
         opt_nodes=opt_nodes,
     )
@@ -962,69 +967,127 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise InputError(f"bad scenario: {exc}") from exc
 
 
-def result_to_dict(res: RunResult) -> dict:
-    return {
-        "policy": res.policy,
-        "seed": res.seed,
-        "totals": {
-            "delay_veh_h": res.total_delay_veh_h,
-            "response_min": res.total_response_min,
-            "uav_utility": res.total_uav_utility,
-        },
-        "opt_nodes": res.opt_nodes,
-        "incidents": [
-            {
-                "id": o.incident_id,
-                "cell": o.cell,
-                "severity": o.severity,
-                "report_h": o.report_h,
-                "erv": o.erv_id,
-                "response_h": o.response_h,
-                "delay_veh_h": o.delay_veh_h,
-                "delay_var": o.delay_var,
-                "cooperating": o.cooperating,
-            }
-            for o in res.incidents
-        ],
-        "stages": [
-            {
-                "stage": s.stage,
-                "time_h": s.time_h,
-                "open": s.n_open,
-                "free_ervs": s.n_free_ervs,
-                "erv_assignments": [list(a) for a in s.erv_assignments],
-                "erv_cost": s.erv_cost,
-                "erv_messages": s.erv_messages,
-                "erv_moves": s.erv_moves,
-                "uav_assignments": [list(a) for a in s.uav_assignments],
-                "uav_utility": s.uav_utility,
-            }
-            for s in res.stages
-        ],
-        "assimilation": [
-            {
-                "incident_id": r.incident_id,
-                "uav_id": r.uav_id,
-                "prior_mean": r.prior_mean,
-                "prior_var": r.prior_var,
-                "obs_mean": r.obs_mean,
-                "obs_var": r.obs_var,
-                "beta": r.beta,
-                "post_mean": r.post_mean,
-                "post_var": r.post_var,
-            }
-            for r in res.assimilation
-        ],
-    }
+# The result JSON, written from one %-template per record kind with the keys
+# in sorted order and the indentation fixed: the bytes equal those the json
+# module writes with sort_keys=True and indent=2 (plus a final newline) for
+# the result's dict form, which tests/result_oracle.py builds and the tests
+# compare against.
+
+_TOP = """{
+  "assimilation": %s,
+  "incidents": %s,
+  "opt_nodes": %d,
+  "policy": %s,
+  "seed": %d,
+  "stages": %s,
+  "totals": {
+    "delay_veh_h": %s,
+    "response_min": %s,
+    "uav_utility": %s
+  }
+}
+"""
+_INCIDENT = """    {
+      "cell": %d,
+      "cooperating": %s,
+      "delay_var": %s,
+      "delay_veh_h": %s,
+      "erv": %s,
+      "id": %s,
+      "report_h": %s,
+      "response_h": %s,
+      "severity": %d
+    }"""
+_STAGE = """    {
+      "erv_assignments": %s,
+      "erv_cost": %s,
+      "erv_messages": %d,
+      "erv_moves": %d,
+      "free_ervs": %d,
+      "open": %d,
+      "stage": %d,
+      "time_h": %s,
+      "uav_assignments": %s,
+      "uav_utility": %s
+    }"""
+_ERV_PAIR = """        [
+          %s,
+          %d,
+          %s
+        ]"""
+_UAV_PAIR = """        [
+          %s,
+          %d
+        ]"""
+_ASSIMILATION = """    {
+      "beta": %s,
+      "incident_id": %s,
+      "obs_mean": %s,
+      "obs_var": %s,
+      "post_mean": %s,
+      "post_var": %s,
+      "prior_mean": %s,
+      "prior_var": %s,
+      "uav_id": %s
+    }"""
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_float_repr = float.__repr__
+
+
+def _num(x: float | None) -> str:
+    """A float as the json module writes it: its repr when finite, NaN,
+    Infinity or -Infinity when not, and null for None."""
+    if x is None:
+        return "null"
+    text = _float_repr(x)
+    return _NONFINITE.get(text, text)
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON list of already indented items; `indent` is the bracket's."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def result_to_json(res: RunResult) -> str:
-    return json.dumps(result_to_dict(res), sort_keys=True, indent=2) + "\n"
+    incidents = [
+        _INCIDENT % (
+            o.cell, "true" if o.cooperating else "false", _num(o.delay_var),
+            _num(o.delay_veh_h), _quote(o.erv_id), _quote(o.incident_id),
+            _num(o.report_h), _num(o.response_h), o.severity,
+        )
+        for o in res.incidents
+    ]
+    stages = [
+        _STAGE % (
+            _array([_ERV_PAIR % (_quote(e), c, _quote(k))
+                    for e, c, k in s.erv_assignments], "      "),
+            _num(s.erv_cost), s.erv_messages, s.erv_moves, s.n_free_ervs,
+            s.n_open, s.stage, _num(s.time_h),
+            _array([_UAV_PAIR % (_quote(u), c)
+                    for u, c in s.uav_assignments], "      "),
+            _num(s.uav_utility),
+        )
+        for s in res.stages
+    ]
+    assimilation = [
+        _ASSIMILATION % (
+            _num(r.beta), _quote(r.incident_id), _num(r.obs_mean),
+            _num(r.obs_var), _num(r.post_mean), _num(r.post_var),
+            _num(r.prior_mean), _num(r.prior_var), _quote(r.uav_id),
+        )
+        for r in res.assimilation
+    ]
+    return _TOP % (
+        _array(assimilation, "  "), _array(incidents, "  "), res.opt_nodes,
+        _quote(res.policy), res.seed, _array(stages, "  "),
+        _num(res.total_delay_veh_h), _num(res.total_response_min),
+        _num(res.total_uav_utility),
+    )
 
 
 def write_stage_csv(res: RunResult, path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([
@@ -1045,8 +1108,6 @@ def write_stage_csv(res: RunResult, path) -> None:
 
 
 def write_incident_csv(res: RunResult, path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([

@@ -456,6 +456,52 @@ def test_unwritable_out_exits_2_and_is_removed(tiny_scenario, tmp_path,
     err = capsys.readouterr().err
     assert "cannot write" in err and "Traceback" not in err
     assert not out.exists()
+    assert list(tmp_path.glob(".o.*")) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_write_leaves_an_existing_out_as_it_was(
+        tiny_scenario, tmp_path, monkeypatch, capsys, command):
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    out = tmp_path / "o"
+    out.mkdir()
+    older = "pdronetim_result.json" if command == "run" else "sweep.csv"
+    (out / "keep.txt").write_text("sentinel")
+    (out / older).write_text("from an older run")
+    before = read_bytes(out)
+    if command == "run":
+        # after the result JSON and the stage CSV are written
+        monkeypatch.setattr("timdcop.cli.write_incident_csv", full_disk)
+        extra = []
+    else:
+        # the manifest is the last file, after both CSVs
+        monkeypatch.setattr("timdcop.cli._write", full_disk)
+        extra = ["--axis", "uavs=0", "--trials", "1"]
+    assert main([command, "--scenario", str(tiny_scenario), *extra,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert read_bytes(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    assert list(tmp_path.glob(".o.*")) == []
+
+
+def test_existing_out_is_updated_in_place(tiny_scenario, tmp_path):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    (reused / "keep.txt").write_text("sentinel")
+    (reused / "pdronetim_result.json").write_text("from an older run")
+    for out in (fresh, reused):
+        assert main(["run", "--scenario", str(tiny_scenario),
+                     "--out", str(out)]) == 0
+    assert read_bytes(reused) == {**read_bytes(fresh), "keep.txt": b"sentinel"}
+    mask = os.umask(0o022)
+    os.umask(mask)
+    assert fresh.stat().st_mode & 0o777 == 0o777 & ~mask  # as mkdir makes it
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fresh", "reused", "scenario.json"]
 
 
 # ----------------------------------------------------------------- sweeps

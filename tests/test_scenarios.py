@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -10,14 +11,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from result_oracle import result_to_dict
 
 from timdcop import forecast, scenarios
 from timdcop.errors import CapExceededError, InputError
 from timdcop.incidents import expected_delay
 from timdcop.scenarios import (
+    IncidentOutcome,
+    RunResult,
     Scenario,
+    StageOutcome,
     materialize,
-    result_to_dict,
     result_to_json,
     run_conventional,
     run_opt,
@@ -28,6 +32,8 @@ from timdcop.scenarios import (
     write_incident_csv,
     write_stage_csv,
 )
+from timdcop.solvers import SolverConfig
+from timdcop.uav import AssimilationRecord
 
 POLICIES = ("conventional", "pdronetim", "opt")
 
@@ -88,6 +94,23 @@ def test_totals_are_sums_over_incident_outcomes(policy):
     assert res.total_response_min == pytest.approx(
         60.0 * sum(o.response_h for o in res.incidents), rel=1e-12
     )
+
+
+def test_totals_are_plain_adds_in_outcome_order():
+    # a plain loop gives 0.0 here and a compensated sum (sum() from Python
+    # 3.12) gives 1.0; on 3.11 sum() is a plain loop too, so there the two
+    # read alike
+    outcomes = [
+        IncidentOutcome(incident_id=f"i{k}", cell=0, severity=1, report_h=0.0,
+                        erv_id="erv0", response_h=x, delay_veh_h=x,
+                        delay_var=0.0, cooperating=False)
+        for k, x in enumerate([1e16, 1.0, -1e16])
+    ]
+    res = scenarios._finish("conventional", small(1, (3,)), [], outcomes, [])
+    assert res.total_delay_veh_h == 0.0
+    assert res.total_response_min == 0.0
+    assert repr(scenarios._finish("conventional", small(1, (0,)), [], [], [])
+                .total_delay_veh_h) == "0.0"
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -469,7 +492,7 @@ def test_scenario_dict_rejects_garbage():
 
 def test_result_dict_structure():
     sc = small(322, (1, 1), n_ervs=2, n_uavs=1)
-    d = result_to_dict(run_proactive(sc))
+    d = json.loads(result_to_json(run_proactive(sc)))
     assert d["policy"] == "pdronetim"
     assert d["seed"] == 322
     assert set(d["totals"]) == {"delay_veh_h", "response_min", "uav_utility"}
@@ -487,6 +510,67 @@ def test_result_dict_structure():
             "incident_id", "uav_id", "prior_mean", "prior_var", "obs_mean",
             "obs_var", "beta", "post_mean", "post_var",
         }
+
+
+def oracle_json(res) -> str:
+    return json.dumps(result_to_dict(res), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), rows=st.integers(2, 4),
+       cols=st.integers(2, 4), n_ervs=st.integers(1, 3),
+       n_uavs=st.integers(0, 3), algorithm=st.sampled_from(["mgm", "dsa"]),
+       schedule=st.lists(st.integers(0, 3), min_size=1, max_size=3)
+       .filter(lambda s: sum(s) <= 5))
+def test_result_json_equals_the_oracle_on_generated_runs(
+        seed, rows, cols, n_ervs, n_uavs, algorithm, schedule):
+    sc = small(seed, schedule, rows=rows, cols=cols, n_ervs=n_ervs,
+               n_uavs=n_uavs, solver=SolverConfig(algorithm=algorithm))
+    world = materialize(sc)
+    for policy in POLICIES:
+        res = run_policy(sc, policy, world)
+        assert result_to_json(res) == oracle_json(res)
+
+
+def test_result_json_equals_the_oracle_on_odd_values():
+    nan, inf = math.nan, math.inf
+    outcome = dict(cell=3, severity=2, report_h=0.1, erv_id="erv\"0",
+                   response_h=inf, delay_veh_h=nan, delay_var=-inf)
+    res = RunResult(
+        policy="pdronetim", seed=7,
+        stages=[
+            StageOutcome(stage=0, time_h=0.0, n_open=2, n_free_ervs=1,
+                         erv_assignments=[]),
+            StageOutcome(stage=1, time_h=0.5, n_open=0, n_free_ervs=2,
+                         erv_assignments=[("erv0", 4, "dispatch"),
+                                          ("erv\u00e9", 5, "relocate")],
+                         erv_cost=inf, erv_messages=6, erv_moves=1,
+                         uav_assignments=[("uav\u2603", 4)],
+                         uav_utility=-inf),
+            StageOutcome(stage=2, time_h=1.0, n_open=0, n_free_ervs=2,
+                         erv_assignments=[("erv0", 1, "relocate")],
+                         erv_cost=nan, uav_utility=-0.0),
+        ],
+        incidents=[
+            IncidentOutcome(incident_id="i\"000", cooperating=True, **outcome),
+            IncidentOutcome(incident_id="i\u00fc01", cooperating=False,
+                            **{**outcome, "response_h": 1e-300,
+                               "delay_veh_h": 1e16, "delay_var": 0.0}),
+        ],
+        assimilation=[
+            AssimilationRecord(incident_id="i\"000", uav_id="uav\\0",
+                               prior_mean=1.5, prior_var=nan, obs_mean=-inf,
+                               obs_var=inf, beta=0.0, post_mean=2.0 / 3.0,
+                               post_var=5e-324),
+        ],
+        total_delay_veh_h=nan, total_response_min=inf,
+        total_uav_utility=-inf, opt_nodes=12,
+    )
+    assert result_to_json(res) == oracle_json(res)
+    empty = RunResult(policy="opt", seed=0, stages=[], incidents=[],
+                      assimilation=[], total_delay_veh_h=0.0,
+                      total_response_min=0.0, total_uav_utility=0.0)
+    assert result_to_json(empty) == oracle_json(empty)
 
 
 # ------------------------------------------------------------- CSV export
