@@ -150,8 +150,13 @@ def _filling(out: Path):
         work.chmod(0o777 & ~_umask())  # as mkdir would make --out
         yield work
         if out.is_dir():
-            for path in work.iterdir():
-                os.replace(path, out / path.name)
+            moves = [(path, out / path.name) for path in work.iterdir()]
+            # a directory cannot be replaced by a file: refuse before any move
+            for _, target in moves:
+                if target.is_dir() and not target.is_symlink():
+                    raise InputError(f"cannot write {out}: {target} is a directory")
+            for path, target in moves:
+                os.replace(path, target)
         else:
             os.rename(work, out)
     except OSError as exc:
@@ -179,7 +184,7 @@ def _apply_axis(sc: Scenario, axis: str, value) -> Scenario:
 def _parse_policies(raw: list[str]) -> list[str]:
     out: list[str] = []
     for chunk in raw:
-        for p in chunk.split(","):
+        for p in string(chunk, "a policy").split(","):
             p = p.strip().lower()
             if not p:
                 continue
@@ -212,7 +217,10 @@ def _resolve_scenario(args) -> tuple[Scenario, dict | None]:
 def cmd_run(args) -> int:
     sc, manifest = _resolve_scenario(args)
     if manifest is not None and not args.policy:
-        policies = list(manifest.get("policies", ["pdronetim"]))
+        policies = manifest.get("policies", ["pdronetim"])
+        if not isinstance(policies, list) or not policies:
+            raise InputError("a run manifest's policies must be a non-empty list")
+        policies = _parse_policies(policies)
     else:
         policies = _parse_policies(args.policy)
 
@@ -296,8 +304,10 @@ def cmd_sweep(args) -> int:
         policy = _parse_policies(args.policy)[0]
     if trials < 1:
         raise InputError("--trials must be >= 1")
-    for v in values:  # a value the scenario rejects exits 2 before any run
-        _apply_axis(sc, axis, v)
+    for i, v in enumerate(values):  # exit 2 before any run
+        if v in values[:i]:
+            raise InputError(f"sweep axis {axis} repeats the value {v!r}")
+        _apply_axis(sc, axis, v)  # a value the scenario rejects
 
     out = _out_path(args.out)
     grid = [

@@ -13,7 +13,9 @@ Stages outside the field horizon contribute zero (no history before stage 0,
 nothing anticipated past the horizon). `expected_probability` returns the
 whole row of a stage at once, as array operations over the kernel's flat
 entry arrays. A world's `Forecast` holds its field and kernel and computes
-each stage's row and ranking once, on first read.
+each stage's row and ranking once, on first read. From two stages past the
+horizon on, a stage has no primary and no lagged term, so every such stage
+shares one all-zero row, computed once.
 """
 from __future__ import annotations
 
@@ -168,7 +170,8 @@ class Forecast:
     ranking computed once, on first read.
 
     Rows and rankings are shared by every reader of the world and are
-    read-only.
+    read-only. Every stage from `field_.stages + 2` on has no primary and
+    no lagged history, and shares that stage's row and ranking.
     """
 
     field_: PrimaryProbField
@@ -178,6 +181,7 @@ class Forecast:
     )
 
     def _stage(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
+        stage = min(stage, self.field_.stages + 2)
         memo = self._stages.get(stage)
         if memo is None:
             row = expected_probability(self.field_, self.kernel, stage)

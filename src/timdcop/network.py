@@ -2,11 +2,13 @@
 
 Cells are indexed row-major: cell = row * cols + col. Links exist between
 horizontal and vertical neighbours only, weighted by free-flow travel time
-in hours. Shortest-path travel times come in whole rows, one per source
-cell, computed lazily with scipy's Dijkstra over one CSR graph that holds
-every link in both directions; the rows a caller asks for together come from
-one Dijkstra call. Rows and graph are cached on the network, which is
-immutable after construction.
+in hours and held as two arrays indexed by (row, col): `east` for the link
+to the right-hand neighbour, `south` for the link to the one below.
+Shortest-path travel times come in whole rows, one per source cell, computed
+lazily with scipy's Dijkstra over one CSR graph that holds every link in
+both directions, built from the arrays on the first Dijkstra call; the rows
+a caller asks for together come from one Dijkstra call. Rows and graph are
+cached on the network, which is immutable after construction.
 """
 from __future__ import annotations
 
@@ -25,16 +27,16 @@ TIME_EPS = 1e-9  # hours: clock readings this close count as the same instant
 DEFAULT_EDGE_RANGE = (0.1, 1.5)
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: compare networks by identity
 class GridNetwork:
     rows: int
     cols: int
-    # edge key is (min(a,b), max(a,b)) -> travel time in hours
-    edge_time: dict[tuple[CellId, CellId], float]
-    _dist_cache: dict[CellId, list[float]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _graph: csr_matrix | None = field(default=None, repr=False, compare=False)
+    # hours; east[r, c] links (r, c) to (r, c + 1), shape (rows, cols - 1),
+    # south[r, c] links (r, c) to (r + 1, c), shape (rows - 1, cols)
+    east: np.ndarray
+    south: np.ndarray
+    _dist_cache: dict[CellId, list[float]] = field(default_factory=dict, repr=False)
+    _graph: csr_matrix | None = field(default=None, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -50,7 +52,8 @@ def build_grid(
     """Build a rows x cols grid with uniform random link travel times.
 
     Link times come from one vector draw in a fixed link order (row-major,
-    east link then south link), so a seed fully determines the network.
+    east link then south link), laid out into `east` and `south`, so a seed
+    fully determines the network.
     """
     if rows < 2 or cols < 2:
         raise InputError(f"grid must be at least 2x2, got {rows}x{cols}")
@@ -58,24 +61,33 @@ def build_grid(
     if lo <= 0 or hi < lo:
         raise InputError(f"bad edge time range ({lo}, {hi})")
     # per cell in row-major order, its east link then its south link
-    cell = np.arange(rows * cols).reshape(rows, cols, 1)
-    ends = np.concatenate([cell + 1, cell + cols], axis=2)
     has = np.stack(np.broadcast_arrays(
         np.arange(cols) < cols - 1, np.arange(rows)[:, None] < rows - 1), axis=2)
-    times = np.random.default_rng(seed).uniform(lo, hi, size=int(has.sum()))
-    keys = zip(np.broadcast_to(cell, has.shape)[has].tolist(), ends[has].tolist())
-    return GridNetwork(rows=rows, cols=cols,
-                       edge_time=dict(zip(keys, times.tolist())))
+    links = np.zeros(has.shape)
+    links[has] = np.random.default_rng(seed).uniform(lo, hi, size=int(has.sum()))
+    east, south = links[:, :-1, 0].copy(), links[:-1, :, 1].copy()
+    east.flags.writeable = south.flags.writeable = False
+    return GridNetwork(rows=rows, cols=cols, east=east, south=south)
 
 
 def _dijkstra(net: GridNetwork, sources: list[CellId]) -> list[list[float]]:
     if net._graph is None:
-        # both directions stored, so scipy runs directed with no symmetrizing
-        ends = np.array(list(net.edge_time), dtype=np.intp)
-        both = np.concatenate([ends, ends[:, ::-1]])
-        times = np.tile(np.fromiter(net.edge_time.values(), dtype=float), 2)
-        net._graph = csr_matrix((times, (both[:, 0], both[:, 1])),
-                                shape=(net.n_cells, net.n_cells))
+        # per cell, its links up, left, right and down: each CSR row lists
+        # its neighbours in ascending cell order. Both directions are stored,
+        # so scipy runs directed with no symmetrizing.
+        rows, cols, n = net.rows, net.cols, net.n_cells
+        times = np.zeros((rows, cols, 4))
+        times[1:, :, 0] = net.south
+        times[:, 1:, 1] = net.east
+        times[:, :-1, 2] = net.east
+        times[:-1, :, 3] = net.south
+        has = np.zeros((rows, cols, 4), dtype=bool)
+        has[1:, :, 0] = has[:, 1:, 1] = has[:, :-1, 2] = has[:-1, :, 3] = True
+        ends = np.arange(n, dtype=np.int32).reshape(rows, cols, 1) + np.array(
+            [-cols, -1, 1, cols], dtype=np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(has.sum(axis=2).ravel(), out=indptr[1:])
+        net._graph = csr_matrix((times[has], ends[has], indptr), shape=(n, n))
     return dijkstra(net._graph, directed=True, indices=sources).tolist()
 
 

@@ -223,6 +223,31 @@ def test_unknown_policy_exits_2(tiny_scenario, tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("policies", [
+    5, "opt", None, [], ["greedy"], [1], [["opt"]], ["opt", "o"]])
+def test_bad_run_manifest_policies_exit_2_before_any_run(
+        tmp_path, capsys, policies):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(
+        {"kind": "run", "scenario": TINY, "policies": policies}))
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_manifest_policies_are_read_like_the_option(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"kind": "run", "scenario": TINY,
+                                "policies": ["OPT", "conventional,opt"]}))
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("opt: ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["policies"] == ["opt", "conventional"]
+
+
 def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     # squeeze the exact search's evaluation budget; the real cap needs a
     # far bigger request set than a unit test should run
@@ -488,6 +513,23 @@ def test_failed_write_leaves_an_existing_out_as_it_was(
     assert list(tmp_path.glob(".o.*")) == []
 
 
+def test_a_target_that_cannot_be_replaced_leaves_an_existing_out_as_it_was(
+        tiny_scenario, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    (out / "pdronetim_result.json").write_text("from an older run")
+    before = read_bytes(out)
+    assert main(["run", "--scenario", str(tiny_scenario),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "is a directory" in err and "Traceback" not in err
+    assert read_bytes(out) == before
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "pdronetim_result.json"]
+    assert (out / "manifest.json").is_dir()
+    assert list(tmp_path.glob(".o.*")) == []
+
+
 def test_existing_out_is_updated_in_place(tiny_scenario, tmp_path):
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     reused.mkdir()
@@ -609,6 +651,11 @@ def test_sweep_axis_validation(tiny_scenario, tmp_path, capsys):
     # a cooperation word that is neither on nor off is no silent "off"
     assert main(base + ["--axis", "cooperation=banana"]) == 2
     assert main(base + ["--axis", "cooperation=yes"]) == 2
+    capsys.readouterr()
+    # a repeated value would run its trials twice and double its summary row
+    for repeated in ("dsa_threshold=0.5,0.50", "ervs=1,2,1", "cooperation=on,true"):
+        assert main(base + ["--axis", repeated]) == 2
+        assert "repeats the value" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     assert main(base + ["--axis", "cooperation=OFF,on", "--trials", "1"]) == 0
     with open(tmp_path / "o" / "summary.csv") as fh:
@@ -655,6 +702,12 @@ SWEEP_BASE = {"kind": "sweep", "scenario": TINY,
     {"axis": {"name": "cooperation", "values": [0]}},
     # and against the scenario, before any sweep point runs
     {"axis": {"name": "iterations", "values": [5, 20000]}},
+    # a value given twice, in any spelling the axis reads as one value
+    {"axis": {"name": "ervs", "values": [1, 1]}},
+    {"axis": {"name": "ervs", "values": [1, 2, 1.0]}},
+    {"axis": {"name": "dsa_threshold", "values": [0.5, 0.1, 0.50]}},
+    {"axis": {"name": "algorithm", "values": ["dsa", "dsa"]}},
+    {"axis": {"name": "cooperation", "values": [False, False]}},
 ])
 def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
     doc = {k: v for k, v in {**SWEEP_BASE, **bad}.items() if v is not None}

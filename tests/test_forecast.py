@@ -242,6 +242,23 @@ def test_forecast_computes_each_stage_once_and_ranks_stably():
         assert not row.flags.writeable and not fc.ranking(stage).flags.writeable
 
 
+def test_stages_past_the_lagged_horizon_share_one_zero_row():
+    net = build_grid(3, 4, seed=3)
+    fld = generate_field(net.n_cells, 3, seed=4)
+    fc = Forecast(fld, default_kernel(net))
+    last = fc.row(fld.stages + 1)  # still fed by the last field stage
+    assert last.any()
+    row, ranking = fc.row(fld.stages + 2), fc.ranking(fld.stages + 2)
+    assert np.array_equal(row, np.zeros(net.n_cells))
+    assert ranking.tolist() == list(range(net.n_cells))
+    for stage in (fld.stages + 3, fld.stages + 10, 10**9):
+        assert fc.row(stage) is row and fc.ranking(stage) is ranking
+        assert np.array_equal(row, expected_probability(fld, fc.kernel, stage))
+    assert sorted(fc._stages) == [fld.stages + 1, fld.stages + 2]
+    with pytest.raises(InputError):
+        fc.row(-1)
+
+
 # ----------------------------------------------------------------- kernel
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
-from grid_oracle import grid_neighbors
+from grid_oracle import coo_graph, grid_neighbors, link_time, links_by_scalar_draws
 from timdcop.errors import InputError
 from timdcop.network import (
     GridNetwork,
@@ -33,7 +34,7 @@ def best_simple_path_time(net: GridNetwork, start: int, goal: int) -> float:
             continue
         for nxt in grid_neighbors(net, node):
             if nxt not in seen:
-                link = net.edge_time[(min(node, nxt), max(node, nxt))]
+                link = link_time(net, node, nxt)
                 stack.append((nxt, cost + link, seen | {nxt}))
     return 0.0 if start == goal else best
 
@@ -49,47 +50,58 @@ def test_shortest_path_matches_enumeration(rows, cols, seed):
             )
 
 
-def links_by_scalar_draws(rows, cols, lo, hi, seed) -> dict:
-    """build_grid's links drawn one scalar uniform at a time: row-major
-    cells, each cell's east link then its south link."""
-    rng = np.random.default_rng(seed)
-    edge_time = {}
-    for r in range(rows):
-        for c in range(cols):
-            a = r * cols + c
-            if c < cols - 1:
-                edge_time[(a, a + 1)] = float(rng.uniform(lo, hi))
-            if r < rows - 1:
-                edge_time[(a, a + cols)] = float(rng.uniform(lo, hi))
-    return edge_time
-
-
 @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 9), (9, 2), (5, 7), (40, 40)])
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
 def test_link_times_match_scalar_draws_in_key_order(rows, cols, seed):
     net = build_grid(rows, cols, (0.2, 1.3), seed=seed)
     want = links_by_scalar_draws(rows, cols, 0.2, 1.3, seed)
-    assert list(net.edge_time.items()) == list(want.items())
-    # plain Python numbers, as the scalar draws gave
-    assert {type(x) for key in net.edge_time for x in key} == {int}
-    assert {type(t) for t in net.edge_time.values()} == {float}
+    assert [link_time(net, a, b) for a, b in want] == list(want.values())
+    assert net.east.shape == (rows, cols - 1) and net.south.shape == (rows - 1, cols)
+    assert net.east.dtype == net.south.dtype == np.float64
+    # shared by every run on the world: no reader may write to them
+    assert not net.east.flags.writeable and not net.south.flags.writeable
+
+
+# every source on the small grids, a sample of sources on 40x40
+@pytest.mark.parametrize("rows,cols,n_sources", [
+    (2, 2, None), (2, 9, None), (9, 2, None), (5, 7, None), (10, 10, None),
+    (40, 40, 60)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rows_and_graph_match_the_coo_built_graph(rows, cols, n_sources, seed):
+    net = build_grid(rows, cols, seed=seed)
+    oracle = coo_graph(links_by_scalar_draws(rows, cols, 0.1, 1.5, seed),
+                       rows * cols)
+    sources = list(range(rows * cols))
+    if n_sources is not None:
+        sources = np.random.default_rng(seed).choice(
+            sources, n_sources, replace=False).tolist()
+    got = travel_rows(net, sources)
+    want = dijkstra(oracle, directed=True, indices=sources).tolist()
+    assert got == want  # bit for bit
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(net._graph, name), getattr(oracle, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
 
 
 # ------------------------------------------------------------ invariants
 
 
+def n_links(net) -> int:
+    return net.east.size + net.south.size
+
+
 def test_edge_count_formula():
     for rows, cols in [(2, 2), (3, 5), (10, 10)]:
         net = build_grid(rows, cols, seed=1)
-        assert len(net.edge_time) == 2 * rows * cols - rows - cols
+        assert n_links(net) == 2 * rows * cols - rows - cols
     assert build_grid(10, 10, seed=3).n_cells == 100
-    assert len(build_grid(10, 10, seed=3).edge_time) == 180
+    assert n_links(build_grid(10, 10, seed=3)) == 180
 
 
 def test_degenerate_uniform_range_all_weights_equal():
     net = build_grid(2, 2, (1.0, 1.0), seed=5)
-    assert len(net.edge_time) == 4
-    assert all(t == 1.0 for t in net.edge_time.values())
+    assert n_links(net) == 4
+    assert (net.east == 1.0).all() and (net.south == 1.0).all()
 
 
 def test_uniform_half_grid_corner_to_corner():
@@ -131,7 +143,8 @@ def test_triangle_inequality_sampled():
 def test_edge_weights_within_range():
     lo, hi = 0.2, 0.9
     net = build_grid(5, 5, (lo, hi), seed=9)
-    assert all(lo <= t <= hi for t in net.edge_time.values())
+    for link in (net.east, net.south):
+        assert ((lo <= link) & (link <= hi)).all()
 
 
 def test_raising_one_edge_never_shortens_any_path():
@@ -141,20 +154,22 @@ def test_raising_one_edge_never_shortens_any_path():
         for a in range(net.n_cells)
         for b in range(net.n_cells)
     }
-    bumped_key = next(iter(sorted(net.edge_time)))
-    heavier = dict(net.edge_time)
-    heavier[bumped_key] = heavier[bumped_key] + 5.0
-    net2 = GridNetwork(rows=3, cols=3, edge_time=heavier)
-    for pair, t in base.items():
-        assert travel_time(net2, *pair) >= t - 1e-12
+    for link in ("east", "south"):
+        heavier = getattr(net, link).copy()
+        heavier[0, 0] += 5.0  # the link of cell 0
+        net2 = GridNetwork(rows=3, cols=3, **{
+            "east": net.east, "south": net.south, link: heavier})
+        for pair, t in base.items():
+            assert travel_time(net2, *pair) >= t - 1e-12
 
 
 def test_build_is_deterministic_per_seed():
     a = build_grid(4, 4, seed=21)
     b = build_grid(4, 4, seed=21)
     c = build_grid(4, 4, seed=22)
-    assert a.edge_time == b.edge_time
-    assert a.edge_time != c.edge_time
+    for link in ("east", "south"):
+        assert np.array_equal(getattr(a, link), getattr(b, link))
+        assert not np.array_equal(getattr(a, link), getattr(c, link))
 
 
 @settings(max_examples=30, deadline=None)
