@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import shutil
 import sys
@@ -25,10 +24,10 @@ from pathlib import Path
 from .errors import CapExceededError, InputError, ModelDomainError
 from .scenarios import (
     POLICIES,
+    READERS,
+    SCENARIO_FIELDS,
     Scenario,
-    _flag,
     materialize,
-    number,
     result_to_json,
     run_policy,
     scenario_from_dict,
@@ -42,37 +41,20 @@ from .uav import write_assimilation_csv
 
 WORKERS_ENV = "TIMDCOP_WORKERS"
 
-# sweep axes: name -> (target, attribute, kind of value)
+# sweep axis -> the scenario file key it sets
 _AXES = {
-    "dsa_threshold": ("solver", "dsa_threshold", "number"),
-    "iterations": ("solver", "iterations", "count"),
-    "algorithm": ("solver", "algorithm", "text"),
-    "ervs": ("scenario", "n_ervs", "count"),
-    "uavs": ("scenario", "n_uavs", "count"),
-    "lookahead": ("scenario", "lookahead", "count"),
-    "relocation_k": ("scenario", "relocation_k", "count"),
-    "kappa": ("scenario", "kappa", "number"),
-    "cooperation": ("scenario", "cooperation", "switch"),
+    "dsa_threshold": "solver.dsa_threshold",
+    "iterations": "solver.iterations",
+    "algorithm": "solver.algorithm",
+    "ervs": "fleet.ervs",
+    "uavs": "fleet.uavs",
+    "lookahead": "lookahead",
+    "relocation_k": "relocation_k",
+    "kappa": "kappa",
+    "cooperation": "cooperation",
 }
 # --axis cooperation=... words
 _ON, _OFF = ("1", "true", "on"), ("0", "false", "off")
-
-
-def _axis_value(axis: str, x):
-    """A sweep value checked against its axis: a whole number for a count, a
-    finite number (not a boolean) for a number, a string for text, a JSON
-    boolean for a switch."""
-    kind, what = _AXES[axis][2], f"a value of sweep axis {axis}"
-    if kind == "count":
-        return whole_number(x, what)
-    if kind == "number":
-        x = number(x, what)
-        if not math.isfinite(x):
-            raise InputError(f"{what} must be a finite number, got {x!r}")
-        return x
-    if kind == "text":
-        return string(x, what)
-    return _flag(x, what)
 
 
 def _text_number(text: str, what: str) -> float:
@@ -82,18 +64,14 @@ def _text_number(text: str, what: str) -> float:
         raise InputError(f"{what} must be a number, got {text!r}") from None
 
 
-def _axis_text(axis: str, text: str):
-    """A sweep value given as --axis text, checked as _axis_value checks it."""
-    kind = _AXES[axis][2]
-    if kind == "text":
-        return text
+def _axis_text(kind: str, text: str, what: str):
+    """An --axis value as the JSON value its field's reader takes."""
     if kind == "switch":
         if text.lower() not in _ON + _OFF:
-            raise InputError(
-                f"a value of sweep axis {axis} must be one of "
-                f"{', '.join(_ON + _OFF)}, got {text!r}")
+            raise InputError(f"{what} must be one of {', '.join(_ON + _OFF)}, "
+                             f"got {text!r}")
         return text.lower() in _ON
-    return _axis_value(axis, _text_number(text, f"a value of sweep axis {axis}"))
+    return text if kind == "text" else _text_number(text, what)
 
 
 def _workers() -> int:
@@ -175,8 +153,9 @@ def _manifest_text(doc: dict) -> str:
 
 
 def _apply_axis(sc: Scenario, axis: str, value) -> Scenario:
-    target, attr, _ = _AXES[axis]
-    if target == "solver":
+    key = _AXES[axis]
+    attr = SCENARIO_FIELDS[key][0]
+    if key.startswith("solver."):
         return replace(sc, solver=replace(sc.solver, **{attr: value}))
     return replace(sc, **{attr: value})
 
@@ -277,33 +256,32 @@ def cmd_sweep(args) -> int:
         axis_d = manifest.get("axis")
         if not isinstance(axis_d, dict):
             raise InputError("a sweep manifest needs an axis object")
-        axis = axis_d.get("name")
-        if not isinstance(axis, str) or axis not in _AXES:
-            raise InputError(
-                f"unknown sweep axis {axis!r}; choose from {', '.join(sorted(_AXES))}"
-            )
-        values = axis_d.get("values")
-        if not isinstance(values, list) or not values:
-            raise InputError("axis.values must be a non-empty list")
-        values = [_axis_value(axis, v) for v in values]
-        trials = whole_number(manifest.get("trials"), "trials")
-        policy = manifest.get("policy", "pdronetim")
+        axis, values, text = axis_d.get("name"), axis_d.get("values"), False
+        trials = manifest.get("trials")
+        policies = [manifest["policy"]] if "policy" in manifest else []
     else:
         if not args.axis or "=" not in args.axis:
             raise InputError("--axis must look like name=v1,v2,...")
         axis, _, rest = args.axis.partition("=")
         axis = axis.strip()
-        if axis not in _AXES:
-            raise InputError(
-                f"unknown sweep axis {axis!r}; choose from {', '.join(sorted(_AXES))}"
-            )
-        values = [_axis_text(axis, v.strip()) for v in rest.split(",") if v.strip()]
-        if not values:
-            raise InputError("axis needs at least one value")
-        trials = args.trials
-        policy = _parse_policies(args.policy)[0]
+        values, text = [v.strip() for v in rest.split(",") if v.strip()], True
+        trials, policies = args.trials, args.policy
+    if not isinstance(axis, str) or axis not in _AXES:
+        raise InputError(
+            f"unknown sweep axis {axis!r}; choose from {', '.join(sorted(_AXES))}"
+        )
+    if not isinstance(values, list) or not values:
+        raise InputError(f"sweep axis {axis} needs a non-empty list of values")
+    trials = whole_number(trials, "trials")
     if trials < 1:
         raise InputError("--trials must be >= 1")
+    policies = _parse_policies(policies)
+    if len(policies) > 1:
+        raise InputError(f"a sweep takes one policy, got {', '.join(policies)}")
+    policy = policies[0]
+    kind, what = SCENARIO_FIELDS[_AXES[axis]][1], f"a value of sweep axis {axis}"
+    values = [READERS[kind](_axis_text(kind, v, what) if text else v, what)
+              for v in values]
     for i, v in enumerate(values):  # exit 2 before any run
         if v in values[:i]:
             raise InputError(f"sweep axis {axis} repeats the value {v!r}")
@@ -315,7 +293,8 @@ def cmd_sweep(args) -> int:
         for v in values
         for t in range(trials)
     ]
-    workers = _workers()
+    # a fork pool starts all its workers at the first submit
+    workers = min(_workers(), len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, grid))
@@ -384,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep one parameter axis")
     sweep.add_argument("--scenario", help="base scenario JSON file")
     sweep.add_argument("--manifest", help="manifest JSON from a previous sweep")
-    sweep.add_argument("--axis", help="axis to vary, e.g. dsa_threshold=0.9,0.5,0.1")
+    sweep.add_argument("--axis", metavar="NAME=V1,V2,...",
+                       help=f"axis to vary, one of {', '.join(_AXES)}; "
+                            "e.g. dsa_threshold=0.9,0.5,0.1")
     sweep.add_argument("--trials", type=int, default=10,
                        help="seeds per axis value (default 10)")
     sweep.add_argument("--policy", action="append", default=[],

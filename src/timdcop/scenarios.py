@@ -132,6 +132,9 @@ class Scenario:
             raise InputError(f"relocation_k must be >= 0, got {self.relocation_k}")
         if not self.schedule or any(k < 0 for k in self.schedule):
             raise InputError("schedule must be a non-empty tuple of counts >= 0")
+        if max(self.schedule) > self.rows * self.cols:  # one incident per cell
+            raise InputError(f"a stage requests {max(self.schedule)} incidents "
+                             f"on {self.rows * self.cols} cells")
         if not (0.0 <= self.forecast_signal <= 1.0):
             raise InputError("forecast_signal must lie in [0, 1]")
         if self.lookahead not in (0, 1, 2):
@@ -189,11 +192,6 @@ def materialize(sc: Scenario) -> World:
     sparsity: dict[str, int] = {}
     n = 0
     for stage, count in enumerate(sc.schedule):
-        if count > net.n_cells:
-            raise InputError(
-                f"stage {stage} requests {count} incidents on "
-                f"{net.n_cells} cells"
-            )
         cells = inc_rng.choice(net.n_cells, size=count, replace=False)
         for cell in cells:
             inc_id = f"i{n:03d}"
@@ -856,36 +854,6 @@ def run_policy(sc: Scenario, policy: str, world: World | None = None) -> RunResu
 # ------------------------------------------------------------ serialization
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "seed": sc.seed,
-        "schedule": list(sc.schedule),
-        "grid": {
-            "rows": sc.rows,
-            "cols": sc.cols,
-            "edge_time_range": list(sc.edge_time_range),
-        },
-        "fleet": {"ervs": sc.n_ervs, "uavs": sc.n_uavs},
-        "stage_gap_h": sc.stage_gap,
-        "solver": {
-            "algorithm": sc.solver.algorithm,
-            "iterations": sc.solver.iterations,
-            "dsa_threshold": sc.solver.dsa_threshold,
-        },
-        "forecast": {
-            "prob_range": list(sc.prob_range),
-            "normalize": sc.normalize_field,
-            "budget": sc.field_budget,
-            "signal": sc.forecast_signal,
-        },
-        "lookahead": sc.lookahead,
-        "relocation_k": sc.relocation_k,
-        "cooperation": sc.cooperation,
-        "kappa": sc.kappa,
-    }
-
-
 def _object(d, what: str) -> dict:
     if not isinstance(d, dict):
         raise InputError(f"{what} must be a JSON object, got {type(d).__name__}")
@@ -924,47 +892,77 @@ def _flag(x, what: str) -> bool:
     return x
 
 
+def _listed(read):
+    """A reader of a JSON list of values that `read` reads, as a tuple."""
+    def read_list(x, what: str) -> tuple:
+        if not isinstance(x, list):
+            raise InputError(f"{what} must be a list, got {x!r}")
+        return tuple(read(k, f"an entry of {what}") for k in x)
+    return read_list
+
+
+# field kind -> reader of a JSON value of that kind
+READERS = {
+    "count": whole_number,
+    "number": number,
+    "text": string,
+    "switch": _flag,
+    "counts": _listed(whole_number),
+    "numbers": _listed(number),
+}
+
+# The scenario file format: file key -> (attribute, kind). A dotted key names
+# a field of a section object, and a key in the solver section sets a
+# SolverConfig field rather than a Scenario one. A key a file leaves out
+# keeps the field's default; only seed and schedule are required.
+SCENARIO_FIELDS = {
+    "name": ("name", "text"),
+    "seed": ("seed", "count"),
+    "schedule": ("schedule", "counts"),
+    "grid.rows": ("rows", "count"),
+    "grid.cols": ("cols", "count"),
+    "grid.edge_time_range": ("edge_time_range", "numbers"),
+    "fleet.ervs": ("n_ervs", "count"),
+    "fleet.uavs": ("n_uavs", "count"),
+    "stage_gap_h": ("stage_gap", "number"),
+    "solver.algorithm": ("algorithm", "text"),
+    "solver.iterations": ("iterations", "count"),
+    "solver.dsa_threshold": ("dsa_threshold", "number"),
+    "forecast.prob_range": ("prob_range", "numbers"),
+    "forecast.normalize": ("normalize_field", "switch"),
+    "forecast.budget": ("field_budget", "number"),
+    "forecast.signal": ("forecast_signal", "number"),
+    "lookahead": ("lookahead", "count"),
+    "relocation_k": ("relocation_k", "count"),
+    "cooperation": ("cooperation", "switch"),
+    "kappa": ("kappa", "number"),
+}
+
+
+def scenario_to_dict(sc: Scenario) -> dict:
+    d: dict = {}
+    for key, (attr, kind) in SCENARIO_FIELDS.items():
+        section, _, name = key.rpartition(".")
+        value = getattr(sc.solver if section == "solver" else sc, attr)
+        (d.setdefault(section, {}) if section else d)[name] = (
+            list(value) if kind in ("counts", "numbers") else value)
+    return d
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     _object(d, "a scenario")
-    try:
-        grid = _object(d.get("grid", {}), "grid")
-        fleet = _object(d.get("fleet", {}), "fleet")
-        solver_d = _object(d.get("solver", {}), "solver")
-        fc = _object(d.get("forecast", {}), "forecast")
-        solver = SolverConfig(
-            algorithm=string(solver_d.get("algorithm", "dsa"), "solver.algorithm"),
-            iterations=whole_number(solver_d.get("iterations", 45), "solver.iterations"),
-            dsa_threshold=number(solver_d.get("dsa_threshold", 0.9),
-                                 "solver.dsa_threshold"),
-        )
-        return Scenario(
-            seed=whole_number(d["seed"], "seed"),
-            schedule=tuple(whole_number(k, "a schedule entry") for k in d["schedule"]),
-            rows=whole_number(grid.get("rows", 10), "grid.rows"),
-            cols=whole_number(grid.get("cols", 10), "grid.cols"),
-            edge_time_range=tuple(
-                number(x, "an edge_time_range entry")
-                for x in grid.get("edge_time_range", (0.1, 1.5))
-            ),
-            n_ervs=whole_number(fleet.get("ervs", 3), "fleet.ervs"),
-            n_uavs=whole_number(fleet.get("uavs", 0), "fleet.uavs"),
-            stage_gap=number(d.get("stage_gap_h", 0.5), "stage_gap_h"),
-            solver=solver,
-            prob_range=tuple(number(x, "a prob_range entry")
-                             for x in fc.get("prob_range", (0.0, 0.15))),
-            normalize_field=_flag(fc.get("normalize", False), "forecast.normalize"),
-            field_budget=number(fc.get("budget", 1.0), "forecast.budget"),
-            forecast_signal=number(fc.get("signal", 0.35), "forecast.signal"),
-            lookahead=whole_number(d.get("lookahead", 2), "lookahead"),
-            relocation_k=whole_number(d.get("relocation_k", 10), "relocation_k"),
-            cooperation=_flag(d.get("cooperation", True), "cooperation"),
-            kappa=number(d.get("kappa", 0.5), "kappa"),
-            name=string(d.get("name", ""), "name"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"bad scenario: {exc}") from exc
+    for key in ("seed", "schedule"):
+        if key not in d:
+            raise InputError(f"a scenario needs {key}")
+    fields: dict = {}
+    solver: dict = {}
+    for key, (attr, kind) in SCENARIO_FIELDS.items():
+        section, _, name = key.rpartition(".")
+        doc = _object(d.get(section, {}), section) if section else d
+        if name in doc:
+            (solver if section == "solver" else fields)[attr] = (
+                READERS[kind](doc[name], key))
+    return Scenario(solver=SolverConfig(**solver), **fields)
 
 
 # The result JSON, written from one %-template per record kind with the keys

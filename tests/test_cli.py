@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import timdcop
+import timdcop.cli as cli
 import timdcop.scenarios as scenarios
 from timdcop.cli import main
 from timdcop.errors import CapExceededError, ModelDomainError
@@ -627,6 +628,67 @@ def test_parallel_sweep_matches_serial_bytes(tiny_scenario, tmp_path, monkeypatc
     assert read_bytes(serial) == read_bytes(parallel)
 
 
+def test_sweep_forks_no_more_workers_than_points(tiny_scenario, tmp_path,
+                                                 monkeypatch):
+    pools = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("TIMDCOP_WORKERS", "500")
+    assert main(["sweep", "--scenario", str(tiny_scenario), "--axis", "uavs=0,1",
+                 "--trials", "1", "--out", str(tmp_path / "o")]) == 0
+    assert pools == [2]
+
+
+# One small sweep per axis kind (count, number, text, switch), its output
+# files pinned by sha256: the sweep axes read and write the scenario file
+# format through one field table, and a change to it must keep these bytes.
+PINNED_SWEEPS = {
+    "ervs=1,2": {
+        "manifest.json": "9e9fa012c24db0e38ff0ed31fe07c38f73a194db1dbe24a858c71d71d7e7cff8",
+        "summary.csv": "623cc48174f65da6d875c354df7c758e12d66563a3608998bcadee482a052d9b",
+        "sweep.csv": "913cad99d3497c53150dcd4a1002923d06bb0619e6b008eaa9abbc9cef4f4bb7",
+    },
+    "dsa_threshold=0.9,0.1": {
+        "manifest.json": "59effb85c0e9e5d71a7c4185e14b4b171b987be49854b9e32f43ec056707f992",
+        "summary.csv": "48e696f6bd8cbe351ed35488248d086da80abf95058e7585a64e288ecb8efc31",
+        "sweep.csv": "0fe725f6f63e4291206b5a9c30edd313696b09813581146eb88d48b92abce4c9",
+    },
+    "algorithm=mgm,dsa": {
+        "manifest.json": "ee5a252649811ce138f3c7012928842c048be46c77940aefa8c1582b25feec63",
+        "summary.csv": "eb62211001ee2443887b4d90b59f14cc74df49869d70c5d13875abb2cb85292d",
+        "sweep.csv": "9a6b816a635315ccb6e4a6100d216252d36666642141c7fe168981d1c557e127",
+    },
+    "cooperation=off,on": {
+        "manifest.json": "77db61094ae86cf4c81c757afbfeb5ceeac9d0276478b4f7faf9816874891081",
+        "summary.csv": "91ee87cc604171f55343c051e8241f4e530cd7b10c1f3752bd46884dc0239c7b",
+        "sweep.csv": "1938a0c590892cb5f78108752ae2912ee55f5e68f3095ac14f9ec7e311deb493",
+    },
+}
+
+
+@pytest.mark.parametrize("axis", sorted(PINNED_SWEEPS))
+def test_sweep_outputs_match_pinned_sha256(axis, tiny_scenario, tmp_path):
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(tiny_scenario), "--axis", axis,
+                 "--trials", "2", "--out", str(out)]) == 0
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in read_bytes(out).items()}
+    assert got == PINNED_SWEEPS[axis]
+
+
 @pytest.mark.parametrize("workers", ["x", "0", "-2", "1.5", "nan"])
 def test_bad_worker_count_exits_2(tiny_scenario, tmp_path, monkeypatch, capsys,
                                   workers):
@@ -660,6 +722,37 @@ def test_sweep_axis_validation(tiny_scenario, tmp_path, capsys):
     assert main(base + ["--axis", "cooperation=OFF,on", "--trials", "1"]) == 0
     with open(tmp_path / "o" / "summary.csv") as fh:
         assert [r[1] for r in csv.reader(fh)][1:] == ["False", "True"]
+
+
+def test_each_axis_sets_its_scenario_file_key():
+    base = scenario_from_dict(TINY)
+    for axis, key in cli._AXES.items():
+        kind = scenarios.SCENARIO_FIELDS[key][1]
+        value = {"count": 1, "number": 0.25, "text": "mgm", "switch": False}[kind]
+        doc = json.loads(json.dumps(TINY))
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+        assert cli._apply_axis(base, axis, value) == scenario_from_dict(doc), axis
+
+
+def test_sweep_help_names_every_axis(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert all(axis in text for axis in cli._AXES)
+
+
+@pytest.mark.parametrize("policies", [
+    ["--policy", "conventional", "--policy", "pdronetim"],
+    ["--policy", "conventional,pdronetim"],
+])
+def test_a_sweep_takes_one_policy(tiny_scenario, tmp_path, capsys, policies):
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(tiny_scenario), "--axis", "ervs=1",
+                 "--trials", "1", *policies, "--out", str(out)]) == 2
+    assert "one policy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_boolean_fields_read_json_booleans():
@@ -708,6 +801,10 @@ SWEEP_BASE = {"kind": "sweep", "scenario": TINY,
     {"axis": {"name": "dsa_threshold", "values": [0.5, 0.1, 0.50]}},
     {"axis": {"name": "algorithm", "values": ["dsa", "dsa"]}},
     {"axis": {"name": "cooperation", "values": [False, False]}},
+    # the policy is read as --policy reads it, and a sweep takes one
+    {"policy": 5},
+    {"policy": "nope"},
+    {"policy": "conventional,pdronetim"},
 ])
 def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
     doc = {k: v for k, v in {**SWEEP_BASE, **bad}.items() if v is not None}
@@ -730,6 +827,14 @@ def test_checked_sweep_manifest_runs(tmp_path):
     assert json.loads(manifest)["trials"] == 2
     # values reach the runs and the outputs parsed: 1.0 is the count 1
     assert '"values": [\n      1,\n      2\n    ]' in manifest
+
+
+def test_sweep_manifest_policy_is_read_like_the_option(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**SWEEP_BASE, "policy": "OPT"}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--manifest", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["policy"] == "opt"
 
 
 def test_cli_entry_point_is_installed():

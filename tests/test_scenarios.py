@@ -437,8 +437,8 @@ def test_scenario_validation():
                 dict(field_budget=math.nan), dict(field_budget=math.inf)):
         with pytest.raises(InputError):
             Scenario(**{"seed": 0, **bad})
-    with pytest.raises(InputError):
-        materialize(small(0, (17,), rows=4, cols=4))  # 17 requests, 16 cells
+    with pytest.raises(InputError, match="17 incidents on 16 cells"):
+        Scenario(seed=0, schedule=(17,), rows=4, cols=4)  # caught at load
 
 
 def test_stage_bound_and_rounds_have_a_ceiling_at_load():
@@ -468,6 +468,20 @@ def test_scenario_round_trips_through_its_dict_form():
         forecast_signal=0.5, name="roundtrip",
     )
     assert scenario_from_dict(scenario_to_dict(sc)) == sc
+
+
+def test_the_field_table_states_the_whole_format():
+    attrs = [attr for attr, _ in scenarios.SCENARIO_FIELDS.values()]
+    fields = [f.name for f in dataclasses.fields(Scenario) if f.name != "solver"]
+    fields += [f.name for f in dataclasses.fields(SolverConfig) if f.name != "seed"]
+    assert sorted(attrs) == sorted(fields)  # each field exactly once
+    assert all(kind in scenarios.READERS
+               for _, kind in scenarios.SCENARIO_FIELDS.values())
+    # a file with only the required keys takes every default
+    assert scenario_from_dict({"seed": 4, "schedule": [2, 1]}) == Scenario(
+        seed=4, schedule=(2, 1))
+    with pytest.raises(InputError, match="schedule"):
+        scenario_from_dict({"seed": 4})  # schedule stays required in a file
 
 
 def test_scenario_dict_rejects_garbage():
