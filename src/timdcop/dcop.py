@@ -65,15 +65,19 @@ class DcopProblem:
             a: _shaped(vec, (len(self.domains[a]),), f"unary[{a!r}]")
             for a, vec in self.unary.items()
         }
+        # one check per distinct table and shape, shared by every pair that
+        # holds that table (builders pass one all-different table to all)
+        by_table: dict[tuple, np.ndarray] = {}
         for c in self.binary:
             if c.a not in self.index or c.b not in self.index:
                 raise InputError("binary constraint on undeclared agent")
             if c.a == c.b:
                 raise InputError("binary constraint must join two distinct agents")
-            c.table = _shaped(
-                c.table, (len(self.domains[c.a]), len(self.domains[c.b])),
-                f"binary table {c.a!r}-{c.b!r}",
-            )
+            shape = (len(self.domains[c.a]), len(self.domains[c.b]))
+            key = (id(c.table), shape)
+            if key not in by_table:
+                by_table[key] = _shaped(c.table, shape, f"binary table {c.a!r}-{c.b!r}")
+            c.table = by_table[key]
 
 
 def _shaped(costs, shape: tuple, what: str) -> np.ndarray:

@@ -115,6 +115,13 @@ def default_kernel(
     )
 
 
+def check_prob_range(prob_range: tuple[float, float]) -> None:
+    """Reject a cell probability range outside 0 <= lo <= hi <= 1."""
+    lo, hi = prob_range
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise InputError(f"probability range must sit inside [0,1]: ({lo},{hi})")
+
+
 def generate_field(
     n_cells: int,
     stages: int,
@@ -122,9 +129,8 @@ def generate_field(
     config: FieldConfig = FieldConfig(),
 ) -> PrimaryProbField:
     """Draw a uniform random primary field, optionally stage-normalized."""
+    check_prob_range(config.prob_range)
     lo, hi = config.prob_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise InputError(f"probability range must sit inside [0,1]: ({lo},{hi})")
     if stages < 1 or n_cells < 1:
         raise InputError("field needs at least one stage and one cell")
     rng = np.random.default_rng(seed)

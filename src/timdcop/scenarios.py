@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import CapExceededError, InputError
 from .erv import (
@@ -42,7 +41,13 @@ from .erv import (
     apply_assignment,
     build_erv_problem,
 )
-from .forecast import FieldConfig, Forecast, default_kernel, generate_field
+from .forecast import (
+    FieldConfig,
+    Forecast,
+    check_prob_range,
+    default_kernel,
+    generate_field,
+)
 from .incidents import (
     SEVERITY_RANGES,
     Incident,
@@ -50,7 +55,14 @@ from .incidents import (
     expected_delay,
     sample_incident,
 )
-from .network import TIME_EPS, GridNetwork, build_grid, travel_rows, travel_time
+from .network import (
+    TIME_EPS,
+    GridNetwork,
+    build_grid,
+    check_grid,
+    travel_rows,
+    travel_time,
+)
 from .solvers import SolverConfig, solve
 from .uav import (
     AssimilationRecord,
@@ -75,6 +87,13 @@ _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
 _NET, _INC, _FIELD, _ATTRS, _POS, _SOLVER, _UAVSOLVER, _OBS = range(8)
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's LSAP, imported on first use: only opt's floor refinement needs
+    scipy.optimize (about 15 MiB and 0.3 s of import)."""
+    from scipy.optimize import linear_sum_assignment as lsap
+    return lsap(cost)
 
 
 def _rng(master: int, *key: int) -> np.random.Generator:
@@ -114,10 +133,11 @@ class Scenario:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         for name in ("edge_time_range", "prob_range"):
             lo_hi = getattr(self, name)
-            if (len(lo_hi) != 2 or not all(map(math.isfinite, lo_hi))
-                    or lo_hi[0] > lo_hi[1]):
-                raise InputError(
-                    f"{name} must be two finite floats lo <= hi, got {lo_hi}")
+            if len(lo_hi) != 2 or not all(map(math.isfinite, lo_hi)):
+                raise InputError(f"{name} must be two finite floats, got {lo_hi}")
+        # the checks build_grid and generate_field make, here at load
+        check_grid(self.rows, self.cols, self.edge_time_range)
+        check_prob_range(self.prob_range)
         if self.n_ervs < 1:
             raise InputError("need at least one ERV")
         if self.n_ervs > self.rows * self.cols:  # keeps all-different satisfiable
@@ -147,7 +167,11 @@ class Scenario:
         if self.solver.iterations > MAX_ITERATIONS:
             raise InputError(f"solver.iterations must be at most {MAX_ITERATIONS}, "
                              f"got {self.solver.iterations}")
-        if not _stage_bound(self) <= MAX_STAGES:  # a NaN bound fails too
+        try:
+            bound = _stage_bound(self)
+        except OverflowError:  # a count too large for a float
+            bound = math.inf
+        if not bound <= MAX_STAGES:  # a NaN bound fails too
             raise InputError(
                 f"stage gap {self.stage_gap} h allows more than {MAX_STAGES} "
                 "stages on this grid and schedule")

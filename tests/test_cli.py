@@ -2,6 +2,7 @@
 import csv
 import functools
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -312,6 +313,8 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
      "fleet": {"ervs": 1}, "stage_gap_h": 5e-324},
     {"seed": 1, "schedule": [2], "grid": {"rows": 3, "cols": 3},
      "fleet": {"ervs": 2}, "solver": {"iterations": 100000000, "dsa_threshold": 0}},
+    # a count too large for a float overflows the stage bound
+    {"seed": 1, "schedule": [1], "grid": {"rows": 10**400}},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -817,6 +820,27 @@ def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"grid": {"rows": 1, "cols": 8}},
+    {"forecast": {"prob_range": [0.5, 1.5]}},
+    {"grid": {"edge_time_range": [0, 1]}},
+])
+def test_a_world_the_builders_refuse_exits_2_before_any_sweep_point(
+        tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.delenv("TIMDCOP_WORKERS", raising=False)
+    points = []
+    monkeypatch.setattr(cli, "_sweep_point", points.append)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"seed": 1, "schedule": [1], **bad}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--axis", "ervs=1,2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+    assert points == []
+
+
 def test_checked_sweep_manifest_runs(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**SWEEP_BASE, "trials": 2.0,
@@ -835,6 +859,38 @@ def test_sweep_manifest_policy_is_read_like_the_option(tmp_path):
     out = tmp_path / "o"
     assert main(["sweep", "--manifest", str(path), "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["policy"] == "opt"
+
+
+def test_only_opt_imports_scipy_optimize(tmp_path):
+    """A fresh interpreter runs conventional and pdronetim without loading
+    scipy.optimize; opt loads it when its floor first reaches the LSAP."""
+    # the bench traces the solver through this module-level function
+    assert inspect.isfunction(scenarios.linear_sum_assignment)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**TINY, "schedule": [2, 1]}))
+    src = str(Path(timdcop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    args = ["run", "--scenario", str(path), "--out"]
+    code = (
+        "import json, sys\n"
+        "import timdcop.scenarios as scenarios\n"
+        "from timdcop.cli import main\n"
+        "calls = []\n"
+        "lsap = scenarios.linear_sum_assignment\n"
+        "scenarios.linear_sum_assignment = lambda c: calls.append(1) or lsap(c)\n"
+        f"codes = [main({args + [str(tmp_path / 'a')]!r}"
+        " + ['--policy', 'conventional,pdronetim'])]\n"
+        "seen = ['scipy.optimize' in sys.modules, len(calls)]\n"
+        f"codes.append(main({args + [str(tmp_path / 'b')]!r} + ['--policy', 'opt']))\n"
+        "seen += ['scipy.optimize' in sys.modules, len(calls) > 0]\n"
+        "print(json.dumps([codes, seen]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, seen = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert seen == [False, 0, True, True]
 
 
 def test_cli_entry_point_is_installed():

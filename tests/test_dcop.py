@@ -225,6 +225,28 @@ def test_misshaped_tables_are_rejected():
     assert p.binary[0].table.shape == (3, 2)
 
 
+def test_a_table_shared_by_many_pairs_is_checked_for_each_shape():
+    dom = [0, 1, 2]
+    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+    wrong = np.zeros((3, 2))
+    with pytest.raises(InputError):
+        DcopProblem(agents=["a", "b", "c"], domains=dict.fromkeys("abc", dom),
+                    binary=[BinaryConstraint(a, b, wrong) for a, b in pairs])
+    # the table fits a-b, but not b-c, whose second domain is shorter
+    square = np.zeros((3, 3))
+    with pytest.raises(InputError):
+        DcopProblem(agents=["a", "b", "c"],
+                    domains={"a": dom, "b": dom, "c": [0, 1]},
+                    binary=[BinaryConstraint("a", "b", square),
+                            BinaryConstraint("b", "c", square)])
+    # a fitting shared table is converted once and shared by every pair
+    shared = [[0.0] * 3] * 3
+    p = DcopProblem(agents=["a", "b", "c"], domains=dict.fromkeys("abc", dom),
+                    binary=[BinaryConstraint(a, b, shared) for a, b in pairs])
+    assert p.binary[0].table is p.binary[1].table is p.binary[2].table
+    assert p.binary[0].table.shape == (3, 3)
+
+
 def test_repeated_domain_values_and_foreign_values_are_rejected():
     with pytest.raises(InputError):
         DcopProblem(agents=["a"], domains={"a": [1, 1]})

@@ -434,7 +434,10 @@ def test_scenario_validation():
                 dict(edge_time_range=(0.5,)), dict(edge_time_range=(0.5, 0.4)),
                 dict(prob_range=(0.0, math.inf)), dict(prob_range=(0, 0.1, 0.2)),
                 dict(field_budget=0.0), dict(field_budget=-1.0),
-                dict(field_budget=math.nan), dict(field_budget=math.inf)):
+                dict(field_budget=math.nan), dict(field_budget=math.inf),
+                # what build_grid and generate_field refuse, refused at load
+                dict(rows=1, cols=8), dict(prob_range=(0.5, 1.5)),
+                dict(edge_time_range=(0, 1))):
         with pytest.raises(InputError):
             Scenario(**{"seed": 0, **bad})
     with pytest.raises(InputError, match="17 incidents on 16 cells"):
