@@ -2,20 +2,21 @@
 
 A primary probability field gives, per (cell, stage), the chance a fresh
 incident is reported there. A dependency kernel adds secondary pressure: an
-incident at cell j raises the probability at coupled cells k one and two
-stages later. The expected probability at (k, u) is
+incident at a cell raises the probability at its grid neighbours N(k) (up,
+down, left and right) one and two stages later, by the ratios delta_1 and
+delta_2. The expected probability at (k, u) is
 
     E[tau(k, u)] = min(1, pr_p[k, u]
-                        + sum_j delta[(j, 1, k)] * pr_p[j, u-1]
-                        + sum_j delta[(j, 2, k)] * pr_p[j, u-2])
+                        + sum_{j in N(k)} (delta_1 * pr_p[j, u-1]
+                                           + delta_2 * pr_p[j, u-2]))
 
 Stages outside the field horizon contribute zero (no history before stage 0,
 nothing anticipated past the horizon). `expected_probability` returns the
-whole row of a stage at once, as array operations over the kernel's flat
-entry arrays. A world's `Forecast` holds its field and kernel and computes
-each stage's row and ranking once, on first read. From two stages past the
-horizon on, a stage has no primary and no lagged term, so every such stage
-shares one all-zero row, computed once.
+whole row of a stage at once, as one shifted-slice add per neighbour
+direction and lag over the (rows, cols) grid. A world's `Forecast` holds its
+field and kernel and computes each stage's row and ranking once, on first
+read. From two stages past the horizon on, a stage has no primary and no
+lagged term, so every such stage shares one all-zero row, computed once.
 """
 from __future__ import annotations
 
@@ -46,40 +47,20 @@ class PrimaryProbField:
         return self.values.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DependencyKernel:
-    """Sparse secondary-incident couplings, one entry per coupling.
+    """Secondary-incident coupling of every cell of a rows x cols grid to its
+    grid neighbours.
 
-    Entry i is delta[(source[i], lag[i], target[i])] = ratio[i]: an incident
-    at cell source[i] adds ratio[i] times its probability to cell target[i],
-    lag[i] in {1, 2} stages later. Entries keep their insertion order, which
-    is the order each target's terms are summed in.
+    An incident at a cell adds lag1 times its probability to each neighbour
+    (up, down, left, right) one stage later, and lag2 times it two stages
+    later. A lag whose ratio is not positive adds nothing.
     """
 
-    source: np.ndarray = ()
-    lag: np.ndarray = ()
-    target: np.ndarray = ()
-    ratio: np.ndarray = ()
-
-    def __post_init__(self) -> None:
-        self.source, self.lag, self.target = (
-            np.asarray(a, dtype=np.intp) for a in (self.source, self.lag, self.target)
-        )
-        self.ratio = np.asarray(self.ratio, dtype=float)
-        n = len(self.ratio)
-        if any(a.shape != (n,) for a in (self.source, self.lag, self.target, self.ratio)):
-            raise InputError("kernel source, lag, target and ratio must be "
-                             "flat arrays of one length")
-        for bad, what in (
-            ((self.lag != 1) & (self.lag != 2), "lag must be 1 or 2"),
-            (~(self.ratio >= 0), "ratio must be >= 0"),
-            ((self.source < 0) | (self.target < 0), "cells must be >= 0"),
-        ):
-            if bad.any():
-                i = int(bad.argmax())
-                raise InputError(
-                    f"kernel {what}: entry {i} is ({self.source[i]}, "
-                    f"{self.lag[i]}, {self.target[i]}) -> {self.ratio[i]}")
+    rows: int
+    cols: int
+    lag1: float
+    lag2: float
 
 
 @dataclass(frozen=True)
@@ -92,27 +73,8 @@ class FieldConfig:
 def default_kernel(
     net: GridNetwork, lag1: float = DEFAULT_LAG1, lag2: float = DEFAULT_LAG2
 ) -> DependencyKernel:
-    """Couple every cell to its grid neighbours at lags 1 and 2.
-
-    Entries run target by target; within a target, its neighbours up, down,
-    left and right, each at lag 1 then lag 2. A lag whose ratio is not
-    positive has no entries.
-    """
-    lags = [(lag, ratio) for lag, ratio in ((1, lag1), (2, lag2)) if ratio > 0]
-    k = np.arange(net.n_cells)
-    r, c = np.divmod(k, net.cols)
-    # one column per (direction, lag), one row per target, read row-major
-    has = np.repeat(np.stack(
-        [r > 0, r < net.rows - 1, c > 0, c < net.cols - 1], axis=1), len(lags), axis=1)
-    step = np.repeat([-net.cols, net.cols, -1, 1], len(lags))
-    column_lag = np.tile([lag for lag, _ in lags], 4)
-    column_ratio = np.tile([ratio for _, ratio in lags], 4)
-    return DependencyKernel(
-        source=(k[:, None] + step)[has],
-        lag=np.broadcast_to(column_lag, has.shape)[has],
-        target=np.broadcast_to(k[:, None], has.shape)[has],
-        ratio=np.broadcast_to(column_ratio, has.shape)[has],
-    )
+    """Couple every cell to its grid neighbours at lags 1 and 2."""
+    return DependencyKernel(net.rows, net.cols, lag1, lag2)
 
 
 def check_prob_range(prob_range: tuple[float, float]) -> None:
@@ -142,6 +104,16 @@ def generate_field(
     return PrimaryProbField(values=vals)
 
 
+# (target, source) slices of a (rows, cols) grid that pair each cell with its
+# neighbour up, down, left and right of it
+_NEIGHBOURS = (
+    (np.s_[1:, :], np.s_[:-1, :]),
+    (np.s_[:-1, :], np.s_[1:, :]),
+    (np.s_[:, 1:], np.s_[:, :-1]),
+    (np.s_[:, :-1], np.s_[:, 1:]),
+)
+
+
 def expected_probability(
     fld: PrimaryProbField,
     kernel: DependencyKernel,
@@ -150,24 +122,30 @@ def expected_probability(
     """Primary plus lagged secondary probability of every cell at `stage`,
     capped at 1.
 
-    np.add.at adds the kernel's terms one entry at a time in entry order, so
-    each cell's sum is that of the scalar formula bit for bit.
+    Each cell adds its terms in one order: its primary, then its neighbours
+    up, down, left and right, each at lag 1 then lag 2.
     """
     if stage < 0:
         raise InputError(f"stage must be >= 0, got {stage}")
-    if len(kernel.ratio) and max(kernel.source.max(), kernel.target.max()) >= fld.cells:
-        raise InputError(f"kernel couples a cell outside the {fld.cells}-cell field")
+    shape = (kernel.rows, kernel.cols)
+    if min(shape) < 1 or kernel.rows * kernel.cols != fld.cells:
+        raise InputError(
+            f"a {kernel.rows}x{kernel.cols} kernel on a {fld.cells}-cell field")
 
     def primary(u: int) -> np.ndarray:
         if 0 <= u < fld.stages:
             return fld.values[u]
         return np.zeros(fld.cells)
 
-    total = primary(stage).astype(float)
-    history = np.stack([primary(stage - 1), primary(stage - 2)])
-    np.add.at(total, kernel.target,
-              kernel.ratio * history[kernel.lag - 1, kernel.source])
-    return np.minimum(total, 1.0)
+    row = primary(stage).astype(float)
+    total = row.reshape(shape)  # a view: adds land in `row`
+    lagged = [(ratio * primary(stage - lag)).reshape(shape)
+              for lag, ratio in ((1, kernel.lag1), (2, kernel.lag2)) if ratio > 0]
+    for target, source in _NEIGHBOURS:
+        into = total[target]
+        for term in lagged:
+            into += term[source]
+    return np.minimum(row, 1.0)
 
 
 @dataclass

@@ -145,6 +145,9 @@ class Scenario:
                              "grid: at most one per cell")
         if self.n_uavs < 0:
             raise InputError("negative UAV count")
+        if self.n_uavs > self.rows * self.cols:  # a UAV past one per cell only idles
+            raise InputError(f"{self.n_uavs} UAVs on a {self.rows}x{self.cols} "
+                             "grid: at most one per cell")
         if not (math.isfinite(self.stage_gap) and self.stage_gap > 0):
             raise InputError(
                 f"stage gap must be positive and finite, got {self.stage_gap}")

@@ -315,6 +315,9 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
      "fleet": {"ervs": 2}, "solver": {"iterations": 100000000, "dsa_threshold": 0}},
     # a count too large for a float overflows the stage bound
     {"seed": 1, "schedule": [1], "grid": {"rows": 10**400}},
+    # more UAVs than cells: far past what numpy can draw, and just past the bound
+    {"seed": 1, "schedule": [1], "fleet": {"uavs": 10**22}},
+    {"seed": 1, "schedule": [1], "grid": {"rows": 2, "cols": 3}, "fleet": {"uavs": 7}},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"

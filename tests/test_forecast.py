@@ -1,4 +1,4 @@
-"""Forecast field and dependency kernel: brute-force oracle, bounds."""
+"""Forecast field and neighbour coupling: brute-force oracle, bounds."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from timdcop.network import build_grid
 
 # --------------------------------------------------------------- oracle
 # Written before the module code: the literal triple-loop sum over every
-# kernel entry, with out-of-horizon stages contributing zero.
+# coupling, with out-of-horizon stages contributing zero.
 
 
 def probability_oracle(values, delta, cell, stage) -> float:
@@ -38,9 +38,10 @@ def probability_oracle(values, delta, cell, stage) -> float:
 
 
 def default_kernel_oracle(net, lag1=0.3, lag2=0.1) -> dict:
-    """default_kernel's couplings by a double loop over cells and neighbours."""
+    """A rows x cols grid's neighbour couplings {(source, lag, target): ratio}
+    by a double loop over cells and neighbours, target by target."""
     delta = {}
-    for k in range(net.n_cells):
+    for k in range(net.rows * net.cols):
         for j in grid_neighbors(net, k):
             if lag1 > 0:
                 delta[(j, 1, k)] = lag1
@@ -49,51 +50,39 @@ def default_kernel_oracle(net, lag1=0.3, lag2=0.1) -> dict:
     return delta
 
 
-def kernel_from_delta(delta: dict) -> DependencyKernel:
-    """The flat kernel of a {(source, lag, target): ratio} dict, in dict order."""
-    return DependencyKernel(
-        source=[j for j, _, _ in delta], lag=[lag for _, lag, _ in delta],
-        target=[k for _, _, k in delta], ratio=list(delta.values()),
-    )
-
-
-def delta_of(kernel: DependencyKernel) -> dict:
-    """The {(source, lag, target): ratio} dict of a kernel, in entry order."""
-    keys = zip(kernel.source.tolist(), kernel.lag.tolist(), kernel.target.tolist())
-    return dict(zip(keys, kernel.ratio.tolist()))
-
-
-def assert_matches_oracle(values, delta, stages):
+def assert_matches_oracle(values, kernel, stages):
+    """Every row up to `stages` equals the oracle fed the kernel's couplings."""
     fld = PrimaryProbField(values=values)
-    kernel = kernel_from_delta(delta)
     raw = [list(map(float, row)) for row in values]
+    by_target = [{} for _ in range(fld.cells)]  # the oracle skips other targets
+    for (j, lag, k), ratio in default_kernel_oracle(kernel, kernel.lag1, kernel.lag2).items():
+        by_target[k][(j, lag, k)] = ratio
     for stage in range(stages):
         row = expected_probability(fld, kernel, stage)
         assert row.shape == (fld.cells,)
         for cell in range(fld.cells):
-            # both sum in delta insertion order: equal to the last bit
-            assert row[cell] == probability_oracle(raw, delta, cell, stage)
+            # both sum in the oracle's insertion order: equal to the last bit
+            assert row[cell] == probability_oracle(raw, by_target[cell], cell, stage)
 
 
 def test_matches_oracle_on_random_five_cell_world():
     rng = np.random.default_rng(8)
     values = rng.uniform(0.0, 0.3, size=(6, 5))
-    delta = {}
-    for _ in range(12):
-        j, k = (int(x) for x in rng.integers(0, 5, 2))
-        lag = int(rng.integers(1, 3))
-        delta[(j, lag, k)] = float(rng.uniform(0.0, 0.8))
-    assert_matches_oracle(values, delta, 8)  # includes stages past the horizon
-    # the default kernel: up to eight incoming entries per cell
+    for shape in ((1, 5), (5, 1)):
+        for _ in range(4):
+            lag1, lag2 = (float(x) for x in rng.uniform(-0.2, 0.8, 2))
+            # includes stages past the horizon
+            assert_matches_oracle(values, DependencyKernel(*shape, lag1, lag2), 8)
+    # the default kernel: up to eight incoming couplings per cell
     net = build_grid(6, 6, seed=3)
     values = np.random.default_rng(9).uniform(0.0, 0.4, size=(4, net.n_cells))
-    assert_matches_oracle(values, default_kernel_oracle(net), 6)
+    assert_matches_oracle(values, default_kernel(net), 6)
 
 
 def test_zero_kernel_returns_primary_probability():
     values = np.array([[0.05, 0.10], [0.12, 0.01], [0.0, 0.15]])
     fld = PrimaryProbField(values=values)
-    kernel = DependencyKernel()
+    kernel = DependencyKernel(1, 2, 0.0, 0.0)
     for stage in range(3):
         for cell in range(2):
             assert expected_probability(fld, kernel, stage)[cell] == pytest.approx(
@@ -105,21 +94,21 @@ def test_worked_secondary_contribution():
     # 0.1 primary + 0.5 coupling x 0.2 at the previous stage = 0.2
     values = np.array([[0.2, 0.0], [0.0, 0.1]])
     fld = PrimaryProbField(values=values)
-    kernel = kernel_from_delta({(0, 1, 1): 0.5})
-    assert expected_probability(fld, kernel, 1)[1] == pytest.approx(0.2)
+    kernel = DependencyKernel(1, 2, 0.5, 0.0)
+    assert expected_probability(fld, kernel, 1).tolist() == pytest.approx([0.0, 0.2])
 
 
 def test_probability_caps_at_one():
     values = np.array([[0.9, 0.9], [0.9, 0.9]])
     fld = PrimaryProbField(values=values)
-    kernel = kernel_from_delta({(0, 1, 1): 5.0})
+    kernel = DependencyKernel(1, 2, 5.0, 0.0)
     assert expected_probability(fld, kernel, 1)[1] == 1.0
 
 
 def test_missing_history_counts_as_zero():
     values = np.array([[0.0, 0.1]])
     fld = PrimaryProbField(values=values)
-    kernel = kernel_from_delta({(0, 1, 1): 0.9, (0, 2, 1): 0.9})
+    kernel = DependencyKernel(1, 2, 0.9, 0.9)
     # stage 0: both lags reach before the horizon -> only the primary term
     assert expected_probability(fld, kernel, 0)[1] == pytest.approx(0.1)
 
@@ -127,7 +116,7 @@ def test_missing_history_counts_as_zero():
 def test_beyond_horizon_is_fed_only_by_lagged_history():
     values = np.array([[0.3, 0.0]])
     fld = PrimaryProbField(values=values)
-    kernel = kernel_from_delta({(0, 1, 1): 0.5})
+    kernel = DependencyKernel(1, 2, 0.5, 0.0)
     # stage 1 is outside the one-stage horizon; the lag-1 term still lands
     assert expected_probability(fld, kernel, 1)[1] == pytest.approx(0.15)
     assert expected_probability(fld, kernel, 2)[1] == 0.0
@@ -137,40 +126,35 @@ def test_increasing_a_coupling_never_decreases_probability():
     rng = np.random.default_rng(12)
     values = rng.uniform(0.0, 0.2, size=(5, 4))
     fld = PrimaryProbField(values=values)
-    delta = {(0, 1, 2): 0.2, (3, 2, 1): 0.4}
-    base = kernel_from_delta(delta)
-    bumped = kernel_from_delta({**delta, (0, 1, 2): 0.9})
-    for stage in range(6):
-        for cell in range(4):
-            assert (
-                expected_probability(fld, bumped, stage)[cell]
-                >= expected_probability(fld, base, stage)[cell] - 1e-15
-            )
+    base = DependencyKernel(2, 2, 0.2, 0.4)
+    for bumped in (DependencyKernel(2, 2, 0.9, 0.4), DependencyKernel(2, 2, 0.2, 0.9)):
+        for stage in range(6):
+            for cell in range(4):
+                assert (
+                    expected_probability(fld, bumped, stage)[cell]
+                    >= expected_probability(fld, base, stage)[cell] - 1e-15
+                )
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    rows=st.integers(1, 4),
-    cols=st.integers(1, 4),
+    stages=st.integers(1, 4),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
     stage=st.integers(0, 6),
     data=st.data(),
 )
-def test_output_always_a_probability(rows, cols, stage, data):
+def test_output_always_a_probability(stages, rows, cols, stage, data):
     values = np.array([
-        [data.draw(st.floats(0.0, 1.0)) for _ in range(cols)]
-        for _ in range(rows)
+        [data.draw(st.floats(0.0, 1.0)) for _ in range(rows * cols)]
+        for _ in range(stages)
     ])
-    n_entries = data.draw(st.integers(0, 5))
-    delta = {}
-    for _ in range(n_entries):
-        j = data.draw(st.integers(0, cols - 1))
-        k = data.draw(st.integers(0, cols - 1))
-        lag = data.draw(st.integers(1, 2))
-        delta[(j, lag, k)] = data.draw(st.floats(0.0, 3.0))
+    kernel = DependencyKernel(rows, cols, data.draw(st.floats(-1.0, 3.0)),
+                              data.draw(st.floats(-1.0, 3.0)))
+    delta = default_kernel_oracle(kernel, kernel.lag1, kernel.lag2)
     fld = PrimaryProbField(values=values)
-    kernel = kernel_from_delta(delta)
     raw = values.tolist()
-    for cell in range(cols):
+    for cell in range(rows * cols):
         p = expected_probability(fld, kernel, stage)[cell]
         assert 0.0 <= p <= 1.0
         assert p == probability_oracle(raw, delta, cell, stage)
@@ -218,14 +202,14 @@ def test_generate_field_rejects_empty_dimensions():
 def test_expected_probability_rejects_negative_stage():
     fld = generate_field(4, 3, seed=0)
     with pytest.raises(InputError):
-        expected_probability(fld, DependencyKernel(), -1)
+        expected_probability(fld, DependencyKernel(2, 2, 0.3, 0.1), -1)
 
 
-@pytest.mark.parametrize("entry", [(4, 1, 0), (0, 1, 4)])
-def test_expected_probability_rejects_kernel_cells_outside_the_field(entry):
+@pytest.mark.parametrize("shape", [(2, 3), (5, 1)])
+def test_expected_probability_rejects_kernel_cells_outside_the_field(shape):
     fld = generate_field(4, 3, seed=0)
-    with pytest.raises(InputError):
-        expected_probability(fld, kernel_from_delta({entry: 0.2}), 1)
+    with pytest.raises(InputError, match="4-cell field"):
+        expected_probability(fld, DependencyKernel(*shape, 0.3, 0.1), 1)
 
 
 def test_forecast_computes_each_stage_once_and_ranks_stably():
@@ -262,22 +246,34 @@ def test_stages_past_the_lagged_horizon_share_one_zero_row():
 # ----------------------------------------------------------------- kernel
 
 
+def impulse_rows(kernel, source, stages=4):
+    """Rows 0..stages-1 of a field that is 1 at `source` at stage 0, else 0."""
+    values = np.zeros((1, kernel.rows * kernel.cols))
+    values[0, source] = 1.0
+    fld = PrimaryProbField(values=values)
+    return [expected_probability(fld, kernel, stage) for stage in range(stages)]
+
+
 def test_default_kernel_couples_grid_neighbourhood():
-    net = build_grid(2, 2, (1.0, 1.0), seed=0)
-    delta = delta_of(default_kernel(net))
-    # every directed neighbour pair appears at both lags
-    assert len(delta) == 16
+    net = build_grid(3, 4, (1.0, 1.0), seed=0)
+    kernel = default_kernel(net)
+    assert kernel == DependencyKernel(3, 4, 0.3, 0.1)
     for k in range(net.n_cells):
-        for j in grid_neighbors(net, k):
-            assert delta[(j, 1, k)] == 0.3
-            assert delta[(j, 2, k)] == 0.1
+        # an incident at k raises exactly its grid neighbours, at both lags
+        near = np.zeros(net.n_cells)
+        near[grid_neighbors(net, k)] = 1.0
+        rows = impulse_rows(kernel, k)
+        assert rows[1].tolist() == (0.3 * near).tolist()
+        assert rows[2].tolist() == (0.1 * near).tolist()
+        assert not rows[3].any()
 
 
 def test_default_kernel_drops_zero_lags():
     net = build_grid(2, 2, (1.0, 1.0), seed=0)
-    delta = delta_of(default_kernel(net, lag1=0.5, lag2=0.0))
-    assert len(delta) == 8
-    assert all(lag == 1 for (_, lag, _) in delta)
+    for lag2 in (0.0, -0.1, float("nan")):
+        rows = impulse_rows(default_kernel(net, lag1=0.5, lag2=lag2), 0)
+        assert rows[1].tolist() == [0.0, 0.5, 0.5, 0.0]
+        assert rows[2].tolist() == [0.0] * 4  # no lag-2 term, not even a negative one
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (6, 7), (40, 40)])
@@ -285,16 +281,16 @@ def test_default_kernel_drops_zero_lags():
     (0.3, 0.1), (0.5, 0.0), (0.0, 0.2), (0.0, 0.0), (-0.1, 0.1)])
 def test_default_kernel_matches_the_double_loop_in_order(shape, lags):
     net = build_grid(*shape, (1.0, 1.0), seed=0)
-    kernel = default_kernel(net, *lags)
-    want = default_kernel_oracle(net, *lags)
-    assert list(delta_of(kernel).items()) == list(want.items())
-    assert len(kernel.ratio) == len(want)  # no entry collapsed in the dict
+    horizon = 3
+    # up to 0.6, so that some cells of some rows reach the cap
+    values = np.random.default_rng(17).uniform(0.0, 0.6, size=(horizon, net.n_cells))
+    assert_matches_oracle(values, default_kernel(net, *lags), horizon + 4)
 
 
 def test_kernel_validation():
-    for bad in ({(0, 3, 1): 0.2}, {(0, 0, 1): 0.2}, {(0, 1, 1): -0.2},
-                {(0, 1, 1): float("nan")}, {(-1, 1, 1): 0.2}, {(0, 1, -1): 0.2}):
+    fld = generate_field(4, 3, seed=0)
+    for shape in ((1, 3), (4, 4), (0, 4), (-2, -2)):
         with pytest.raises(InputError):
-            kernel_from_delta(bad)
-    with pytest.raises(InputError):
-        DependencyKernel(source=[0, 1], lag=[1], target=[1], ratio=[0.2])
+            expected_probability(fld, DependencyKernel(*shape, 0.3, 0.1), 1)
+    for shape in ((2, 2), (1, 4), (4, 1)):  # any grid of the field's 4 cells
+        assert expected_probability(fld, DependencyKernel(*shape, 0.3, 0.1), 1).shape == (4,)

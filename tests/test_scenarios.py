@@ -415,6 +415,9 @@ def test_scenario_validation():
         Scenario(seed=0, n_ervs=0)
     with pytest.raises(InputError):
         Scenario(seed=0, n_uavs=-1)
+    with pytest.raises(InputError, match="17 UAVs on a 4x4 grid"):
+        Scenario(seed=0, rows=4, cols=4, n_uavs=17)
+    Scenario(seed=0, rows=4, cols=4, n_uavs=16)  # one per cell is allowed
     with pytest.raises(InputError):
         Scenario(seed=0, stage_gap=0.0)
     with pytest.raises(InputError):
