@@ -77,13 +77,6 @@ def default_kernel(
     return DependencyKernel(net.rows, net.cols, lag1, lag2)
 
 
-def check_prob_range(prob_range: tuple[float, float]) -> None:
-    """Reject a cell probability range outside 0 <= lo <= hi <= 1."""
-    lo, hi = prob_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise InputError(f"probability range must sit inside [0,1]: ({lo},{hi})")
-
-
 def generate_field(
     n_cells: int,
     stages: int,
@@ -91,8 +84,9 @@ def generate_field(
     config: FieldConfig = FieldConfig(),
 ) -> PrimaryProbField:
     """Draw a uniform random primary field, optionally stage-normalized."""
-    check_prob_range(config.prob_range)
     lo, hi = config.prob_range
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise InputError(f"probability range must sit inside [0,1]: ({lo},{hi})")
     if stages < 1 or n_cells < 1:
         raise InputError("field needs at least one stage and one cell")
     rng = np.random.default_rng(seed)

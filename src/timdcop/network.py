@@ -43,15 +43,6 @@ class GridNetwork:
         return self.rows * self.cols
 
 
-def check_grid(rows: int, cols: int, edge_time_range: tuple[float, float]) -> None:
-    """Reject a grid under 2x2 or a link time range outside 0 < lo <= hi."""
-    if rows < 2 or cols < 2:
-        raise InputError(f"grid must be at least 2x2, got {rows}x{cols}")
-    lo, hi = edge_time_range
-    if lo <= 0 or hi < lo:
-        raise InputError(f"bad edge time range ({lo}, {hi})")
-
-
 def build_grid(
     rows: int,
     cols: int,
@@ -64,8 +55,11 @@ def build_grid(
     east link then south link), laid out into `east` and `south`, so a seed
     fully determines the network.
     """
-    check_grid(rows, cols, edge_time_range)
+    if rows < 2 or cols < 2:
+        raise InputError(f"grid must be at least 2x2, got {rows}x{cols}")
     lo, hi = edge_time_range
+    if lo <= 0 or hi < lo:
+        raise InputError(f"bad edge time range ({lo}, {hi})")
     # per cell in row-major order, its east link then its south link
     has = np.stack(np.broadcast_arrays(
         np.arange(cols) < cols - 1, np.arange(rows)[:, None] < rows - 1), axis=2)

@@ -44,7 +44,6 @@ from .erv import (
 from .forecast import (
     FieldConfig,
     Forecast,
-    check_prob_range,
     default_kernel,
     generate_field,
 )
@@ -59,7 +58,6 @@ from .network import (
     TIME_EPS,
     GridNetwork,
     build_grid,
-    check_grid,
     travel_rows,
     travel_time,
 )
@@ -104,6 +102,58 @@ def _int_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence([master, *key]).generate_state(1)[0])
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+def _unit(x) -> bool:
+    return 0.0 <= x <= 1.0
+
+
+def _any(x) -> bool:
+    return True
+
+
+# The scenario file format: file key -> (attribute, kind, rule, check). A
+# dotted key names a field of a section object, and a key in the solver
+# section sets a SolverConfig field rather than a Scenario one. A key a file
+# leaves out keeps the field's default; only seed and schedule are required.
+# The rule is the README's text for what `check` accepts.
+SCENARIO_FIELDS = {
+    "name": ("name", "text", "", _any),
+    "seed": ("seed", "count", "≥ 0", lambda x: x >= 0),
+    "schedule": ("schedule", "counts", "non-empty; each entry ≥ 0",
+                 lambda x: len(x) > 0 and min(x) >= 0),
+    "grid.rows": ("rows", "count", "≥ 2", lambda x: x >= 2),
+    "grid.cols": ("cols", "count", "≥ 2", lambda x: x >= 2),
+    "grid.edge_time_range": (
+        "edge_time_range", "numbers", "two finite numbers 0 < lo ≤ hi",
+        lambda x: len(x) == 2 and all(map(math.isfinite, x)) and 0 < x[0] <= x[1]),
+    "fleet.ervs": ("n_ervs", "count", "≥ 1", lambda x: x >= 1),
+    "fleet.uavs": ("n_uavs", "count", "≥ 0", lambda x: x >= 0),
+    "stage_gap_h": ("stage_gap", "number", "positive and finite", _positive),
+    "solver.algorithm": ("algorithm", "text", '"mgm" or "dsa"',
+                         lambda x: x in ("mgm", "dsa")),
+    "solver.iterations": ("iterations", "count", f"1 to {MAX_ITERATIONS:,}",
+                          lambda x: 1 <= x <= MAX_ITERATIONS),
+    "solver.dsa_threshold": ("dsa_threshold", "number", "in [0, 1]", _unit),
+    "forecast.prob_range": ("prob_range", "numbers", "two numbers 0 ≤ lo ≤ hi ≤ 1",
+                            lambda x: len(x) == 2 and 0 <= x[0] <= x[1] <= 1),
+    "forecast.normalize": ("normalize_field", "switch", "", _any),
+    "forecast.budget": ("field_budget", "number", "positive and finite", _positive),
+    "forecast.signal": ("forecast_signal", "number", "in [0, 1]", _unit),
+    "lookahead": ("lookahead", "count", "0, 1 or 2", lambda x: x in (0, 1, 2)),
+    "relocation_k": ("relocation_k", "count", "≥ 0", lambda x: x >= 0),
+    "cooperation": ("cooperation", "switch", "", _any),
+    "kappa": ("kappa", "number", "positive and finite", _positive),
+}
+
+
+def _holder(sc: Scenario, key: str):
+    """The object that holds `key`'s attribute: the solver or the scenario."""
+    return sc.solver if key.startswith("solver.") else sc
+
+
 @dataclass(frozen=True)
 class Scenario:
     seed: int
@@ -129,47 +179,20 @@ class Scenario:
         # a scenario keys the per-world run cache, so every field must hash
         for name in ("schedule", "edge_time_range", "prob_range"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
-        for name in ("edge_time_range", "prob_range"):
-            lo_hi = getattr(self, name)
-            if len(lo_hi) != 2 or not all(map(math.isfinite, lo_hi)):
-                raise InputError(f"{name} must be two finite floats, got {lo_hi}")
-        # the checks build_grid and generate_field make, here at load
-        check_grid(self.rows, self.cols, self.edge_time_range)
-        check_prob_range(self.prob_range)
-        if self.n_ervs < 1:
-            raise InputError("need at least one ERV")
-        if self.n_ervs > self.rows * self.cols:  # keeps all-different satisfiable
+        for key, (attr, _, rule, check) in SCENARIO_FIELDS.items():
+            value = getattr(_holder(self, key), attr)
+            if not check(value):
+                raise InputError(f"{key} must be {rule}, got {value!r}")
+        cells = self.rows * self.cols
+        if self.n_ervs > cells:  # keeps all-different satisfiable
             raise InputError(f"{self.n_ervs} ERVs on a {self.rows}x{self.cols} "
                              "grid: at most one per cell")
-        if self.n_uavs < 0:
-            raise InputError("negative UAV count")
-        if self.n_uavs > self.rows * self.cols:  # a UAV past one per cell only idles
+        if self.n_uavs > cells:  # a UAV past one per cell only idles
             raise InputError(f"{self.n_uavs} UAVs on a {self.rows}x{self.cols} "
                              "grid: at most one per cell")
-        if not (math.isfinite(self.stage_gap) and self.stage_gap > 0):
-            raise InputError(
-                f"stage gap must be positive and finite, got {self.stage_gap}")
-        if self.relocation_k < 0:
-            raise InputError(f"relocation_k must be >= 0, got {self.relocation_k}")
-        if not self.schedule or any(k < 0 for k in self.schedule):
-            raise InputError("schedule must be a non-empty tuple of counts >= 0")
-        if max(self.schedule) > self.rows * self.cols:  # one incident per cell
+        if max(self.schedule) > cells:  # one incident per cell
             raise InputError(f"a stage requests {max(self.schedule)} incidents "
-                             f"on {self.rows * self.cols} cells")
-        if not (0.0 <= self.forecast_signal <= 1.0):
-            raise InputError("forecast_signal must lie in [0, 1]")
-        if self.lookahead not in (0, 1, 2):
-            raise InputError(f"lookahead must be 0, 1 or 2, got {self.lookahead}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise InputError(f"kappa must be positive and finite, got {self.kappa}")
-        if not (math.isfinite(self.field_budget) and self.field_budget > 0):
-            raise InputError(
-                f"forecast budget must be positive and finite, got {self.field_budget}")
-        if self.solver.iterations > MAX_ITERATIONS:
-            raise InputError(f"solver.iterations must be at most {MAX_ITERATIONS}, "
-                             f"got {self.solver.iterations}")
+                             f"on {cells} cells")
         try:
             bound = _stage_bound(self)
         except OverflowError:  # a count too large for a float
@@ -938,57 +961,43 @@ READERS = {
     "numbers": _listed(number),
 }
 
-# The scenario file format: file key -> (attribute, kind). A dotted key names
-# a field of a section object, and a key in the solver section sets a
-# SolverConfig field rather than a Scenario one. A key a file leaves out
-# keeps the field's default; only seed and schedule are required.
-SCENARIO_FIELDS = {
-    "name": ("name", "text"),
-    "seed": ("seed", "count"),
-    "schedule": ("schedule", "counts"),
-    "grid.rows": ("rows", "count"),
-    "grid.cols": ("cols", "count"),
-    "grid.edge_time_range": ("edge_time_range", "numbers"),
-    "fleet.ervs": ("n_ervs", "count"),
-    "fleet.uavs": ("n_uavs", "count"),
-    "stage_gap_h": ("stage_gap", "number"),
-    "solver.algorithm": ("algorithm", "text"),
-    "solver.iterations": ("iterations", "count"),
-    "solver.dsa_threshold": ("dsa_threshold", "number"),
-    "forecast.prob_range": ("prob_range", "numbers"),
-    "forecast.normalize": ("normalize_field", "switch"),
-    "forecast.budget": ("field_budget", "number"),
-    "forecast.signal": ("forecast_signal", "number"),
-    "lookahead": ("lookahead", "count"),
-    "relocation_k": ("relocation_k", "count"),
-    "cooperation": ("cooperation", "switch"),
-    "kappa": ("kappa", "number"),
-}
+
+_SECTIONS = frozenset(key.split(".")[0] for key in SCENARIO_FIELDS if "." in key)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     d: dict = {}
-    for key, (attr, kind) in SCENARIO_FIELDS.items():
+    for key, (attr, kind, *_) in SCENARIO_FIELDS.items():
         section, _, name = key.rpartition(".")
-        value = getattr(sc.solver if section == "solver" else sc, attr)
+        value = getattr(_holder(sc, key), attr)
         (d.setdefault(section, {}) if section else d)[name] = (
             list(value) if kind in ("counts", "numbers") else value)
     return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    _object(d, "a scenario")
+    flat: dict = {}  # file key -> JSON value
+    for top, value in _object(d, "a scenario").items():
+        if top in _SECTIONS:
+            for name, v in _object(value, top).items():
+                flat[f"{top}.{name}"] = v
+        elif "." in top:
+            raise InputError(f"unknown scenario key {top!r}: a dotted key "
+                             "is a field of its section object")
+        else:
+            flat[top] = value
+    for key in flat:
+        if key not in SCENARIO_FIELDS:
+            raise InputError(f"unknown scenario key {key!r}")
     for key in ("seed", "schedule"):
-        if key not in d:
+        if key not in flat:
             raise InputError(f"a scenario needs {key}")
     fields: dict = {}
     solver: dict = {}
-    for key, (attr, kind) in SCENARIO_FIELDS.items():
-        section, _, name = key.rpartition(".")
-        doc = _object(d.get(section, {}), section) if section else d
-        if name in doc:
-            (solver if section == "solver" else fields)[attr] = (
-                READERS[kind](doc[name], key))
+    for key, (attr, kind, *_) in SCENARIO_FIELDS.items():
+        if key in flat:
+            (solver if key.startswith("solver.") else fields)[attr] = (
+                READERS[kind](flat[key], key))
     return Scenario(solver=SolverConfig(**solver), **fields)
 
 

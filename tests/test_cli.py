@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -318,6 +319,10 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     # more UAVs than cells: far past what numpy can draw, and just past the bound
     {"seed": 1, "schedule": [1], "fleet": {"uavs": 10**22}},
     {"seed": 1, "schedule": [1], "grid": {"rows": 2, "cols": 3}, "fleet": {"uavs": 7}},
+    # a key the format does not have: a typo must not run the default
+    {"extra_key": 3},
+    {"grid": {"rowz": 4}},
+    {"grid.rows": 4},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -396,6 +401,92 @@ def test_generated_scenarios_exit_with_a_mapped_code(doc):
                      "--policy", "conventional,pdronetim,opt", "--out", str(out)])
         assert code in (0, 1, 2, 3)
         assert out.exists() == (code == 0)
+
+
+# a value of each scenario file kind: small counts, and numbers from 0.1 up
+# so that a generated stage gap runs few stages
+KIND_VALUES = {
+    "count": st.integers(0, 3),
+    "number": st.floats(0.1, 1.0),
+    "text": st.sampled_from(["", "mgm", "dsa"]),
+    "switch": st.booleans(),
+    "counts": st.lists(st.integers(0, 2), min_size=1, max_size=2),
+    "numbers": ordered_pair(0.0, 1.0),
+}
+
+
+def file_value(key):
+    return or_junk(KIND_VALUES[scenarios.SCENARIO_FIELDS[key][1]])
+
+
+def nested(flat):
+    """The scenario file that sets each file key of `flat` to its value."""
+    doc = {}
+    for key, value in flat.items():
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+    return doc
+
+
+_SMALL = ("seed", "schedule", "grid.rows", "grid.cols")
+# a 2-3 x 2-3 grid, a short schedule and up to three more keys of the table
+SMALL_SCENARIOS = or_junk(st.tuples(
+    st.fixed_dictionaries({"seed": or_junk(st.integers(0, 50)),
+                           "schedule": file_value("schedule"),
+                           "grid.rows": or_junk(st.integers(2, 3)),
+                           "grid.cols": or_junk(st.integers(2, 3))}),
+    st.sets(st.sampled_from([k for k in scenarios.SCENARIO_FIELDS if k not in _SMALL]),
+            max_size=3).flatmap(
+        lambda keys: st.fixed_dictionaries({k: file_value(k) for k in sorted(keys)})),
+).map(lambda parts: nested({**parts[0], **parts[1]})))
+
+POLICY_WORDS = st.sampled_from([*scenarios.POLICIES, "conventional,opt", "PDRONETIM"])
+
+RUN_MANIFESTS = or_junk(st.fixed_dictionaries(
+    {"kind": st.just("run"), "scenario": SMALL_SCENARIOS},
+    optional={"policies": or_junk(st.lists(or_junk(POLICY_WORDS), max_size=3))},
+))
+
+SWEEP_MANIFESTS = or_junk(st.sampled_from(list(cli._AXES)).flatmap(
+    lambda axis: st.fixed_dictionaries({
+        "kind": st.just("sweep"),
+        "scenario": SMALL_SCENARIOS,
+        "axis": or_junk(st.fixed_dictionaries({
+            "name": or_junk(st.just(axis)),
+            "values": or_junk(st.lists(file_value(cli._AXES[axis]),
+                                       min_size=1, max_size=3)),
+        })),
+        "trials": or_junk(st.integers(1, 2)),
+    }, optional={"policy": or_junk(POLICY_WORDS)})))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command_doc=st.one_of(st.tuples(st.just("run"), RUN_MANIFESTS),
+                             st.tuples(st.just("sweep"), SWEEP_MANIFESTS)),
+       existing=st.booleans())
+def test_generated_manifests_exit_with_a_mapped_code(command_doc, existing):
+    command, doc = command_doc
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop(cli.WORKERS_ENV, None)  # sweep points run in process
+        tmp = Path(tmp)
+        path = tmp / "manifest.json"
+        path.write_text(json.dumps(doc))
+        out = tmp / "o"
+        if existing:
+            out.mkdir()
+            (out / "sentinel.txt").write_bytes(b"kept\n")
+        before = sorted(tmp.iterdir())
+        code = main([command, "--manifest", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert (out / "manifest.json").is_file()
+        else:
+            # no --out made, no hidden sibling left, an existing --out as it was
+            assert sorted(tmp.iterdir()) == before
+            if existing:
+                assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+                    "sentinel.txt": b"kept\n"}
 
 
 def test_short_stage_gap_drains(tmp_path):

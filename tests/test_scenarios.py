@@ -477,12 +477,12 @@ def test_scenario_round_trips_through_its_dict_form():
 
 
 def test_the_field_table_states_the_whole_format():
-    attrs = [attr for attr, _ in scenarios.SCENARIO_FIELDS.values()]
+    attrs = [attr for attr, *_ in scenarios.SCENARIO_FIELDS.values()]
     fields = [f.name for f in dataclasses.fields(Scenario) if f.name != "solver"]
     fields += [f.name for f in dataclasses.fields(SolverConfig) if f.name != "seed"]
     assert sorted(attrs) == sorted(fields)  # each field exactly once
     assert all(kind in scenarios.READERS
-               for _, kind in scenarios.SCENARIO_FIELDS.values())
+               for _, kind, *_ in scenarios.SCENARIO_FIELDS.values())
     # a file with only the required keys takes every default
     assert scenario_from_dict({"seed": 4, "schedule": [2, 1]}) == Scenario(
         seed=4, schedule=(2, 1))
@@ -504,6 +504,13 @@ def test_scenario_dict_rejects_garbage():
     for section in ("grid", "fleet", "solver", "forecast"):
         with pytest.raises(InputError):
             scenario_from_dict({"seed": 1, "schedule": [1], section: [1]})
+    # a key the table does not have is named, not ignored
+    for bad, key in (({"extra_key": 3}, "'extra_key'"),
+                     ({"grid": {"rowz": 4}}, "'grid.rowz'"),
+                     ({"solver": {"seed": 4}}, "'solver.seed'"),
+                     ({"grid.rows": 4}, "'grid.rows'")):
+        with pytest.raises(InputError, match=f"unknown scenario key {key}"):
+            scenario_from_dict({"seed": 1, "schedule": [1], **bad})
     # whole numbers are counts; a fraction, a string or a bool is not
     assert scenario_from_dict({"seed": 1.0, "schedule": [2.0]}).schedule == (2,)
     for bad in ({"seed": 2.5}, {"seed": "1"}, {"schedule": [True]},
