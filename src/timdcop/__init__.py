@@ -6,7 +6,6 @@ from .erv import ErvState, StageContext, build_erv_problem
 from .forecast import (
     DependencyKernel,
     Forecast,
-    PrimaryProbField,
     default_kernel,
     expected_probability,
     generate_field,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryConstraint", "DcopProblem", "total_cost",
     "ErvState", "StageContext", "build_erv_problem",
-    "DependencyKernel", "Forecast", "PrimaryProbField", "default_kernel",
+    "DependencyKernel", "Forecast", "default_kernel",
     "expected_probability", "generate_field",
     "Incident", "TrafficParams", "delay_variance", "expected_delay",
     "sample_incident",

@@ -27,6 +27,7 @@ from .scenarios import (
     READERS,
     SCENARIO_FIELDS,
     Scenario,
+    known_keys,
     materialize,
     result_to_json,
     run_policy,
@@ -55,6 +56,11 @@ _AXES = {
 }
 # --axis cooperation=... words
 _ON, _OFF = ("1", "true", "on"), ("0", "false", "off")
+# manifest kind (the command that writes and reads it) -> the keys it holds
+_MANIFEST_KEYS = {
+    "run": ("kind", "scenario", "policies"),
+    "sweep": ("kind", "scenario", "axis", "trials", "policy"),
+}
 
 
 def _text_number(text: str, what: str) -> float:
@@ -85,11 +91,11 @@ def _workers() -> int:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, not UTF-8, or an int too long to read
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path} must hold a JSON object, not {type(doc).__name__}")
@@ -181,6 +187,10 @@ def _resolve_scenario(args) -> tuple[Scenario, dict | None]:
     manifest = None
     if args.manifest:
         manifest = _load_json(args.manifest)
+        if manifest.get("kind") != args.command:
+            raise InputError(f"{args.manifest} is not a {args.command} manifest: "
+                             f"its kind is {manifest.get('kind')!r}")
+        known_keys(manifest, _MANIFEST_KEYS[args.command], f"{args.command} manifest")
         if "scenario" not in manifest:
             raise InputError(f"{args.manifest} has no scenario block")
         sc = scenario_from_dict(manifest["scenario"])
@@ -252,10 +262,11 @@ def _sweep_point(payload: tuple) -> tuple:
 
 def cmd_sweep(args) -> int:
     sc, manifest = _resolve_scenario(args)
-    if manifest is not None and manifest.get("kind") == "sweep":
+    if manifest is not None:
         axis_d = manifest.get("axis")
         if not isinstance(axis_d, dict):
             raise InputError("a sweep manifest needs an axis object")
+        known_keys(axis_d, ("name", "values"), "sweep manifest axis")
         axis, values, text = axis_d.get("name"), axis_d.get("values"), False
         trials = manifest.get("trials")
         policies = [manifest["policy"]] if "policy" in manifest else []

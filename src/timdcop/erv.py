@@ -41,12 +41,7 @@ FUTURE_PARAMS = reference_params()  # prices forecast (not yet sampled) incident
 class ErvState:
     id: str
     cell: CellId
-    available_at: float = 0.0           # free for tasking at/after this time
-    initial_cell: CellId | None = None  # depot for the conventional policy
-
-    def __post_init__(self) -> None:
-        if self.initial_cell is None:
-            self.initial_cell = self.cell
+    available_at: float = 0.0  # free for tasking at/after this time
 
     def is_free(self, now: float) -> bool:
         return self.available_at <= now + TIME_EPS

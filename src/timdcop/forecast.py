@@ -32,21 +32,6 @@ DEFAULT_LAG1 = 0.3
 DEFAULT_LAG2 = 0.1
 
 
-@dataclass
-class PrimaryProbField:
-    """Per-stage, per-cell primary incident probabilities."""
-
-    values: np.ndarray  # shape (stages, cells), entries in [0, 1]
-
-    @property
-    def stages(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cells(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass(frozen=True)
 class DependencyKernel:
     """Secondary-incident coupling of every cell of a rows x cols grid to its
@@ -63,13 +48,6 @@ class DependencyKernel:
     lag2: float
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    prob_range: tuple[float, float] = DEFAULT_PROB_RANGE
-    normalize: bool = False
-    budget: float = 1.0  # per-stage probability mass when normalizing
-
-
 def default_kernel(
     net: GridNetwork, lag1: float = DEFAULT_LAG1, lag2: float = DEFAULT_LAG2
 ) -> DependencyKernel:
@@ -81,21 +59,25 @@ def generate_field(
     n_cells: int,
     stages: int,
     seed: int = 0,
-    config: FieldConfig = FieldConfig(),
-) -> PrimaryProbField:
-    """Draw a uniform random primary field, optionally stage-normalized."""
-    lo, hi = config.prob_range
+    *,
+    prob_range: tuple[float, float] = DEFAULT_PROB_RANGE,
+    normalize: bool = False,
+    budget: float = 1.0,
+) -> np.ndarray:
+    """Draw a uniform random primary field, shape (stages, n_cells) with
+    entries in [0, 1]; when normalizing, each stage sums to `budget`."""
+    lo, hi = prob_range
     if not (0.0 <= lo <= hi <= 1.0):
         raise InputError(f"probability range must sit inside [0,1]: ({lo},{hi})")
     if stages < 1 or n_cells < 1:
         raise InputError("field needs at least one stage and one cell")
     rng = np.random.default_rng(seed)
     vals = rng.uniform(lo, hi, size=(stages, n_cells))
-    if config.normalize:
+    if normalize:
         sums = vals.sum(axis=1, keepdims=True)
         nonzero = sums[:, 0] > 0
-        vals[nonzero] = vals[nonzero] / sums[nonzero] * config.budget
-    return PrimaryProbField(values=vals)
+        vals[nonzero] = vals[nonzero] / sums[nonzero] * budget
+    return vals
 
 
 # (target, source) slices of a (rows, cols) grid that pair each cell with its
@@ -109,27 +91,26 @@ _NEIGHBOURS = (
 
 
 def expected_probability(
-    fld: PrimaryProbField,
+    fld: np.ndarray,
     kernel: DependencyKernel,
     stage: int,
 ) -> np.ndarray:
     """Primary plus lagged secondary probability of every cell at `stage`,
-    capped at 1.
+    capped at 1, from a (stages, cells) primary field.
 
     Each cell adds its terms in one order: its primary, then its neighbours
     up, down, left and right, each at lag 1 then lag 2.
     """
     if stage < 0:
         raise InputError(f"stage must be >= 0, got {stage}")
+    stages, cells = fld.shape
     shape = (kernel.rows, kernel.cols)
-    if min(shape) < 1 or kernel.rows * kernel.cols != fld.cells:
+    if min(shape) < 1 or kernel.rows * kernel.cols != cells:
         raise InputError(
-            f"a {kernel.rows}x{kernel.cols} kernel on a {fld.cells}-cell field")
+            f"a {kernel.rows}x{kernel.cols} kernel on a {cells}-cell field")
 
     def primary(u: int) -> np.ndarray:
-        if 0 <= u < fld.stages:
-            return fld.values[u]
-        return np.zeros(fld.cells)
+        return fld[u] if 0 <= u < stages else np.zeros(cells)
 
     row = primary(stage).astype(float)
     total = row.reshape(shape)  # a view: adds land in `row`
@@ -148,18 +129,18 @@ class Forecast:
     ranking computed once, on first read.
 
     Rows and rankings are shared by every reader of the world and are
-    read-only. Every stage from `field_.stages + 2` on has no primary and
-    no lagged history, and shares that stage's row and ranking.
+    read-only. Every stage from two past the field's last on has no primary
+    and no lagged history, and shares that stage's row and ranking.
     """
 
-    field_: PrimaryProbField
+    field_: np.ndarray  # (stages, cells) primary probabilities
     kernel: DependencyKernel
     _stages: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def _stage(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
-        stage = min(stage, self.field_.stages + 2)
+        stage = min(stage, len(self.field_) + 2)
         memo = self._stages.get(stage)
         if memo is None:
             row = expected_probability(self.field_, self.kernel, stage)

@@ -41,12 +41,7 @@ from .erv import (
     apply_assignment,
     build_erv_problem,
 )
-from .forecast import (
-    FieldConfig,
-    Forecast,
-    default_kernel,
-    generate_field,
-)
+from .forecast import Forecast, default_kernel, generate_field
 from .incidents import (
     SEVERITY_RANGES,
     Incident,
@@ -61,7 +56,7 @@ from .network import (
     travel_rows,
     travel_time,
 )
-from .solvers import SolverConfig, solve
+from .solvers import SOLVER_RULES, SolverConfig, solve
 from .uav import (
     AssimilationRecord,
     DelayBelief,
@@ -77,10 +72,9 @@ from .uav import (
 POLICIES = ("conventional", "pdronetim", "opt")
 
 OPT_EVAL_CAP = 10**6
-# load-time ceilings on a scenario's work: a 100x100 grid with 1,000 requests
-# at the default gap is bounded by about 1.2e6 stages; 45 rounds is the default
+# load-time ceiling on a scenario's stages: a 100x100 grid with 1,000
+# requests at the default gap is bounded by about 1.2e6 stages
 MAX_STAGES = 10**7
-MAX_ITERATIONS = 10_000
 _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
@@ -102,8 +96,16 @@ def _int_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence([master, *key]).generate_state(1)[0])
 
 
+def _finite(x) -> bool:
+    """A finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _positive(x) -> bool:
-    return math.isfinite(x) and x > 0
+    return _finite(x) and x > 0
 
 
 def _unit(x) -> bool:
@@ -128,15 +130,13 @@ SCENARIO_FIELDS = {
     "grid.cols": ("cols", "count", "≥ 2", lambda x: x >= 2),
     "grid.edge_time_range": (
         "edge_time_range", "numbers", "two finite numbers 0 < lo ≤ hi",
-        lambda x: len(x) == 2 and all(map(math.isfinite, x)) and 0 < x[0] <= x[1]),
+        lambda x: len(x) == 2 and all(map(_finite, x)) and 0 < x[0] <= x[1]),
     "fleet.ervs": ("n_ervs", "count", "≥ 1", lambda x: x >= 1),
     "fleet.uavs": ("n_uavs", "count", "≥ 0", lambda x: x >= 0),
     "stage_gap_h": ("stage_gap", "number", "positive and finite", _positive),
-    "solver.algorithm": ("algorithm", "text", '"mgm" or "dsa"',
-                         lambda x: x in ("mgm", "dsa")),
-    "solver.iterations": ("iterations", "count", f"1 to {MAX_ITERATIONS:,}",
-                          lambda x: 1 <= x <= MAX_ITERATIONS),
-    "solver.dsa_threshold": ("dsa_threshold", "number", "in [0, 1]", _unit),
+    "solver.algorithm": ("algorithm", "text", *SOLVER_RULES["algorithm"]),
+    "solver.iterations": ("iterations", "count", *SOLVER_RULES["iterations"]),
+    "solver.dsa_threshold": ("dsa_threshold", "number", *SOLVER_RULES["dsa_threshold"]),
     "forecast.prob_range": ("prob_range", "numbers", "two numbers 0 ≤ lo ≤ hi ≤ 1",
                             lambda x: len(x) == 2 and 0 <= x[0] <= x[1] <= 1),
     "forecast.normalize": ("normalize_field", "switch", "", _any),
@@ -228,11 +228,8 @@ def materialize(sc: Scenario) -> World:
     stages = len(sc.schedule) + sc.lookahead + 1
     field_ = generate_field(
         net.n_cells, stages, seed=_int_seed(sc.seed, _FIELD),
-        config=FieldConfig(
-            prob_range=sc.prob_range,
-            normalize=sc.normalize_field,
-            budget=sc.field_budget,
-        ),
+        prob_range=sc.prob_range, normalize=sc.normalize_field,
+        budget=sc.field_budget,
     )
 
     inc_rng = _rng(sc.seed, _INC)
@@ -259,9 +256,7 @@ def materialize(sc: Scenario) -> World:
         for inc in incidents:
             stage = int(round(inc.report_time / sc.stage_gap))
             cell = inc.location
-            field_.values[stage, cell] = min(
-                1.0, field_.values[stage, cell] + sc.forecast_signal
-            )
+            field_[stage, cell] = min(1.0, field_[stage, cell] + sc.forecast_signal)
 
     pos_rng = _rng(sc.seed, _POS)
     erv_cells = [int(c) for c in pos_rng.integers(0, net.n_cells, sc.n_ervs)]
@@ -285,6 +280,19 @@ class IncidentOutcome:
     delay_veh_h: float
     delay_var: float
     cooperating: bool
+
+
+def _served(inc: Incident, erv_id: str, response: float,
+            cooperating: bool = False) -> IncidentOutcome:
+    """The outcome of `inc`, served by `erv_id` at `response` hours after
+    its report, with its delay and delay variance priced once."""
+    return IncidentOutcome(
+        incident_id=inc.id, cell=inc.location, severity=inc.severity,
+        report_h=inc.report_time, erv_id=erv_id, response_h=response,
+        delay_veh_h=expected_delay(inc.params, response),
+        delay_var=delay_variance(inc.params, response),
+        cooperating=cooperating,
+    )
 
 
 @dataclass
@@ -433,7 +441,7 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
         records: list[DispatchRecord] = []
         # skip the solve when there is nothing to do: no open incidents and
         # nothing left to anticipate (past the forecast horizon)
-        if free and (open_inc or stage + 1 < w.forecast.field_.stages):
+        if free and (open_inc or stage + 1 < len(w.forecast.field_)):
             ctx = StageContext(
                 net=w.net, forecast=w.forecast,
                 stage_time=t, stage_index=stage, open_incidents=open_inc,
@@ -486,18 +494,10 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
         for r in records:
             inc = r.incident
             coop = sc.cooperation and inc.location in observed.values()
-            response = cooperation_effect(
-                r.response_h, w.hazard[inc.id], coop
-            )
-            d = expected_delay(inc.params, response)
-            v = delay_variance(inc.params, response)
-            beliefs[inc.location] = (inc.id, DelayBelief(mean=d, variance=v))
-            outcomes.append(IncidentOutcome(
-                incident_id=inc.id, cell=inc.location, severity=inc.severity,
-                report_h=inc.report_time, erv_id=r.erv_id,
-                response_h=response, delay_veh_h=d, delay_var=v,
-                cooperating=coop,
-            ))
+            response = cooperation_effect(r.response_h, w.hazard[inc.id], coop)
+            o = _served(inc, r.erv_id, response, coop)
+            beliefs[inc.location] = (inc.id, DelayBelief(o.delay_veh_h, o.delay_var))
+            outcomes.append(o)
 
         # data assimilation for every overflight (UAVs observe served cells
         # only, at most one UAV per cell)
@@ -530,8 +530,8 @@ def run_conventional(sc: Scenario, world: World | None = None) -> RunResult:
 
 
 def _run_conventional(sc: Scenario, w: World) -> RunResult:
-    fleet = _fleet(w)
-    depots = {e.initial_cell for e in fleet}
+    fleet = _fleet(w)  # a vehicle's cell never leaves its depot
+    depots = {e.cell for e in fleet}
     outcomes: list[IncidentOutcome] = []
 
     def step(stage: int, t: float, open_inc: list[Incident],
@@ -556,21 +556,12 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
                 key=lambda e: (travel_time(w.net, e.cell, inc.location), e.id),
             )
             travel = travel_time(w.net, erv.cell, inc.location)
-            response = (t - inc.report_time) + travel
-            d = expected_delay(inc.params, response)
-            v = delay_variance(inc.params, response)
+            outcomes.append(_served(inc, erv.id, (t - inc.report_time) + travel))
             served.append(inc)
             # serve, then drive home; busy for the whole tour
-            back = travel_time(w.net, inc.location, erv.initial_cell)
+            back = travel_time(w.net, inc.location, erv.cell)
             erv.available_at = t + travel + inc.params.clearance + back
-            erv.cell = erv.initial_cell
             assignments.append((erv.id, inc.location, "dispatch"))
-            outcomes.append(IncidentOutcome(
-                incident_id=inc.id, cell=inc.location, severity=inc.severity,
-                report_h=inc.report_time, erv_id=erv.id,
-                response_h=response, delay_veh_h=d, delay_var=v,
-                cooperating=False,
-            ))
         return served, {"erv_assignments": assignments}
 
     stages = _run_stages(sc, w, fleet, step)
@@ -599,18 +590,9 @@ def run_opt(sc: Scenario, world: World | None = None,
                      key=lambda t: t[0])
     plan, nodes = search.search(cost, seqs, cap)
 
-    outcomes = []
-    for i, e, start in plan:
-        inc = search.incidents[i]
-        response = start - inc.report_time
-        outcomes.append(IncidentOutcome(
-            incident_id=inc.id, cell=inc.location, severity=inc.severity,
-            report_h=inc.report_time, erv_id=_erv_id(e),
-            response_h=response,
-            delay_veh_h=expected_delay(inc.params, response),
-            delay_var=delay_variance(inc.params, response),
-            cooperating=False,
-        ))
+    incidents = search.incidents
+    outcomes = [_served(incidents[i], _erv_id(e), start - incidents[i].report_time)
+                for i, e, start in plan]
     return _finish("opt", sc, [], outcomes, [], opt_nodes=nodes)
 
 
@@ -910,6 +892,13 @@ def _object(d, what: str) -> dict:
     return d
 
 
+def known_keys(d: dict, keys, what: str) -> None:
+    """Reject a key of `d` that is not one of `keys`, rather than ignore it."""
+    for key in d:
+        if key not in keys:
+            raise InputError(f"unknown {what} key {key!r}")
+
+
 def whole_number(x, what: str) -> int:
     """A count or seed: a whole number, never truncated."""
     if isinstance(x, bool) or not isinstance(x, (int, float)) or (
@@ -986,9 +975,7 @@ def scenario_from_dict(d: dict) -> Scenario:
                              "is a field of its section object")
         else:
             flat[top] = value
-    for key in flat:
-        if key not in SCENARIO_FIELDS:
-            raise InputError(f"unknown scenario key {key!r}")
+    known_keys(flat, SCENARIO_FIELDS, "scenario")
     for key in ("seed", "schedule"):
         if key not in flat:
             raise InputError(f"a scenario needs {key}")

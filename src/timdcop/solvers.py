@@ -54,6 +54,17 @@ from .dcop import Assignment, DcopProblem, total_cost
 from .errors import InputError
 
 
+# ceiling on the rounds of one solve (45 is the default)
+MAX_ITERATIONS = 10_000
+# SolverConfig field -> (rule, check): the rule is the README's text for what
+# `check` accepts, and the scenario file table takes both from here
+SOLVER_RULES = {
+    "algorithm": ('"mgm" or "dsa"', lambda x: x in ("mgm", "dsa")),
+    "iterations": (f"1 to {MAX_ITERATIONS:,}", lambda x: 1 <= x <= MAX_ITERATIONS),
+    "dsa_threshold": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     algorithm: str = "dsa"      # "mgm" or "dsa"
@@ -62,12 +73,10 @@ class SolverConfig:
     seed: int | None = None     # mandatory for DSA (stochastic move rule)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("mgm", "dsa"):
-            raise InputError(f"unknown algorithm {self.algorithm!r}")
-        if self.iterations < 1:
-            raise InputError("iterations must be >= 1")
-        if not (0.0 <= self.dsa_threshold <= 1.0):
-            raise InputError("dsa_threshold must lie in [0, 1]")
+        for attr, (rule, check) in SOLVER_RULES.items():
+            value = getattr(self, attr)
+            if not check(value):
+                raise InputError(f"solver.{attr} must be {rule}, got {value!r}")
 
 
 @dataclass

@@ -203,6 +203,19 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    # an integer longer than Python converts from text, and bytes not UTF-8
+    b'{"seed": 1, "schedule": [1], "kappa": ' + b"9" * 5000 + b"}",
+    b'{"seed": 1, "schedule": [1], "name": "\xff"}',
+])
+def test_json_that_python_cannot_read_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "broken.json"
+    bad.write_bytes(text)
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "is not valid JSON" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_manifest_that_is_not_an_object_exits_2(tmp_path, capsys, command):
     manifest = tmp_path / "manifest.json"
@@ -340,6 +353,21 @@ def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver, message", [
+    ({"algorithm": "x"}, """solver.algorithm must be "mgm" or "dsa", got 'x'"""),
+    ({"dsa_threshold": 2}, "solver.dsa_threshold must be in [0, 1], got 2.0"),
+    ({"iterations": 0}, "solver.iterations must be 1 to 10,000, got 0"),
+])
+def test_a_bad_solver_value_exits_2_naming_its_key(tmp_path, capsys, solver,
+                                                   message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"seed": 1, "schedule": [1], "solver": solver}))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # what a hand-edited scenario may hold instead of the value a field needs
 JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -416,7 +444,9 @@ KIND_VALUES = {
 
 
 def file_value(key):
-    return or_junk(KIND_VALUES[scenarios.SCENARIO_FIELDS[key][1]])
+    """A value of the key's kind that its rule accepts."""
+    _, kind, _, check = scenarios.SCENARIO_FIELDS[key]
+    return KIND_VALUES[kind].filter(check)
 
 
 def nested(flat):
@@ -428,36 +458,71 @@ def nested(flat):
     return doc
 
 
+def positions(doc, path=()):
+    """(path, value) of every value in a JSON document, the whole first; a
+    path is the keys and indices that lead to the value."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from positions(value, (*path, key))
+
+
+def put(doc, path, value):
+    """A copy of `doc` with `value` at `path`, whose last key may be new."""
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = put(doc[path[0]], path[1:], value) if path[1:] else value
+    return copy
+
+
+@st.composite
+def spoiled(draw, docs):
+    """A document of `docs`: as drawn three times in six, with an unknown key
+    in one of its objects once in six, and with junk at one of its positions
+    twice in six. Hypothesis shrinks towards the first choice of a list, so
+    the valid document comes first and the whole document last."""
+    doc = draw(docs)
+    places = list(positions(doc))[::-1]
+    how = draw(st.sampled_from(["valid"] * 3 + ["key"] + ["junk"] * 2))
+    if how == "key":
+        within = draw(st.sampled_from([p for p, v in places if isinstance(v, dict)]))
+        return put(doc, (*within, draw(st.sampled_from(["polciy", "rowz", "extra"]))), 1)
+    if how == "junk":
+        return put(doc, draw(st.sampled_from([p for p, _ in places])), draw(JUNK))
+    return doc
+
+
 _SMALL = ("seed", "schedule", "grid.rows", "grid.cols")
 # a 2-3 x 2-3 grid, a short schedule and up to three more keys of the table
-SMALL_SCENARIOS = or_junk(st.tuples(
-    st.fixed_dictionaries({"seed": or_junk(st.integers(0, 50)),
+SMALL_SCENARIOS = st.tuples(
+    st.fixed_dictionaries({"seed": st.integers(0, 50),
                            "schedule": file_value("schedule"),
-                           "grid.rows": or_junk(st.integers(2, 3)),
-                           "grid.cols": or_junk(st.integers(2, 3))}),
+                           "grid.rows": st.integers(2, 3),
+                           "grid.cols": st.integers(2, 3)}),
     st.sets(st.sampled_from([k for k in scenarios.SCENARIO_FIELDS if k not in _SMALL]),
             max_size=3).flatmap(
         lambda keys: st.fixed_dictionaries({k: file_value(k) for k in sorted(keys)})),
-).map(lambda parts: nested({**parts[0], **parts[1]})))
+).map(lambda parts: nested({**parts[0], **parts[1]}))
 
 POLICY_WORDS = st.sampled_from([*scenarios.POLICIES, "conventional,opt", "PDRONETIM"])
 
-RUN_MANIFESTS = or_junk(st.fixed_dictionaries(
+RUN_MANIFESTS = spoiled(st.fixed_dictionaries(
     {"kind": st.just("run"), "scenario": SMALL_SCENARIOS},
-    optional={"policies": or_junk(st.lists(or_junk(POLICY_WORDS), max_size=3))},
+    optional={"policies": st.lists(POLICY_WORDS, min_size=1, max_size=3)},
 ))
 
-SWEEP_MANIFESTS = or_junk(st.sampled_from(list(cli._AXES)).flatmap(
+SWEEP_MANIFESTS = spoiled(st.sampled_from(list(cli._AXES)).flatmap(
     lambda axis: st.fixed_dictionaries({
         "kind": st.just("sweep"),
         "scenario": SMALL_SCENARIOS,
-        "axis": or_junk(st.fixed_dictionaries({
-            "name": or_junk(st.just(axis)),
-            "values": or_junk(st.lists(file_value(cli._AXES[axis]),
-                                       min_size=1, max_size=3)),
-        })),
-        "trials": or_junk(st.integers(1, 2)),
-    }, optional={"policy": or_junk(POLICY_WORDS)})))
+        "axis": st.fixed_dictionaries({
+            "name": st.just(axis),
+            "values": st.lists(file_value(cli._AXES[axis]),
+                               min_size=1, max_size=3, unique=True),
+        }),
+        "trials": st.integers(1, 2),
+    }, optional={"policy": POLICY_WORDS})))
 
 
 @settings(max_examples=80, deadline=None,
@@ -911,6 +976,30 @@ def test_invalid_sweep_manifest_exits_2_before_writing(tmp_path, capsys, bad):
     assert main(["sweep", "--manifest", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("run", {"kind": "run", "scenario": TINY, "policy": ["opt"]},
+     "unknown run manifest key 'policy'"),
+    ("sweep", {**SWEEP_BASE, "polciy": "opt"},
+     "unknown sweep manifest key 'polciy'"),
+    ("sweep", {**SWEEP_BASE, "axis": {"name": "ervs", "values": [1], "trials": 2}},
+     "unknown sweep manifest axis key 'trials'"),
+    # each command reads only the manifest it writes: run would drop the axis
+    ("run", SWEEP_BASE, "is not a run manifest: its kind is 'sweep'"),
+    ("sweep", {"kind": "run", "scenario": TINY},
+     "is not a sweep manifest: its kind is 'run'"),
+    ("run", {"scenario": TINY}, "is not a run manifest: its kind is None"),
+])
+def test_a_manifest_key_its_kind_lacks_exits_2(tmp_path, capsys, command, doc,
+                                                message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([command, "--manifest", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not out.exists()
 
 

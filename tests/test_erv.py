@@ -21,12 +21,7 @@ from timdcop.erv import (
     relocation_candidates,
 )
 from timdcop.errors import InputError
-from timdcop.forecast import (
-    DependencyKernel,
-    Forecast,
-    PrimaryProbField,
-    generate_field,
-)
+from timdcop.forecast import DependencyKernel, Forecast, generate_field
 from timdcop.incidents import (
     Incident,
     TrafficParams,
@@ -41,8 +36,8 @@ PARAMS = TrafficParams(
 )
 
 
-def zero_field(n_cells: int, n_stages: int = 6) -> PrimaryProbField:
-    return PrimaryProbField(values=np.zeros((n_stages, n_cells)))
+def zero_field(n_cells: int, n_stages: int = 6) -> np.ndarray:
+    return np.zeros((n_stages, n_cells))
 
 
 def make_ctx(net, field_=None, incidents=(), **kw) -> StageContext:
@@ -100,7 +95,7 @@ def test_likelier_cells_are_cheaper_to_cover():
     values = np.zeros((4, 6))
     values[1, 2] = 0.7   # stage u+1 drives this stage's relocation price
     values[1, 5] = 0.2
-    ctx = make_ctx(net, field_=PrimaryProbField(values=values))
+    ctx = make_ctx(net, field_=values)
     erv = ErvState(id="e", cell=0)
     assert built_cost(ctx, [erv], erv, 2) == pytest.approx(30.0)
     assert built_cost(ctx, [erv], erv, 5) == pytest.approx(80.0)
@@ -116,7 +111,7 @@ def test_relocation_candidates_rank_ties_and_exclusions():
     values[1, 8] = 0.9  # occupied by an incident: must be excluded
     ctx = make_ctx(
         net,
-        field_=PrimaryProbField(values=values),
+        field_=values,
         incidents=[incident("i0", 8)],
     )
     assert relocation_candidates(ctx, 3) == [7, 2, 5]  # tie 2/5 -> lower index
@@ -135,7 +130,7 @@ def test_relocation_candidates_match_a_scan_of_every_ranked_cell(seed):
     values = rng.integers(0, 3, size=(3, 16)) / 10
     cells = rng.choice(16, size=int(rng.integers(0, 10)), replace=False)
     incidents = [incident(f"i{n}", int(c)) for n, c in enumerate(cells)]
-    ctx = make_ctx(net, field_=PrimaryProbField(values=values),
+    ctx = make_ctx(net, field_=values,
                    incidents=incidents)
     ranked = np.argsort(-ctx.forecast.row(1), kind="stable").tolist()
     for k in range(17):
@@ -147,7 +142,7 @@ def test_forecast_hotspots_drop_zero_probability_cells():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     values = np.zeros((4, 4))
     values[2, 1] = 0.3
-    ctx = make_ctx(net, field_=PrimaryProbField(values=values))
+    ctx = make_ctx(net, field_=values)
     assert forecast_hotspots(ctx, 2, 4) == [(1, 0.3)]
     assert forecast_hotspots(ctx, 1, 4) == []
     [(c, p)] = forecast_hotspots(ctx, 2, 4)
@@ -210,7 +205,7 @@ def test_coverage_is_cheaper_nearer_the_hotspot():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     values = np.zeros((3, 9))
     values[2, 4] = 0.9  # centre cell, two stages out
-    ctx = make_ctx(net, field_=PrimaryProbField(values=values),
+    ctx = make_ctx(net, field_=values,
                    lookahead=2, relocation_k=3)
     erv = ErvState(id="e", cell=0)
     problem = build_erv_problem(ctx, [erv])
@@ -382,7 +377,7 @@ def test_idle_fleet_spreads_over_top_probability_cells():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     values = np.zeros((3, 9))
     values[1] = [0.05, 0.3, 0.0, 0.6, 0.1, 0.0, 0.45, 0.0, 0.2]
-    ctx = make_ctx(net, field_=PrimaryProbField(values=values), relocation_k=3)
+    ctx = make_ctx(net, field_=values, relocation_k=3)
     fleet = [ErvState(id=f"e{i}", cell=i) for i in range(3)]
     problem = build_erv_problem(ctx, fleet)
     best, _ = brute_force_optimum(problem)
@@ -485,7 +480,6 @@ def test_relocation_bookkeeping_clears_nothing():
     assert records == []  # the open incident on cell 8 is not served
     assert erv.cell == 4
     assert erv.available_at == pytest.approx(3.0)  # 2.0 + two 0.5 edges
-    assert erv.initial_cell == 0  # depot memory survives moves
 
 
 def test_apply_assignment_rejects_unknown_or_busy_vehicles():

@@ -8,9 +8,7 @@ from grid_oracle import grid_neighbors
 from timdcop.errors import InputError
 from timdcop.forecast import (
     DependencyKernel,
-    FieldConfig,
     Forecast,
-    PrimaryProbField,
     default_kernel,
     expected_probability,
     generate_field,
@@ -52,15 +50,14 @@ def default_kernel_oracle(net, lag1=0.3, lag2=0.1) -> dict:
 
 def assert_matches_oracle(values, kernel, stages):
     """Every row up to `stages` equals the oracle fed the kernel's couplings."""
-    fld = PrimaryProbField(values=values)
     raw = [list(map(float, row)) for row in values]
-    by_target = [{} for _ in range(fld.cells)]  # the oracle skips other targets
+    by_target = [{} for _ in range(values.shape[1])]  # the oracle skips other targets
     for (j, lag, k), ratio in default_kernel_oracle(kernel, kernel.lag1, kernel.lag2).items():
         by_target[k][(j, lag, k)] = ratio
     for stage in range(stages):
-        row = expected_probability(fld, kernel, stage)
-        assert row.shape == (fld.cells,)
-        for cell in range(fld.cells):
+        row = expected_probability(values, kernel, stage)
+        assert row.shape == (values.shape[1],)
+        for cell in range(values.shape[1]):
             # both sum in the oracle's insertion order: equal to the last bit
             assert row[cell] == probability_oracle(raw, by_target[cell], cell, stage)
 
@@ -81,11 +78,10 @@ def test_matches_oracle_on_random_five_cell_world():
 
 def test_zero_kernel_returns_primary_probability():
     values = np.array([[0.05, 0.10], [0.12, 0.01], [0.0, 0.15]])
-    fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(1, 2, 0.0, 0.0)
     for stage in range(3):
         for cell in range(2):
-            assert expected_probability(fld, kernel, stage)[cell] == pytest.approx(
+            assert expected_probability(values, kernel, stage)[cell] == pytest.approx(
                 float(values[stage, cell])
             )
 
@@ -93,46 +89,41 @@ def test_zero_kernel_returns_primary_probability():
 def test_worked_secondary_contribution():
     # 0.1 primary + 0.5 coupling x 0.2 at the previous stage = 0.2
     values = np.array([[0.2, 0.0], [0.0, 0.1]])
-    fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(1, 2, 0.5, 0.0)
-    assert expected_probability(fld, kernel, 1).tolist() == pytest.approx([0.0, 0.2])
+    assert expected_probability(values, kernel, 1).tolist() == pytest.approx([0.0, 0.2])
 
 
 def test_probability_caps_at_one():
     values = np.array([[0.9, 0.9], [0.9, 0.9]])
-    fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(1, 2, 5.0, 0.0)
-    assert expected_probability(fld, kernel, 1)[1] == 1.0
+    assert expected_probability(values, kernel, 1)[1] == 1.0
 
 
 def test_missing_history_counts_as_zero():
     values = np.array([[0.0, 0.1]])
-    fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(1, 2, 0.9, 0.9)
     # stage 0: both lags reach before the horizon -> only the primary term
-    assert expected_probability(fld, kernel, 0)[1] == pytest.approx(0.1)
+    assert expected_probability(values, kernel, 0)[1] == pytest.approx(0.1)
 
 
 def test_beyond_horizon_is_fed_only_by_lagged_history():
     values = np.array([[0.3, 0.0]])
-    fld = PrimaryProbField(values=values)
     kernel = DependencyKernel(1, 2, 0.5, 0.0)
     # stage 1 is outside the one-stage horizon; the lag-1 term still lands
-    assert expected_probability(fld, kernel, 1)[1] == pytest.approx(0.15)
-    assert expected_probability(fld, kernel, 2)[1] == 0.0
+    assert expected_probability(values, kernel, 1)[1] == pytest.approx(0.15)
+    assert expected_probability(values, kernel, 2)[1] == 0.0
 
 
 def test_increasing_a_coupling_never_decreases_probability():
     rng = np.random.default_rng(12)
     values = rng.uniform(0.0, 0.2, size=(5, 4))
-    fld = PrimaryProbField(values=values)
     base = DependencyKernel(2, 2, 0.2, 0.4)
     for bumped in (DependencyKernel(2, 2, 0.9, 0.4), DependencyKernel(2, 2, 0.2, 0.9)):
         for stage in range(6):
             for cell in range(4):
                 assert (
-                    expected_probability(fld, bumped, stage)[cell]
-                    >= expected_probability(fld, base, stage)[cell] - 1e-15
+                    expected_probability(values, bumped, stage)[cell]
+                    >= expected_probability(values, base, stage)[cell] - 1e-15
                 )
 
 
@@ -152,10 +143,9 @@ def test_output_always_a_probability(stages, rows, cols, stage, data):
     kernel = DependencyKernel(rows, cols, data.draw(st.floats(-1.0, 3.0)),
                               data.draw(st.floats(-1.0, 3.0)))
     delta = default_kernel_oracle(kernel, kernel.lag1, kernel.lag2)
-    fld = PrimaryProbField(values=values)
     raw = values.tolist()
     for cell in range(rows * cols):
-        p = expected_probability(fld, kernel, stage)[cell]
+        p = expected_probability(values, kernel, stage)[cell]
         assert 0.0 <= p <= 1.0
         assert p == probability_oracle(raw, delta, cell, stage)
 
@@ -167,29 +157,28 @@ def test_generate_field_deterministic_and_in_range():
     a = generate_field(16, 5, seed=77)
     b = generate_field(16, 5, seed=77)
     c = generate_field(16, 5, seed=78)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-    assert a.values.shape == (5, 16)
-    assert a.stages == 5 and a.cells == 16
-    assert np.all(a.values >= 0.0) and np.all(a.values <= 0.15)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (5, 16)
+    assert np.all(a >= 0.0) and np.all(a <= 0.15)
 
 
 def test_generate_field_zero_range_is_all_zero():
-    fld = generate_field(9, 4, seed=1, config=FieldConfig(prob_range=(0.0, 0.0)))
-    assert np.all(fld.values == 0.0)
+    fld = generate_field(9, 4, seed=1, prob_range=(0.0, 0.0))
+    assert np.all(fld == 0.0)
 
 
 def test_generate_field_normalization_budget():
-    cfg = FieldConfig(prob_range=(0.0, 0.15), normalize=True, budget=0.8)
-    fld = generate_field(25, 6, seed=3, config=cfg)
-    sums = fld.values.sum(axis=1)
+    fld = generate_field(25, 6, seed=3, prob_range=(0.0, 0.15), normalize=True,
+                         budget=0.8)
+    sums = fld.sum(axis=1)
     assert np.allclose(sums, 0.8)
 
 
 @pytest.mark.parametrize("rng_pair", [(-0.1, 0.5), (0.2, 0.1), (0.5, 1.5)])
 def test_generate_field_rejects_bad_range(rng_pair):
     with pytest.raises(InputError):
-        generate_field(4, 3, config=FieldConfig(prob_range=rng_pair))
+        generate_field(4, 3, prob_range=rng_pair)
 
 
 def test_generate_field_rejects_empty_dimensions():
@@ -216,7 +205,7 @@ def test_forecast_computes_each_stage_once_and_ranks_stably():
     net = build_grid(4, 4, seed=2)
     # values on a 0.1 lattice, so rows hold ties
     values = np.random.default_rng(5).integers(0, 4, size=(3, 16)) / 10
-    fc = Forecast(PrimaryProbField(values=values), default_kernel(net))
+    fc = Forecast(values, default_kernel(net))
     for stage in range(6):
         row = fc.row(stage)
         assert np.array_equal(row, expected_probability(fc.field_, fc.kernel, stage))
@@ -230,15 +219,15 @@ def test_stages_past_the_lagged_horizon_share_one_zero_row():
     net = build_grid(3, 4, seed=3)
     fld = generate_field(net.n_cells, 3, seed=4)
     fc = Forecast(fld, default_kernel(net))
-    last = fc.row(fld.stages + 1)  # still fed by the last field stage
+    last = fc.row(len(fld) + 1)  # still fed by the last field stage
     assert last.any()
-    row, ranking = fc.row(fld.stages + 2), fc.ranking(fld.stages + 2)
+    row, ranking = fc.row(len(fld) + 2), fc.ranking(len(fld) + 2)
     assert np.array_equal(row, np.zeros(net.n_cells))
     assert ranking.tolist() == list(range(net.n_cells))
-    for stage in (fld.stages + 3, fld.stages + 10, 10**9):
+    for stage in (len(fld) + 3, len(fld) + 10, 10**9):
         assert fc.row(stage) is row and fc.ranking(stage) is ranking
         assert np.array_equal(row, expected_probability(fld, fc.kernel, stage))
-    assert sorted(fc._stages) == [fld.stages + 1, fld.stages + 2]
+    assert sorted(fc._stages) == [len(fld) + 1, len(fld) + 2]
     with pytest.raises(InputError):
         fc.row(-1)
 
@@ -250,8 +239,7 @@ def impulse_rows(kernel, source, stages=4):
     """Rows 0..stages-1 of a field that is 1 at `source` at stage 0, else 0."""
     values = np.zeros((1, kernel.rows * kernel.cols))
     values[0, source] = 1.0
-    fld = PrimaryProbField(values=values)
-    return [expected_probability(fld, kernel, stage) for stage in range(stages)]
+    return [expected_probability(values, kernel, stage) for stage in range(stages)]
 
 
 def test_default_kernel_couples_grid_neighbourhood():

@@ -1,5 +1,8 @@
-"""The README's scenario file and sweep axis tables, held to the code."""
+"""The README's scenario file and sweep axis tables and its library example,
+held to the code."""
+import contextlib
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -59,3 +62,16 @@ def test_readme_scenario_row_matches_the_code(row):
 def test_readme_sweep_axes_match_the_code():
     rows = table("| axis | key |")
     assert [tuple(row) for row in rows] == list(cli._AXES.items())
+
+
+def test_readme_library_example_runs_and_prints_the_kernel_it_states():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(block, namespace)
+    line = next(line for line in block.splitlines()
+                if line.startswith("print(world.forecast.kernel)"))
+    stated = line.split("# ", 1)[1]
+    assert str(namespace["world"].forecast.kernel) == stated
+    assert stated in out.getvalue().splitlines()

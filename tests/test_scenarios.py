@@ -32,7 +32,7 @@ from timdcop.scenarios import (
     write_incident_csv,
     write_stage_csv,
 )
-from timdcop.solvers import SolverConfig
+from timdcop.solvers import MAX_ITERATIONS, SolverConfig
 from timdcop.uav import AssimilationRecord
 
 POLICIES = ("conventional", "pdronetim", "opt")
@@ -255,7 +255,7 @@ def test_a_pdronetim_run_computes_each_stage_row_it_reads_once(monkeypatch):
     # a stage solve reads the next stage (relocation) and the look-ahead
     # stages; from two stages past the field horizon on, every stage reads
     # the one all-zero row
-    zero = materialize(sc).forecast.field_.stages + 2
+    zero = len(materialize(sc).forecast.field_) + 2
     read = {u + t for u in solved for t in range(1, sc.lookahead + 1)}
     assert max(read) > zero
     assert sorted(calls) == sorted({min(u, zero) for u in read})
@@ -390,20 +390,20 @@ def test_forecast_skill_lifts_true_incident_cells():
     w = materialize(sc)
     for inc in w.incidents:
         stage = round(inc.report_time / sc.stage_gap)
-        assert w.forecast.field_.values[stage, inc.location] >= min(1.0, 0.4)
+        assert w.forecast.field_[stage, inc.location] >= min(1.0, 0.4)
 
 
 def test_zero_signal_keeps_the_field_inside_its_range():
     sc = small(319, (2, 2), forecast_signal=0.0, prob_range=(0.0, 0.15))
     w = materialize(sc)
-    assert float(w.forecast.field_.values.min()) >= 0.0
-    assert float(w.forecast.field_.values.max()) <= 0.15
+    assert float(w.forecast.field_.min()) >= 0.0
+    assert float(w.forecast.field_.max()) <= 0.15
 
 
 def test_materialize_is_deterministic():
     sc = small(321, (2, 1), n_uavs=1)
     a, b = materialize(sc), materialize(sc)
-    assert (a.forecast.field_.values == b.forecast.field_.values).all()
+    assert (a.forecast.field_ == b.forecast.field_).all()
     assert [i.id for i in a.incidents] == [i.id for i in b.incidents]
     assert [i.location for i in a.incidents] == [i.location for i in b.incidents]
     assert a.erv_cells == b.erv_cells and a.uav_cells == b.uav_cells
@@ -440,7 +440,10 @@ def test_scenario_validation():
                 dict(field_budget=math.nan), dict(field_budget=math.inf),
                 # what build_grid and generate_field refuse, refused at load
                 dict(rows=1, cols=8), dict(prob_range=(0.5, 1.5)),
-                dict(edge_time_range=(0, 1))):
+                dict(edge_time_range=(0, 1)),
+                # ints too large for a float are not finite numbers
+                dict(kappa=10**400), dict(stage_gap=10**400),
+                dict(field_budget=10**400), dict(edge_time_range=(0.1, 10**400))):
         with pytest.raises(InputError):
             Scenario(**{"seed": 0, **bad})
     with pytest.raises(InputError, match="17 incidents on 16 cells"):
@@ -456,7 +459,7 @@ def test_stage_bound_and_rounds_have_a_ceiling_at_load():
         with pytest.raises(InputError, match="stages"):
             Scenario(**tiny, stage_gap=gap)
     sc = Scenario(**tiny)
-    most = scenarios.MAX_ITERATIONS
+    most = MAX_ITERATIONS
     assert replace(sc, solver=replace(sc.solver, iterations=most)).solver.iterations == most
     with pytest.raises(InputError, match="iterations"):
         replace(sc, solver=replace(sc.solver, iterations=most + 1))

@@ -23,7 +23,7 @@ from timdcop.dcop import (
 from timdcop.erv import ErvState, StageContext, build_erv_problem
 from timdcop.errors import InputError
 from timdcop.scenarios import Scenario, materialize
-from timdcop.solvers import SolverConfig, solve
+from timdcop.solvers import MAX_ITERATIONS, SolverConfig, solve
 from timdcop.uav import UavState, build_uav_problem
 
 
@@ -264,7 +264,7 @@ def test_a_huge_round_budget_costs_only_the_rounds_run():
     p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
                     unary={"a": [3.0, 1.0, 2.0, 1.0]})
     t0 = time.perf_counter()
-    trace = solve(p, SolverConfig("dsa", iterations=3_000_000,
+    trace = solve(p, SolverConfig("dsa", iterations=MAX_ITERATIONS,
                                   dsa_threshold=1.0, seed=4))
     elapsed = time.perf_counter() - t0
     assert len(trace.best_costs) == len(trace.moves) <= 2
@@ -410,3 +410,7 @@ def test_config_validation():
         SolverConfig("mgm", iterations=0)
     with pytest.raises(InputError):
         SolverConfig("dsa", dsa_threshold=1.0001, seed=0)
+    # a library config meets the scenario file's rules and message
+    with pytest.raises(InputError,
+                       match=r"^solver\.iterations must be 1 to 10,000, got 10001$"):
+        SolverConfig("mgm", iterations=MAX_ITERATIONS + 1)
