@@ -261,6 +261,13 @@ def _sweep_point(payload: tuple) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    if args.manifest:  # the manifest states the axis, trials and policy
+        for flag, given in (("--axis", args.axis is not None),
+                            ("--trials", args.trials is not None),
+                            ("--policy", bool(args.policy))):
+            if given:
+                raise InputError(f"{flag} cannot be given with --manifest: "
+                                 "the manifest states it")
     sc, manifest = _resolve_scenario(args)
     if manifest is not None:
         axis_d = manifest.get("axis")
@@ -276,7 +283,8 @@ def cmd_sweep(args) -> int:
         axis, _, rest = args.axis.partition("=")
         axis = axis.strip()
         values, text = [v.strip() for v in rest.split(",") if v.strip()], True
-        trials, policies = args.trials, args.policy
+        trials = 10 if args.trials is None else args.trials
+        policies = args.policy
     if not isinstance(axis, str) or axis not in _AXES:
         raise InputError(
             f"unknown sweep axis {axis!r}; choose from {', '.join(sorted(_AXES))}"
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", metavar="NAME=V1,V2,...",
                        help=f"axis to vary, one of {', '.join(_AXES)}; "
                             "e.g. dsa_threshold=0.9,0.5,0.1")
-    sweep.add_argument("--trials", type=int, default=10,
+    sweep.add_argument("--trials", type=int, default=None,
                        help="seeds per axis value (default 10)")
     sweep.add_argument("--policy", action="append", default=[],
                        help="policy to sweep (default pdronetim)")

@@ -608,6 +608,11 @@ class _ExactSearch:
     sequence in nondecreasing (start, vehicle, incident) order, which names
     each schedule exactly once, and prunes a state by `floor`.
 
+    Each piece of pricing and proof work is done once per search: `leg`
+    extends a memoized prefix by one service, `polish` records every
+    descent's local optimum for the descents that follow, and `floor` stops
+    as soon as its prune verdict is settled.
+
     A delay is max(0, coef * ((response + clearance)^2 + r_var)) with
     coef = bracket / twice_gap, the delay model's constants per incident.
     """
@@ -623,8 +628,11 @@ class _ExactSearch:
         # Dijkstra call
         sources = sorted(set(self.erv_cells)
                          | {i.location for i in self.incidents})
-        self.tt = tt = dict(zip(sources, travel_rows(w.net, sources)))
-        self.tt_np = {src: np.asarray(row) for src, row in tt.items()}
+        rows = travel_rows(w.net, sources)
+        self.tt = tt = dict(zip(sources, rows))
+        # the same rows as one matrix, for the refinement's broadcast
+        self.tt_m = np.array(rows)
+        self.row_of = {src: r for r, src in enumerate(sources)}
 
         params = [i.params for i in self.incidents]
         self.rep = np.array([i.report_time for i in self.incidents])
@@ -646,23 +654,32 @@ class _ExactSearch:
             for c in self.loc_l
         ])
         # (vehicle, service order) -> per-service (delay, start), shared by
-        # every replay and every polish trial of every incumbent
-        self.legs: dict[tuple[int, tuple[int, ...]], list[tuple[float, float]]] = {}
+        # every replay and every polish trial of every incumbent; each order
+        # is priced from its memoized prefix
+        self.legs: dict[tuple[int, tuple[int, ...]], tuple[tuple[float, float], ...]]
+        self.legs = {(e, ()): () for e in range(n_erv)}
+        # schedule a polish descent stepped to -> the local optimum reached
+        # from it, shared by the descents of every incumbent
+        self.descents: dict[tuple[tuple[int, ...], ...],
+                            tuple[float, list[tuple[int, ...]]]] = {}
 
     def floor(self, remaining: frozenset, pos: tuple, free_at: tuple,
               last_start: float, need: float) -> float:
-        """Admissible bound on the cost of the unserved incidents.
+        """Admissible bound on the cost of the unserved incidents, exact
+        only as far as the verdict `floor(...) >= need` needs.
 
         Direct part: each incident costs at least the delay of the best
         direct arrival from some vehicle's current state (detours and later
         departures only lengthen the response), and no remaining service may
-        start before the last scheduled one in the canonical order. If that
-        already reaches `need`, stop there. Otherwise refine: an incident
-        served r-th by vehicle e cannot start before the vehicle has
-        absorbed r - 1 clearances (cheapest possible) and the connecting
-        travel, which is at least the direct leg and at least the r cheapest
-        inbound legs chained together; the cheapest one-to-one matching of
-        incidents to (vehicle, rank) slots is then still a lower bound.
+        start before the last scheduled one in the canonical order. Every
+        term is >= 0, so once the running sum reaches `need` the whole sum
+        would too: return it there, a value still at or below the full
+        bound. Otherwise refine: an incident served r-th by vehicle e cannot
+        start before the vehicle has absorbed r - 1 clearances (cheapest
+        possible) and the connecting travel, which is at least the direct
+        leg and at least the r cheapest inbound legs chained together; the
+        cheapest one-to-one matching of incidents to (vehicle, rank) slots,
+        priced in one broadcast over vehicles, is then still a lower bound.
         """
         n_erv, tt = self.n_erv, self.tt
         loc_l, rep_l, clr_l, var_l, coef_l = (
@@ -681,6 +698,8 @@ class _ExactSearch:
             d = coef_l[i] * (x * x + var_l[i])
             if d > 0.0:
                 direct += d
+                if direct >= need:
+                    return direct
         k = len(remaining)
         if k <= n_erv or direct >= need:
             return direct
@@ -691,32 +710,42 @@ class _ExactSearch:
         # prefix sums of the cheapest r - 1 clearances / inbound legs
         ccum = np.concatenate(([0.0], np.cumsum(np.sort(cl))))[:k]
         tcum = np.concatenate(([0.0], np.cumsum(np.sort(tin))))[:k]
-        blocks = []
-        for e in range(n_erv):
-            tt_e = self.tt_np[pos[e]][locs]  # (k,)
-            travel = np.maximum(tt_e[None, :], tcum[:, None] + tin[None, :])
-            start = free_at[e] + ccum[:, None] + travel
-            start = np.maximum(np.maximum(start, rep[None, :]), base)
-            cost = cf[None, :] * ((start - rep[None, :] + cl[None, :]) ** 2
-                                  + vr[None, :])
-            blocks.append(np.maximum(cost, 0.0))
-        costm = np.concatenate(blocks, axis=0)  # (n_erv * k ranks, k)
+        # (vehicle, rank, incident)
+        tt_e = self.tt_m[[self.row_of[c] for c in pos]][:, locs]
+        travel = np.maximum(tt_e[:, None, :], tcum[:, None] + tin)
+        start = np.array(free_at)[:, None, None] + ccum[:, None] + travel
+        start = np.maximum(np.maximum(start, rep), base)
+        cost = cf * ((start - rep + cl) ** 2 + vr)
+        costm = np.maximum(cost, 0.0).reshape(n_erv * k, k)
         rows, cols = linear_sum_assignment(costm.T)
         return max(direct, float(costm.T[rows, cols].sum()))
 
-    def leg(self, e: int, seq: tuple[int, ...]) -> list[tuple[float, float]]:
-        """Per-service (delay, start) of vehicle e serving seq in order."""
-        out = self.legs.get((e, seq))
-        if out is None:
-            out = self.legs[(e, seq)] = []
+    def leg(self, e: int, seq: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
+        """Per-service (delay, start) of vehicle e serving seq in order.
+
+        Priced from the longest memoized prefix, one service at a time, and
+        every prefix on the way is memoized; a loop, not recursion, so a
+        long replay cannot reach the recursion limit."""
+        legs = self.legs
+        out = legs.get((e, seq))
+        if out is not None:
+            return out
+        n = len(seq) - 1
+        while (e, seq[:n]) not in legs:  # (e, ()) is always there
+            n -= 1
+        out = legs[(e, seq[:n])]
+        if n:
+            prev = self.incidents[seq[n - 1]]
+            at, free = prev.location, out[-1][1] + prev.params.clearance
+        else:
             at, free = self.erv_cells[e], 0.0
-            for i in seq:
-                inc = self.incidents[i]
-                start = max(inc.report_time, free + self.tt[at][inc.location])
-                out.append((expected_delay(inc.params, start - inc.report_time),
-                            start))
-                free = start + inc.params.clearance
-                at = inc.location
+        for m in range(n, len(seq)):
+            inc = self.incidents[seq[m]]
+            start = max(inc.report_time, free + self.tt[at][inc.location])
+            out += ((expected_delay(inc.params, start - inc.report_time), start),)
+            legs[(e, seq[:m + 1])] = out
+            free = start + inc.params.clearance
+            at = inc.location
         return out
 
     def cost(self, seqs) -> float:
@@ -766,39 +795,87 @@ class _ExactSearch:
         """Steepest descent from schedule `seqs` of cost `cost` over
         single-incident relocations (any vehicle, any position) and pairwise
         exchanges until no move improves; returns the final cost and
-        schedule."""
-        n_erv = self.n_erv
+        schedule.
+
+        After its first step a descent's state is just its schedule, so each
+        schedule it steps to is recorded with the local optimum it ends at,
+        and a later descent that steps onto a recorded schedule returns that
+        optimum. A sweep prices each neighbour once: a same-vehicle move one
+        place back, and a same-vehicle adjacent exchange, are the move one
+        place forward it has already priced. A repeat could not win anyway,
+        since the best trial cost so far only falls. A trial is priced from
+        the legs of the one or two vehicles it changes, and a schedule list
+        is built only for the step taken."""
+        n_erv, stepped = self.n_erv, []
         while True:
             step_cost, step = cost, None
+            # a trial changes vehicles a and b only: price it from seqs'
+            # running total before vehicle min(a, b) and the other vehicles'
+            # legs, the same adds cost() would make
+            cur = [self.leg(e, seq) for e, seq in enumerate(seqs)]
+            before = [0.0]
+            for out in cur[:-1]:
+                total = before[-1]
+                for d, _ in out:
+                    total += d
+                before.append(total)
+
+            def price(a, out_a, b, out_b):
+                first = a if a < b else b
+                total = before[first]
+                for e in range(first, n_erv):
+                    for d, _ in (out_b if e == b else out_a if e == a else cur[e]):
+                        total += d
+                return total
+
             for a in range(n_erv):
                 for p in range(len(seqs[a])):
                     moved = seqs[a][p]
                     rest_a = seqs[a][:p] + seqs[a][p + 1:]
                     for b in range(n_erv):
-                        into = rest_a if b == a else seqs[b]
+                        if b == a:
+                            into, out_a = rest_a, None
+                        else:
+                            into, out_a = seqs[b], self.leg(a, rest_a)
                         for q in range(len(into) + 1):
-                            if b == a and q == p:
+                            if b == a and (q == p or q == p - 1):
                                 continue
-                            trial = list(seqs)
-                            trial[a] = rest_a
-                            trial[b] = into[:q] + (moved,) + into[q:]
-                            c = self.cost(trial)
+                            seq_b = into[:q] + (moved,) + into[q:]
+                            c = price(a, out_a, b, self.leg(b, seq_b))
                             if c < step_cost - 1e-9:
-                                step_cost, step = c, trial
+                                step_cost, step = c, (a, rest_a, b, seq_b)
             slots = [(e, p) for e in range(n_erv) for p in range(len(seqs[e]))]
             for x in range(len(slots)):
                 for y in range(x + 1, len(slots)):
                     (a, p), (b, q) = slots[x], slots[y]
                     u, v = seqs[a][p], seqs[b][q]
-                    trial = list(seqs)
-                    trial[a] = trial[a][:p] + (v,) + trial[a][p + 1:]
-                    trial[b] = trial[b][:q] + (u,) + trial[b][q + 1:]
-                    c = self.cost(trial)
+                    if a == b:
+                        if q == p + 1:
+                            continue
+                        s = seqs[a]
+                        seq_a = seq_b = s[:p] + (v,) + s[p + 1:q] + (u,) + s[q + 1:]
+                        c = price(a, None, b, self.leg(b, seq_b))
+                    else:
+                        seq_a = seqs[a][:p] + (v,) + seqs[a][p + 1:]
+                        seq_b = seqs[b][:q] + (u,) + seqs[b][q + 1:]
+                        c = price(a, self.leg(a, seq_a), b, self.leg(b, seq_b))
                     if c < step_cost - 1e-9:
-                        step_cost, step = c, trial
+                        step_cost, step = c, (a, seq_a, b, seq_b)
             if step is None:
-                return cost, seqs
-            cost, seqs = step_cost, step
+                found = cost, seqs
+                break
+            a, seq_a, b, seq_b = step
+            seqs = list(seqs)
+            seqs[a], seqs[b] = seq_a, seq_b
+            cost = step_cost
+            key = tuple(seqs)
+            found = self.descents.get(key)
+            if found is not None:
+                break
+            stepped.append(key)
+        for key in stepped:
+            self.descents[key] = found
+        return found
 
     def _children(self, remaining: frozenset, pos: tuple, free_at: tuple,
                   last_event: tuple[float, int, int]) -> list[tuple[float, int, int]]:
@@ -853,8 +930,12 @@ class _ExactSearch:
                 child_pos = pos[:e] + (inc.location,) + pos[e + 1:]
                 child_free = (free_at[:e] + (start + inc.params.clearance,)
                               + free_at[e + 1:])
-                if new_partial + floor(child, child_pos, child_free, start,
-                                       best_cost - new_partial) < best_cost:
+                # survive both the floor's own verdict, which its early exit
+                # keeps exact, and the rounded total; they differ only
+                # within rounding of best_cost - new_partial
+                need = best_cost - new_partial
+                f = floor(child, child_pos, child_free, start, need)
+                if f < need and new_partial + f < best_cost:
                     nodes += 1
                     if nodes > cap:
                         raise CapExceededError(

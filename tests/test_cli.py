@@ -1044,6 +1044,29 @@ def test_sweep_manifest_policy_is_read_like_the_option(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["policy"] == "opt"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--axis", "lookahead=0,1"),
+    ("--trials", "3"),
+    ("--trials", "10"),  # the default, given: still refused
+    ("--policy", "opt"),
+])
+def test_a_sweep_manifest_refuses_the_flags_it_states(
+        tiny_scenario, tmp_path, capsys, monkeypatch, flag, value):
+    first = tmp_path / "first"
+    assert main(["sweep", "--scenario", str(tiny_scenario), "--axis", "ervs=1,2",
+                 "--trials", "1", "--out", str(first)]) == 0
+    capsys.readouterr()
+    points = []
+    monkeypatch.setattr(cli, "_sweep_point", points.append)
+    out = tmp_path / "again"
+    assert main(["sweep", "--manifest", str(first / "manifest.json"),
+                 flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} cannot be given with --manifest")
+    assert not out.exists()
+    assert points == []
+
+
 def test_only_opt_imports_scipy_optimize(tmp_path):
     """A fresh interpreter runs conventional and pdronetim without loading
     scipy.optimize; opt loads it when its floor first reaches the LSAP."""

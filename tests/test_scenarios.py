@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from exact_oracle import price_legs, steepest_descent
 from result_oracle import result_to_dict
 
 from timdcop import forecast, scenarios
@@ -341,6 +342,52 @@ def test_exact_floor_never_exceeds_the_best_completion(seed, n_ervs, schedule, s
         best = best_completion(search, remaining, pos, free_at, last_start)
         # the floor and the true cost round differently: allow a few ulps
         assert value <= best + 1e-9 * max(1.0, best)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ervs=st.integers(1, 3),
+       schedule=st.lists(st.integers(0, 4), min_size=1, max_size=3)
+       .filter(lambda s: 1 <= sum(s) <= 9),
+       side=st.integers(3, 5))
+def test_the_floor_stops_only_at_the_verdict_of_the_full_floor(
+        seed, n_ervs, schedule, side):
+    states = []
+
+    class Recording(scenarios._ExactSearch):
+        def floor(self, remaining, pos, free_at, last_start, need):
+            value = super().floor(remaining, pos, free_at, last_start, need)
+            states.append((self, remaining, pos, free_at, last_start, need, value))
+            return value
+
+    sc = small(seed, schedule, rows=side, cols=side, n_ervs=n_ervs)
+    with mock.patch.object(scenarios, "_ExactSearch", Recording):
+        run_opt(sc)
+    picked = random.Random(seed).sample(states, min(len(states), 40))
+    for search, remaining, pos, free_at, last_start, need, value in picked:
+        full = scenarios._ExactSearch.floor(search, remaining, pos, free_at,
+                                            last_start, math.inf)
+        assert (value >= need) == (full >= need)
+        assert value <= full
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ervs=st.integers(1, 3),
+       schedule=st.lists(st.integers(0, 5), min_size=1, max_size=3)
+       .filter(lambda s: 1 <= sum(s) <= 10),
+       side=st.integers(3, 5))
+def test_shared_polish_equals_a_plain_descent(seed, n_ervs, schedule, side):
+    sc = small(seed, schedule, rows=side, cols=side, n_ervs=n_ervs)
+    w = materialize(sc)
+    search = scenarios._ExactSearch(w)
+    # in run_opt's order, so later descents can land on recorded ones
+    for cost, seqs in (search.greedy(),
+                       search.replay(run_conventional(sc, w)),
+                       search.replay(run_proactive(sc, w))):
+        got_cost, got = search.polish(cost, seqs)
+        want_cost, want = steepest_descent(search, cost, seqs)
+        assert repr(got_cost) == repr(want_cost) and got == want
+    for (e, seq), legs in search.legs.items():
+        assert list(legs) == price_legs(search, e, seq)
 
 
 def test_evaluation_cap_stops_the_exact_search():
