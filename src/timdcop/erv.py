@@ -87,13 +87,16 @@ def forecast_hotspots(ctx: StageContext, stage: int, k: int) -> list[tuple[CellI
             if p > 0.0]
 
 
-def _responses(rows: dict[CellId, list[float]], cells: list[CellId],
-               to: list[CellId]) -> list[list[float]]:
+def _responses(rows: dict[CellId, np.ndarray], cells: list[CellId],
+               to: list[CellId]) -> np.ndarray:
     """Travel times from each of `cells` to each of `to`; a cell without a
     row has every target on itself."""
-    zero = [0.0] * len(to)
-    return [[row[c] for c in to] if (row := rows.get(cell)) is not None
-            else zero for cell in cells]
+    out = np.zeros((len(cells), len(to)))
+    for r, cell in enumerate(cells):
+        row = rows.get(cell)
+        if row is not None:
+            out[r] = row[to]
+    return out
 
 
 def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:

@@ -7,8 +7,10 @@ to the right-hand neighbour, `south` for the link to the one below.
 Shortest-path travel times come in whole rows, one per source cell, computed
 lazily with scipy's Dijkstra over one CSR graph that holds every link in
 both directions, built from the arrays on the first Dijkstra call; the rows
-a caller asks for together come from one Dijkstra call. Rows and graph are
-cached on the network, which is immutable after construction.
+a caller asks for together come from one Dijkstra call. A row is the
+read-only float64 array scipy returns, so callers gather from it by index.
+Rows and graph are cached on the network, which is immutable after
+construction.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ class GridNetwork:
     # south[r, c] links (r, c) to (r + 1, c), shape (rows - 1, cols)
     east: np.ndarray
     south: np.ndarray
-    _dist_cache: dict[CellId, list[float]] = field(default_factory=dict, repr=False)
+    _dist_cache: dict[CellId, np.ndarray] = field(default_factory=dict, repr=False)
     _graph: csr_matrix | None = field(default=None, repr=False)
 
     @property
@@ -70,7 +72,7 @@ def build_grid(
     return GridNetwork(rows=rows, cols=cols, east=east, south=south)
 
 
-def _dijkstra(net: GridNetwork, sources: list[CellId]) -> list[list[float]]:
+def _dijkstra(net: GridNetwork, sources: list[CellId]) -> np.ndarray:
     if net._graph is None:
         # per cell, its links up, left, right and down: each CSR row lists
         # its neighbours in ascending cell order. Both directions are stored,
@@ -88,14 +90,16 @@ def _dijkstra(net: GridNetwork, sources: list[CellId]) -> list[list[float]]:
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(has.sum(axis=2).ravel(), out=indptr[1:])
         net._graph = csr_matrix((times[has], ends[has], indptr), shape=(n, n))
-    return dijkstra(net._graph, directed=True, indices=sources).tolist()
+    dist = dijkstra(net._graph, directed=True, indices=sources)
+    dist.flags.writeable = False  # its rows are cached and shared
+    return dist
 
 
-def travel_rows(net: GridNetwork, sources: list[CellId]) -> list[list[float]]:
+def travel_rows(net: GridNetwork, sources: list[CellId]) -> list[np.ndarray]:
     """Shortest-path travel times in hours from each source to every cell.
 
-    Rows are cached on the network, and the missing ones come from one
-    Dijkstra call; callers must not mutate them.
+    Each row is a read-only float64 array over the cells. Rows are cached on
+    the network, and the missing ones come from one Dijkstra call.
     """
     n = net.n_cells
     for source in sources:
@@ -118,4 +122,4 @@ def travel_time(net: GridNetwork, a: CellId, b: CellId) -> float:
     row = net._dist_cache.get(a)  # the hot path skips a call into travel_rows
     if row is None:
         row = travel_rows(net, [a])[0]
-    return row[b]
+    return row.item(b)

@@ -233,22 +233,21 @@ def materialize(sc: Scenario) -> World:
     )
 
     inc_rng = _rng(sc.seed, _INC)
-    attrs_rng = _rng(sc.seed, _ATTRS)
     incidents: list[Incident] = []
-    hazard: dict[str, int] = {}
-    sparsity: dict[str, int] = {}
-    n = 0
     for stage, count in enumerate(sc.schedule):
         cells = inc_rng.choice(net.n_cells, size=count, replace=False)
-        for cell in cells:
-            inc_id = f"i{n:03d}"
+        for cell in cells.tolist():
+            # severity and parameters interleave on one stream: scalar draws
             severity = int(inc_rng.integers(1, 5))
             incidents.append(sample_incident(
-                inc_id, severity, int(cell), stage * sc.stage_gap, inc_rng,
+                f"i{len(incidents):03d}", severity, cell,
+                stage * sc.stage_gap, inc_rng,
             ))
-            hazard[inc_id] = int(attrs_rng.integers(1, 6))
-            sparsity[inc_id] = int(attrs_rng.integers(1, 6))
-            n += 1
+    # (hazard, sparsity) per incident in report order, drawn in one call:
+    # the same values as one scalar draw each, in that order
+    attrs = _rng(sc.seed, _ATTRS).integers(1, 6, size=2 * len(incidents)).tolist()
+    hazard = {inc.id: h for inc, h in zip(incidents, attrs[0::2])}
+    sparsity = {inc.id: s for inc, s in zip(incidents, attrs[1::2])}
 
     # the forecast has skill: lift the primary probability where and when
     # incidents will actually land (strength is a scenario knob; 0 = noise)
@@ -531,22 +530,16 @@ def run_conventional(sc: Scenario, world: World | None = None) -> RunResult:
 
 def _run_conventional(sc: Scenario, w: World) -> RunResult:
     fleet = _fleet(w)  # a vehicle's cell never leaves its depot
-    depots = {e.cell for e in fleet}
     outcomes: list[IncidentOutcome] = []
+    # every row the run reads, in one Dijkstra call: a depot's row prices
+    # its vehicle on an incident, and an incident's row prices the way home
+    travel_rows(w.net, [*w.erv_cells, *(i.location for i in w.incidents)])
 
     def step(stage: int, t: float, open_inc: list[Incident],
              free: list[ErvState]) -> tuple[list[Incident], dict]:
         assignments: list = []
         served: list[Incident] = []
         queue = sorted(open_inc, key=lambda i: (i.report_time, i.id))
-        if free and queue:
-            # open in one Dijkstra call only rows the run is sure to read: a
-            # free vehicle (always at its depot) is priced on the first
-            # incident, and an incident off every depot sends its vehicle home
-            travel_rows(w.net, [
-                *(e.cell for e in free if e.cell != queue[0].location),
-                *(i.location for i in queue if i.location not in depots),
-            ])
         for inc in queue:
             avail = [e for e in fleet if e.is_free(t)]
             if not avail:
@@ -629,7 +622,8 @@ class _ExactSearch:
         sources = sorted(set(self.erv_cells)
                          | {i.location for i in self.incidents})
         rows = travel_rows(w.net, sources)
-        self.tt = tt = dict(zip(sources, rows))
+        # plain-float copies for the scalar loops, so every cost is a float
+        self.tt = tt = {s: row.tolist() for s, row in zip(sources, rows)}
         # the same rows as one matrix, for the refinement's broadcast
         self.tt_m = np.array(rows)
         self.row_of = {src: r for r, src in enumerate(sources)}

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dcop import BinaryConstraint, DcopProblem, all_different_table
 from .errors import InputError, ModelDomainError
-from .network import TIME_EPS, CellId, GridNetwork, travel_time
+from .network import TIME_EPS, CellId, GridNetwork, travel_rows, travel_time
 
 # hazard level -> fractional response-time reduction under cooperation
 HAZARD_REDUCTION = {1: 0.03, 2: 0.05, 3: 0.07, 4: 0.09, 5: 0.11}
@@ -84,6 +84,9 @@ def build_uav_problem(
     fleet = sorted(uavs, key=lambda u: u.id)
     cells = sorted(benefits)
 
+    # open in one Dijkstra call the rows the unary reads: a UAV's own cell
+    # is 0.0 away and needs none
+    travel_rows(net, [u.cell for u in fleet if set(cells) - {u.cell}])
     domain = cells + [None]
     agents = [u.id for u in fleet]
     unary = {

@@ -10,7 +10,7 @@ from timdcop.erv import (
     forecast_hotspots,
 )
 from timdcop.incidents import expected_delay
-from timdcop.network import travel_rows, travel_time
+from timdcop.network import travel_time
 
 
 def myopic_cost(ctx, erv, cell, w_r) -> float:
@@ -29,7 +29,7 @@ def coverage(ctx, cell) -> float:
     for t in range(1, ctx.lookahead + 1):
         for c, p in forecast_hotspots(ctx, ctx.stage_index + t,
                                       max(ctx.relocation_k, 1)):
-            response = 0.0 if c == cell else travel_rows(ctx.net, [cell])[0][c]
+            response = travel_time(ctx.net, cell, c)
             total += p * expected_delay(FUTURE_PARAMS, response)
     return total
 

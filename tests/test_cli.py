@@ -378,57 +378,8 @@ JUNK = st.one_of(
 )
 
 
-def or_junk(valid):
-    # junk one time in twenty, so that most generated scenarios still run
-    return st.integers(0, 19).flatmap(lambda k: JUNK if k == 0 else valid)
-
-
-def section(**fields):
-    return or_junk(st.fixed_dictionaries({}, optional=fields))
-
-
 def ordered_pair(lo, hi):
     return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted)
-
-
-SCENARIO_DICTS = or_junk(st.fixed_dictionaries(
-    {"seed": or_junk(st.integers(0, 50)),
-     "schedule": or_junk(st.lists(st.integers(0, 3), min_size=1, max_size=3))},
-    optional={
-        "name": or_junk(st.text(max_size=5)),
-        "grid": section(rows=or_junk(st.integers(2, 5)),
-                        cols=or_junk(st.integers(2, 5)),
-                        edge_time_range=or_junk(ordered_pair(0.05, 2.0))),
-        "fleet": section(ervs=or_junk(st.integers(0, 3)),
-                         uavs=or_junk(st.integers(0, 2))),
-        "stage_gap_h": or_junk(st.floats(0.1, 1.0)),
-        "solver": section(algorithm=or_junk(st.sampled_from(["mgm", "dsa"])),
-                          iterations=or_junk(st.integers(1, 10)),
-                          dsa_threshold=or_junk(st.floats(0.0, 1.0))),
-        "forecast": section(prob_range=or_junk(ordered_pair(0.0, 0.3)),
-                            normalize=or_junk(st.booleans()),
-                            budget=or_junk(st.floats(0.1, 2.0)),
-                            signal=or_junk(st.floats(0.0, 1.0))),
-        "lookahead": or_junk(st.integers(0, 2)),
-        "relocation_k": or_junk(st.integers(0, 5)),
-        "cooperation": or_junk(st.booleans()),
-        "kappa": or_junk(st.floats(0.05, 2.0)),
-    },
-))
-
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(doc=SCENARIO_DICTS)
-def test_generated_scenarios_exit_with_a_mapped_code(doc):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(doc))
-        out = Path(tmp) / "o"
-        code = main(["run", "--scenario", str(path),
-                     "--policy", "conventional,pdronetim,opt", "--out", str(out)])
-        assert code in (0, 1, 2, 3)
-        assert out.exists() == (code == 0)
 
 
 # a value of each scenario file kind: small counts, and numbers from 0.1 up
@@ -504,6 +455,28 @@ SMALL_SCENARIOS = st.tuples(
             max_size=3).flatmap(
         lambda keys: st.fixed_dictionaries({k: file_value(k) for k in sorted(keys)})),
 ).map(lambda parts: nested({**parts[0], **parts[1]}))
+
+# a seed, a schedule and any of the table's other keys, each from its rule
+SCENARIO_DICTS = spoiled(st.fixed_dictionaries(
+    {"seed": st.integers(0, 50), "schedule": file_value("schedule")},
+    optional={k: file_value(k) for k in scenarios.SCENARIO_FIELDS
+              if k not in ("seed", "schedule")},
+).map(nested))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=SCENARIO_DICTS)
+def test_generated_scenarios_exit_with_a_mapped_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "o"
+        code = main(["run", "--scenario", str(path),
+                     "--policy", "conventional,pdronetim,opt", "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert out.exists() == (code == 0)
+
 
 POLICY_WORDS = st.sampled_from([*scenarios.POLICIES, "conventional,opt", "PDRONETIM"])
 

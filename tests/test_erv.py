@@ -312,7 +312,8 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
         got = problem.unary[e.id].tolist()
         assert got == [unary_cost(scalar, e, c, w_r) for c in problem.domains[e.id]]
     assert sorted(net._dist_cache) == sorted(scalar_net._dist_cache)
-    assert all(net._dist_cache[s] == row for s, row in scalar_net._dist_cache.items())
+    assert all(net._dist_cache[s].tolist() == row.tolist()
+               for s, row in scalar_net._dist_cache.items())
 
 
 # ------------------------------------------------------------ stage DCOPs

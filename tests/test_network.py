@@ -75,7 +75,7 @@ def test_rows_and_graph_match_the_coo_built_graph(rows, cols, n_sources, seed):
     if n_sources is not None:
         sources = np.random.default_rng(seed).choice(
             sources, n_sources, replace=False).tolist()
-    got = travel_rows(net, sources)
+    got = [row.tolist() for row in travel_rows(net, sources)]
     want = dijkstra(oracle, directed=True, indices=sources).tolist()
     assert got == want  # bit for bit
     for name in ("indptr", "indices", "data"):
@@ -221,8 +221,9 @@ def test_travel_row_is_the_cached_row_travel_time_reads():
     row = travel_rows(net, [5])[0]
     assert row is travel_rows(net, [5])[0]  # built once, then cached
     assert len(net._dist_cache) == 1
-    assert row == [travel_time(net, 5, b) for b in range(net.n_cells)]
-    assert all(type(t) is float for t in row)
+    times = [travel_time(net, 5, b) for b in range(net.n_cells)]
+    assert row.tolist() == times
+    assert all(type(t) is float for t in times)
     with pytest.raises(InputError):
         travel_rows(net, [12])
 
@@ -235,9 +236,24 @@ def test_batched_rows_equal_one_source_rows(rows, cols):
     batched = build_grid(rows, cols, seed=rows)
     single = build_grid(rows, cols, seed=rows)
     got = travel_rows(batched, sources)
-    assert got == [travel_rows(single, [s])[0] for s in sources]
+    assert [row.tolist() for row in got] == [
+        travel_rows(single, [s])[0].tolist() for s in sources]
     assert len(batched._dist_cache) == len(set(sources))
     assert all(got[i] is batched._dist_cache[s] for i, s in enumerate(sources))
+
+
+def test_cached_rows_are_scipys_read_only_float64_arrays():
+    net = build_grid(6, 5, seed=4)
+    sources = [29, 0, 13]
+    rows = travel_rows(net, sources)
+    want = dijkstra(net._graph, directed=True, indices=sources)
+    for s, row, w in zip(sources, rows, want):
+        assert row is net._dist_cache[s]
+        assert type(row) is np.ndarray and row.dtype == np.float64
+        assert row.shape == (net.n_cells,) and not row.flags.writeable
+        assert row.tobytes() == w.tobytes()  # bit for bit
+    with pytest.raises(ValueError):
+        rows[0][1] = 0.0  # a shared row cannot be written
 
 
 def test_travel_rows_open_only_the_missing_rows_in_one_call(monkeypatch):

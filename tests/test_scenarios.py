@@ -262,6 +262,23 @@ def test_a_pdronetim_run_computes_each_stage_row_it_reads_once(monkeypatch):
     assert sorted(calls) == sorted({min(u, zero) for u in read})
 
 
+def test_a_conventional_run_opens_its_rows_in_one_call(monkeypatch):
+    from timdcop import network
+
+    calls = []
+    real = network._dijkstra
+    monkeypatch.setattr(network, "_dijkstra",
+                        lambda n, s: calls.append(list(s)) or real(n, s))
+    sc = small(329, (3, 2, 2), n_ervs=3)
+    w = materialize(sc)
+    assert calls == [] and w.net._dist_cache == {}
+    res = run_conventional(sc, w)
+    assert len(res.incidents) == 7
+    want = sorted(set(w.erv_cells) | {i.location for i in w.incidents})
+    assert len(calls) == 1 and sorted(calls[0]) == want
+    assert sorted(w.net._dist_cache) == want
+
+
 def test_list_fields_are_stored_as_tuples():
     sc = Scenario(seed=327, schedule=[2, 2], rows=4, cols=4, n_ervs=2,
                   edge_time_range=[0.1, 1.5], prob_range=[0.0, 0.15])
@@ -388,6 +405,21 @@ def test_shared_polish_equals_a_plain_descent(seed, n_ervs, schedule, side):
         assert repr(got_cost) == repr(want_cost) and got == want
     for (e, seq), legs in search.legs.items():
         assert list(legs) == price_legs(search, e, seq)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ervs=st.integers(1, 3),
+       schedule=st.lists(st.integers(0, 3), min_size=1, max_size=3)
+       .filter(lambda s: 1 <= sum(s) <= 7),
+       side=st.integers(3, 5))
+def test_the_exact_baseline_equals_the_brute_force_optimum(
+        seed, n_ervs, schedule, side):
+    sc = small(seed, schedule, rows=side, cols=side, n_ervs=n_ervs)
+    w = materialize(sc)
+    search = scenarios._ExactSearch(w)
+    best = best_completion(search, frozenset(range(len(search.incidents))),
+                           tuple(search.erv_cells), (0.0,) * n_ervs, 0.0)
+    assert run_opt(sc, w).total_delay_veh_h == pytest.approx(best, rel=1e-12)
 
 
 def test_evaluation_cap_stops_the_exact_search():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dcop_oracle import brute_force_optimum
 from timdcop.errors import InputError, ModelDomainError
 from timdcop.incidents import TrafficParams, expected_delay
-from timdcop.network import build_grid
+from timdcop.network import build_grid, travel_time
 from timdcop.uav import (
     HAZARD_REDUCTION,
     AssimilationRecord,
@@ -107,6 +107,29 @@ def test_three_uavs_five_sites_brute_force_is_an_upper_bound():
     assert trace.final_cost <= best + 1e-9
     vals = [v for v in trace.final_assignment.values() if v is not None]
     assert len(vals) == len(set(vals))  # no double coverage
+
+
+def test_a_uav_build_opens_its_rows_in_at_most_one_call(monkeypatch):
+    from timdcop import network
+
+    net = build_grid(4, 4, (0.3, 0.9), seed=5)
+    calls = []
+    real = network._dijkstra
+    monkeypatch.setattr(network, "_dijkstra",
+                        lambda n, s: calls.append(list(s)) or real(n, s))
+    # u0 and u3 share cell 0, off both sites; u1 and u2 each sit on one site
+    # and fly to the other: three rows, one call
+    uavs = [UavState(id=f"u{i}", cell=c) for i, c in enumerate((0, 9, 5, 0))]
+    problem = build_uav_problem(net, uavs, {5: 20.0, 9: 12.0})
+    assert calls == [[0, 9, 5]]
+    assert problem.unary["u2"][0] == 20.0  # no flight to its own cell
+    assert problem.unary["u1"].tolist() == [
+        20.0 - 10.0 * travel_time(net, 9, 5), 12.0, 0.0]
+    build_uav_problem(net, uavs, {5: 20.0, 9: 12.0})
+    assert len(calls) == 1  # rows are cached
+    # a UAV on the only site needs no row
+    build_uav_problem(net, [UavState(id="u4", cell=6)], {6: 20.0})
+    assert len(calls) == 1 and sorted(net._dist_cache) == [0, 5, 9]
 
 
 def test_build_uav_problem_rejects_empty_inputs():
