@@ -205,11 +205,19 @@ class Scenario:
 
 @dataclass
 class World:
-    """Materialized scenario state shared by every policy run."""
+    """Materialized scenario state shared by every policy run.
+
+    `incidents` is the full request sequence in (report time, id) order,
+    the order in which every policy takes waiting incidents, so a stage
+    loop that appends new reports and drops served ones keeps its open list
+    in that order without sorting. Ids are `i000`, `i001`, ... in generation
+    order, so past `i999` the order differs from generation order within a
+    report time (`"i1000" < "i999"`).
+    """
 
     net: GridNetwork
     forecast: Forecast
-    incidents: list[Incident]          # full request sequence, report order
+    incidents: list[Incident]
     hazard: dict[str, int]             # incident id -> hazard level 1..5
     sparsity: dict[str, int]           # incident id -> sensor sparsity 1..5
     erv_cells: list[int]
@@ -262,7 +270,8 @@ def materialize(sc: Scenario) -> World:
     uav_cells = [int(c) for c in pos_rng.integers(0, net.n_cells, sc.n_uavs)]
     return World(
         net=net, forecast=Forecast(field_, default_kernel(net)),  # after the lift
-        incidents=incidents,
+        # the world order, after every draw that follows generation order
+        incidents=sorted(incidents, key=lambda i: (i.report_time, i.id)),
         hazard=hazard, sparsity=sparsity,
         erv_cells=erv_cells, uav_cells=uav_cells,
     )
@@ -383,10 +392,12 @@ def _run_stages(sc: Scenario, w: World, fleet: list[ErvState], step) -> list[Sta
     vehicles, and calls step(stage, t, open incidents, free vehicles), which
     serves what the policy serves and returns (the incidents it served, the
     policy's own StageOutcome fields); the served incidents then leave the
-    open list. The loop covers every scheduled stage (relocation duty even
-    with no requests), then keeps draining until every incident is served.
+    open list. The open list stays in the world's (report time, id) order,
+    and is rebuilt only after a stage that served something. The loop covers
+    every scheduled stage (relocation duty even with no requests), then
+    keeps draining until every incident is served.
     """
-    incidents, reported = w.incidents, 0  # report order; frozen, so shared
+    incidents, reported = w.incidents, 0  # world order; frozen, so shared
     open_inc: list[Incident] = []
     stages: list[StageOutcome] = []
     stage = 0
@@ -404,8 +415,9 @@ def _run_stages(sc: Scenario, w: World, fleet: list[ErvState], step) -> list[Sta
 
         free = [e for e in fleet if e.is_free(t)]
         served, fields = step(stage, t, open_inc, free)
-        done = {i.id for i in served}
-        open_inc = [i for i in open_inc if i.id not in done]
+        if served:
+            done = {i.id for i in served}
+            open_inc = [i for i in open_inc if i.id not in done]
         stages.append(StageOutcome(
             stage=stage, time_h=t,
             n_open=len(open_inc), n_free_ervs=len(free), **fields,
@@ -537,11 +549,11 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
 
     def step(stage: int, t: float, open_inc: list[Incident],
              free: list[ErvState]) -> tuple[list[Incident], dict]:
+        # the oldest waiting incident first: open_inc is in world order
         assignments: list = []
         served: list[Incident] = []
-        queue = sorted(open_inc, key=lambda i: (i.report_time, i.id))
-        for inc in queue:
-            avail = [e for e in fleet if e.is_free(t)]
+        avail = list(free)
+        for inc in open_inc:
             if not avail:
                 break
             erv = min(
@@ -554,6 +566,8 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
             # serve, then drive home; busy for the whole tour
             back = travel_time(w.net, inc.location, erv.cell)
             erv.available_at = t + travel + inc.params.clearance + back
+            if not erv.is_free(t):  # as a fresh scan of the fleet would
+                avail.remove(erv)
             assignments.append((erv.id, inc.location, "dispatch"))
         return served, {"erv_assignments": assignments}
 
@@ -592,7 +606,7 @@ def run_opt(sc: Scenario, world: World | None = None,
 class _ExactSearch:
     """Branch and bound over every service schedule of a world.
 
-    Incidents are indexed in canonical (report time, id) order. A schedule
+    Incidents are indexed in the world's (report time, id) order. A schedule
     is one service order (a tuple of incident indices) per vehicle; a
     vehicle drives straight to its next commitment as soon as it is free,
     and service cannot start before the report. Incumbents pass between the
@@ -611,7 +625,7 @@ class _ExactSearch:
     """
 
     def __init__(self, w: World) -> None:
-        self.incidents = sorted(w.incidents, key=lambda i: (i.report_time, i.id))
+        self.incidents = w.incidents
         self.erv_cells = list(w.erv_cells)
         self.n_erv = n_erv = len(self.erv_cells)
         self.erv_index = {_erv_id(e): e for e in range(n_erv)}

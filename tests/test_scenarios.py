@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import conventional_oracle
 from exact_oracle import price_legs, steepest_descent
 from result_oracle import result_to_dict
 
@@ -279,6 +280,43 @@ def test_a_conventional_run_opens_its_rows_in_one_call(monkeypatch):
     assert sorted(w.net._dist_cache) == want
 
 
+# 1,001 incidents: i994 to i1000 are all reported at 71.0 h, where the
+# (report time, id) order puts "i1000" first and generation order last
+THOUSAND = Scenario(seed=3, schedule=(7,) * 143, rows=5, cols=5, n_ervs=3,
+                    n_uavs=2)
+
+
+def generation_order_json(sc, w, policy):
+    """`policy` run on `w` in generation order, conventional by the oracle."""
+    g = conventional_oracle.generation_order(w)
+    if policy == "conventional":
+        return result_to_json(conventional_oracle.run_conventional(sc, g))
+    return result_to_json(run_proactive(sc, g))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ervs=st.integers(1, 3),
+       n_uavs=st.integers(0, 2),
+       schedule=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+       stage_gap=st.sampled_from([0.1, 0.25, 0.5]))
+def test_runs_equal_the_sort_and_rescan_oracle(seed, n_ervs, n_uavs, schedule,
+                                               stage_gap):
+    sc = small(seed, schedule, n_ervs=n_ervs, n_uavs=n_uavs, stage_gap=stage_gap)
+    w = materialize(sc)
+    for policy in ("conventional", "pdronetim"):
+        assert (result_to_json(run_policy(sc, policy, w))
+                == generation_order_json(sc, w, policy))
+
+
+@pytest.mark.parametrize("policy", ["conventional", "pdronetim"])
+def test_runs_past_i999_equal_the_sort_and_rescan_oracle(policy):
+    w = materialize(THOUSAND)
+    report = {i.id: i.report_time for i in w.incidents}
+    assert report["i999"] == report["i1000"] == 71.0
+    assert (result_to_json(run_policy(THOUSAND, policy, w))
+            == generation_order_json(THOUSAND, w, policy))
+
+
 def test_list_fields_are_stored_as_tuples():
     sc = Scenario(seed=327, schedule=[2, 2], rows=4, cols=4, n_ervs=2,
                   edge_time_range=[0.1, 1.5], prob_range=[0.0, 0.15])
@@ -462,6 +500,22 @@ def test_materialized_world_matches_the_schedule():
         assert len(cells) == len(set(cells))  # one request per cell per stage
     assert len(w.erv_cells) == 3 and len(w.uav_cells) == 2
     assert all(0 <= c < 25 for c in w.erv_cells + w.uav_cells)
+
+
+def test_world_order_is_report_time_then_id_after_the_draws():
+    sc = THOUSAND
+    w = materialize(sc)
+    keys = [(i.report_time, i.id) for i in w.incidents]
+    assert keys == sorted(keys)
+    generated = conventional_oracle.generation_order(w).incidents
+    assert [i.id for i in generated] == [f"i{k:03d}" for k in range(1001)]
+    assert [i.id for i in generated] != [i.id for i in w.incidents]
+    # (hazard, sparsity) are the attribute stream's scalar draws, in
+    # generation order
+    rng = scenarios._rng(sc.seed, scenarios._ATTRS)
+    for inc in generated:
+        assert w.hazard[inc.id] == int(rng.integers(1, 6))
+        assert w.sparsity[inc.id] == int(rng.integers(1, 6))
 
 
 def test_forecast_skill_lifts_true_incident_cells():
