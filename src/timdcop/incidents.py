@@ -69,6 +69,12 @@ SEVERITY_RANGES: dict[int, dict[str, tuple[float, float]]] = {
 }
 
 _PARAM_ORDER = ("s", "s1_mean", "s1_sd", "q", "r_var", "clearance")
+# severity -> (lows, spans) in _PARAM_ORDER, for sample_params
+_PARAM_TABLE = {
+    sev: (tuple(ranges[name][0] for name in _PARAM_ORDER),
+          tuple(ranges[name][1] - ranges[name][0] for name in _PARAM_ORDER))
+    for sev, ranges in SEVERITY_RANGES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -133,13 +139,21 @@ clamped = ClampTally()
 
 
 def sample_params(severity: int, rng: np.random.Generator) -> TrafficParams:
-    """Draw one parameter set for a severity class (uniform per field)."""
+    """Draw one parameter set for a severity class (uniform per field).
+
+    One generator call draws all six fields: u = rng.random(6), then
+    lo + (hi - lo) * u per field in _PARAM_ORDER. Generator.uniform(lo, hi)
+    computes the same two float operations on the same next double, so the
+    values, their order and the generator state afterwards equal six scalar
+    uniform draws bit for bit (tests/params_oracle.py keeps those draws).
+    """
     try:
-        ranges = SEVERITY_RANGES[severity]
+        lows, spans = _PARAM_TABLE[severity]
     except KeyError:
         raise InputError(f"severity must be 1..4, got {severity}") from None
-    draws = {name: float(rng.uniform(*ranges[name])) for name in _PARAM_ORDER}
-    return TrafficParams(**draws)
+    u = rng.random(6).tolist()
+    # TrafficParams declares its fields in _PARAM_ORDER
+    return TrafficParams(*[lo + span * x for lo, span, x in zip(lows, spans, u)])
 
 
 def sample_incident(

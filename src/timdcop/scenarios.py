@@ -245,7 +245,8 @@ def materialize(sc: Scenario) -> World:
     for stage, count in enumerate(sc.schedule):
         cells = inc_rng.choice(net.n_cells, size=count, replace=False)
         for cell in cells.tolist():
-            # severity and parameters interleave on one stream: scalar draws
+            # severity and parameters interleave on one stream: a scalar
+            # severity draw, then one random(6) call for the parameters
             severity = int(inc_rng.integers(1, 5))
             incidents.append(sample_incident(
                 f"i{len(incidents):03d}", severity, cell,

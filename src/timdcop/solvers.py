@@ -200,9 +200,11 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
                        for j in neighbors[i]):
                     movers.append(i)
         else:
-            # one draw per agent, in agent order, mover or not
+            # one draw per agent, in agent order, mover or not: the same
+            # doubles as one rng.random() per agent
+            draws = rng.random(len(order)).tolist()
             movers = [i for i in agents
-                      if rng.random() < cfg.dsa_threshold and gains[i] > 0.0]
+                      if draws[i] < cfg.dsa_threshold and gains[i] > 0.0]
 
         for i in movers:
             pos[i] = proposals[i]

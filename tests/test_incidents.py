@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import params_oracle
 
 from timdcop.errors import InputError, ModelDomainError
 from timdcop.incidents import (
@@ -316,6 +317,34 @@ def test_sampled_incidents_always_well_posed():
 def test_rejects_out_of_range_severity(severity):
     with pytest.raises(InputError):
         sample_params(severity, np.random.default_rng(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), n=st.integers(1, 5))
+def test_one_call_draw_equals_six_uniform_draws(seed, n):
+    # every severity, then severities drawn from the stream between the
+    # parameter draws, as materialize interleaves them
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for severity in (1, 2, 3, 4):
+        assert (params_oracle.field_reprs(sample_params(severity, new))
+                == params_oracle.field_reprs(
+                    params_oracle.sample_params(severity, old)))
+        assert new.bit_generator.state == old.bit_generator.state
+    for _ in range(n):
+        severity = int(new.integers(1, 5))
+        assert severity == int(old.integers(1, 5))
+        assert (params_oracle.field_reprs(sample_params(severity, new))
+                == params_oracle.field_reprs(
+                    params_oracle.sample_params(severity, old)))
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_a_bad_severity_draws_nothing():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(InputError):
+        sample_params(5, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_reference_params_are_severity_averaged_midpoints():

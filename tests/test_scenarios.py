@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import conventional_oracle
+import params_oracle
 from exact_oracle import price_legs, steepest_descent
 from result_oracle import result_to_dict
 
@@ -516,6 +517,27 @@ def test_world_order_is_report_time_then_id_after_the_draws():
     for inc in generated:
         assert w.hazard[inc.id] == int(rng.integers(1, 6))
         assert w.sparsity[inc.id] == int(rng.integers(1, 6))
+
+
+def assert_params_equal_the_oracle_redraw(sc):
+    generated = conventional_oracle.generation_order(materialize(sc)).incidents
+    want = params_oracle.incident_stream(sc)
+    assert len(generated) == len(want)
+    for inc, (id_, cell, severity, params) in zip(generated, want):
+        assert (inc.id, inc.location, inc.severity) == (id_, cell, severity)
+        assert (params_oracle.field_reprs(inc.params)
+                == params_oracle.field_reprs(params))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       schedule=st.lists(st.integers(0, 16), min_size=1, max_size=6))
+def test_incident_params_equal_the_six_uniform_redraw(seed, schedule):
+    assert_params_equal_the_oracle_redraw(small(seed, schedule))
+
+
+def test_incident_params_equal_the_six_uniform_redraw_past_i999():
+    assert_params_equal_the_oracle_redraw(THOUSAND)
 
 
 def test_forecast_skill_lifts_true_incident_cells():
