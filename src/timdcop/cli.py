@@ -249,15 +249,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_point(payload: tuple) -> tuple:
-    """One (axis value, trial) sweep cell; top-level so pools can pickle it."""
-    sc_dict, policy, axis, value, trial = payload
-    sc = scenario_from_dict(sc_dict)
-    sc = replace(sc, seed=sc.seed + trial)
-    sc = _apply_axis(sc, axis, value)
+def _sweep_point(point: tuple[Scenario, str]) -> tuple[float, float]:
+    """One sweep cell's totals; top-level so pools can pickle it."""
+    sc, policy = point
     res = run_policy(sc, policy)
-    return (axis, value, trial, sc.seed,
-            res.total_delay_veh_h, res.total_response_min)
+    return res.total_delay_veh_h, res.total_response_min
 
 
 def cmd_sweep(args) -> int:
@@ -301,25 +297,29 @@ def cmd_sweep(args) -> int:
     kind, what = SCENARIO_FIELDS[_AXES[axis]][1], f"a value of sweep axis {axis}"
     values = [READERS[kind](_axis_text(kind, v, what) if text else v, what)
               for v in values]
-    for i, v in enumerate(values):  # exit 2 before any run
+    # every point's scenario, built (and so checked) before any run: exit 2
+    # on a repeated value or one the scenario rejects
+    cells, grid = [], []
+    for i, v in enumerate(values):
         if v in values[:i]:
             raise InputError(f"sweep axis {axis} repeats the value {v!r}")
-        _apply_axis(sc, axis, v)  # a value the scenario rejects
+        for t in range(trials):
+            cells.append((v, t))
+            grid.append((_apply_axis(replace(sc, seed=sc.seed + t), axis, v), policy))
 
     out = _out_path(args.out)
-    grid = [
-        (scenario_to_dict(sc), policy, axis, v, t)
-        for v in values
-        for t in range(trials)
-    ]
     # a fork pool starts all its workers at the first submit
     workers = min(_workers(), len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, grid))
+            totals = list(pool.map(_sweep_point, grid))
     else:
-        rows = [_sweep_point(p) for p in grid]
-    rows.sort(key=lambda r: (str(r[1]), r[2]))
+        totals = [_sweep_point(p) for p in grid]
+    rows = sorted(
+        ((axis, v, t, p.seed, *tot)
+         for (v, t), (p, _), tot in zip(cells, grid, totals)),
+        key=lambda r: (str(r[1]), r[2]),
+    )
 
     with _filling(out) as work:
         with open(work / "sweep.csv", "w", newline="") as fh:

@@ -102,6 +102,22 @@ def all_different_table(dom_a: list, dom_b: list, sense: str = "min") -> np.ndar
     return table
 
 
+def assignment_problem(agents: list, domain: list, unary, sense: str) -> DcopProblem:
+    """Every agent takes a distinct value of one shared domain (None, an
+    idle slot, may repeat). The agents share the domain list and one
+    all-different table, which joins every pair in agent order; `unary`
+    holds one cost row per agent, in agent order."""
+    conflict = all_different_table(domain, domain, sense)
+    return DcopProblem(
+        agents=agents,
+        domains=dict.fromkeys(agents, domain),
+        unary=dict(zip(agents, unary)),
+        binary=[BinaryConstraint(a=a, b=b, table=conflict)
+                for i, a in enumerate(agents) for b in agents[i + 1:]],
+        sense=sense,
+    )
+
+
 def total_cost(p: DcopProblem, assignment: Assignment) -> float:
     """Objective value of a complete assignment."""
     pos = {}

@@ -26,25 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcop import BinaryConstraint, DcopProblem, all_different_table
+from .dcop import DcopProblem, assignment_problem
 from .errors import InputError
 from .forecast import Forecast
 from .incidents import Incident, expected_delays, reference_params
-from .network import TIME_EPS, CellId, GridNetwork, travel_rows, travel_time
+from .network import CellId, GridNetwork, Vehicle, travel_rows
 
 DISPATCH_WEIGHT = 1.0  # a dispatch costs its expected delay, unscaled
 RELOCATION_WEIGHT_FACTOR = 100.0
 FUTURE_PARAMS = reference_params()  # prices forecast (not yet sampled) incidents
-
-
-@dataclass
-class ErvState:
-    id: str
-    cell: CellId
-    available_at: float = 0.0  # free for tasking at/after this time
-
-    def is_free(self, now: float) -> bool:
-        return self.available_at <= now + TIME_EPS
 
 
 @dataclass
@@ -99,7 +89,7 @@ def _responses(rows: dict[CellId, np.ndarray], cells: list[CellId],
     return out
 
 
-def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:
+def build_erv_problem(ctx: StageContext, fleet: list[Vehicle]) -> DcopProblem:
     """Stage DCOP for the free part of the fleet."""
     free = sorted(
         (e for e in fleet if e.is_free(ctx.stage_time)), key=lambda e: e.id
@@ -149,18 +139,7 @@ def build_erv_problem(ctx: StageContext, fleet: list[ErvState]) -> DcopProblem:
     unary = np.empty((len(free), len(domain)))
     unary[:, :n_open] = dispatch
     unary[:, n_open:] = w_r * (1.0 - p_next[domain[n_open:]]) + coverage[n_open:]
-    agents = [e.id for e in free]
-    conflict = all_different_table(domain, domain)
-    return DcopProblem(
-        agents=agents,
-        domains=dict.fromkeys(agents, domain),
-        unary=dict(zip(agents, unary)),
-        binary=[
-            BinaryConstraint(a=ea, b=eb, table=conflict)
-            for i, ea in enumerate(agents) for eb in agents[i + 1:]
-        ],
-        sense="min",
-    )
+    return assignment_problem([e.id for e in free], domain, unary, "min")
 
 
 @dataclass
@@ -172,7 +151,7 @@ class DispatchRecord:
 
 def apply_assignment(
     ctx: StageContext,
-    fleet: list[ErvState],
+    fleet: list[Vehicle],
     assignment: dict[str, CellId],
 ) -> list[DispatchRecord]:
     """Commit a solved stage assignment to the fleet.
@@ -191,15 +170,12 @@ def apply_assignment(
             raise InputError(f"assignment names unknown ERV {erv_id!r}")
         if not erv.is_free(ctx.stage_time):
             raise InputError(f"ERV {erv_id} is not free at t={ctx.stage_time}")
+        travel = erv.move_to(ctx.net, cell, ctx.stage_time)
         inc = unserved.pop(cell, None)
-        travel = travel_time(ctx.net, erv.cell, cell)
-        erv.cell = cell
-        if inc is None:
-            erv.available_at = ctx.stage_time + travel
-            continue
-        waited = ctx.stage_time - inc.report_time
-        erv.available_at = ctx.stage_time + travel + inc.params.clearance
-        records.append(DispatchRecord(
-            incident=inc, erv_id=erv_id, response_h=waited + travel,
-        ))
+        if inc is not None:
+            erv.available_at += inc.params.clearance
+            records.append(DispatchRecord(
+                incident=inc, erv_id=erv_id,
+                response_h=(ctx.stage_time - inc.report_time) + travel,
+            ))
     return records

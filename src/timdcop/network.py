@@ -10,7 +10,8 @@ both directions, built from the arrays on the first Dijkstra call; the rows
 a caller asks for together come from one Dijkstra call. A row is the
 read-only float64 array scipy returns, so callers gather from it by index.
 Rows and graph are cached on the network, which is immutable after
-construction.
+construction. A `Vehicle`, ERV or UAV alike, moves between cells at these
+travel times.
 """
 from __future__ import annotations
 
@@ -123,3 +124,23 @@ def travel_time(net: GridNetwork, a: CellId, b: CellId) -> float:
     if row is None:
         row = travel_rows(net, [a])[0]
     return row.item(b)
+
+
+@dataclass
+class Vehicle:
+    """An ERV or a UAV: its id, its cell and the time it is next free."""
+
+    id: str
+    cell: CellId
+    available_at: float = 0.0  # free for tasking at/after this time
+
+    def is_free(self, now: float) -> bool:
+        return self.available_at <= now + TIME_EPS
+
+    def move_to(self, net: GridNetwork, cell: CellId, now: float) -> float:
+        """Leave for `cell` at `now`: the vehicle is next free on arrival.
+        Returns the travel time."""
+        travel = travel_time(net, self.cell, cell)
+        self.cell = cell
+        self.available_at = now + travel
+        return travel

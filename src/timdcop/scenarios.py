@@ -36,7 +36,6 @@ import numpy as np
 from .errors import CapExceededError, InputError
 from .erv import (
     DispatchRecord,
-    ErvState,
     StageContext,
     apply_assignment,
     build_erv_problem,
@@ -52,6 +51,7 @@ from .incidents import (
 from .network import (
     TIME_EPS,
     GridNetwork,
+    Vehicle,
     build_grid,
     travel_rows,
     travel_time,
@@ -60,7 +60,6 @@ from .solvers import SOLVER_RULES, SolverConfig, solve
 from .uav import (
     AssimilationRecord,
     DelayBelief,
-    UavState,
     apply_uav_assignment,
     assimilate,
     build_uav_problem,
@@ -386,7 +385,7 @@ def _cached_run(policy: str, run, sc: Scenario, world: World | None) -> RunResul
     return res
 
 
-def _run_stages(sc: Scenario, w: World, fleet: list[ErvState], step) -> list[StageOutcome]:
+def _run_stages(sc: Scenario, w: World, fleet: list[Vehicle], step) -> list[StageOutcome]:
     """The stage clock of the conventional and pdronetim policies.
 
     Each stage ingests the requests reported by its start, counts the free
@@ -427,8 +426,8 @@ def _run_stages(sc: Scenario, w: World, fleet: list[ErvState], step) -> list[Sta
     return stages
 
 
-def _fleet(w: World) -> list[ErvState]:
-    return [ErvState(id=_erv_id(i), cell=c) for i, c in enumerate(w.erv_cells)]
+def _fleet(w: World) -> list[Vehicle]:
+    return [Vehicle(id=_erv_id(i), cell=c) for i, c in enumerate(w.erv_cells)]
 
 
 # ---------------------------------------------------------------- proactive
@@ -440,15 +439,18 @@ def run_proactive(sc: Scenario, world: World | None = None) -> RunResult:
 
 def _run_proactive(sc: Scenario, w: World) -> RunResult:
     fleet = _fleet(w)
-    uavs = [
-        UavState(id=f"uav{i}", cell=c) for i, c in enumerate(w.uav_cells)
-    ]
+    uavs = [Vehicle(id=f"uav{i}", cell=c) for i, c in enumerate(w.uav_cells)]
     obs_rng = _rng(sc.seed, _OBS)
     outcomes: list[IncidentOutcome] = []
     assim: list[AssimilationRecord] = []
 
+    def solved(problem, purpose: int, stage: int):
+        # each sub-team solves on its own seeded stream of the stage
+        return solve(problem,
+                     replace(sc.solver, seed=_int_seed(sc.seed, purpose, stage)))
+
     def step(stage: int, t: float, open_inc: list[Incident],
-             free: list[ErvState]) -> tuple[list[Incident], dict]:
+             free: list[Vehicle]) -> tuple[list[Incident], dict]:
         fields: dict = {"erv_assignments": []}
         records: list[DispatchRecord] = []
         # skip the solve when there is nothing to do: no open incidents and
@@ -459,9 +461,7 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                 stage_time=t, stage_index=stage, open_incidents=open_inc,
                 lookahead=sc.lookahead, relocation_k=sc.relocation_k,
             )
-            problem = build_erv_problem(ctx, fleet)
-            cfg = replace(sc.solver, seed=_int_seed(sc.seed, _SOLVER, stage))
-            trace = solve(problem, cfg)
+            trace = solved(build_erv_problem(ctx, fleet), _SOLVER, stage)
             records = apply_assignment(ctx, fleet, trace.final_assignment)
             dispatched = {r.erv_id for r in records}
             fields.update(
@@ -486,11 +486,8 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                     inc.severity, w.sparsity[inc.id], w.hazard[inc.id])
                 for inc in served
             }
-            u_problem = build_uav_problem(w.net, free_uavs, benefits)
-            u_cfg = replace(
-                sc.solver, seed=_int_seed(sc.seed, _UAVSOLVER, stage)
-            )
-            u_trace = solve(u_problem, u_cfg)
+            u_trace = solved(build_uav_problem(w.net, free_uavs, benefits),
+                             _UAVSOLVER, stage)
             observed = apply_uav_assignment(
                 w.net, free_uavs, u_trace.final_assignment, t
             )
@@ -549,7 +546,7 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
     travel_rows(w.net, [*w.erv_cells, *(i.location for i in w.incidents)])
 
     def step(stage: int, t: float, open_inc: list[Incident],
-             free: list[ErvState]) -> tuple[list[Incident], dict]:
+             free: list[Vehicle]) -> tuple[list[Incident], dict]:
         # the oldest waiting incident first: open_inc is in world order
         assignments: list = []
         served: list[Incident] = []

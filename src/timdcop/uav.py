@@ -25,25 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcop import BinaryConstraint, DcopProblem, all_different_table
+from .dcop import DcopProblem, assignment_problem
 from .errors import InputError, ModelDomainError
-from .network import TIME_EPS, CellId, GridNetwork, travel_rows, travel_time
+from .network import CellId, GridNetwork, Vehicle, travel_rows, travel_time
 
 # hazard level -> fractional response-time reduction under cooperation
 HAZARD_REDUCTION = {1: 0.03, 2: 0.05, 3: 0.07, 4: 0.09, 5: 0.11}
 
 BENEFIT_PER_HOUR = 10.0  # one benefit unit per 0.1 h of flight
 DEFAULT_OBS_VAR_RATIO = 0.5     # kappa: obs variance as a share of prior
-
-
-@dataclass
-class UavState:
-    id: str
-    cell: CellId
-    available_at: float = 0.0
-
-    def is_free(self, now: float) -> bool:
-        return self.available_at <= now + TIME_EPS
 
 
 @dataclass
@@ -69,7 +59,7 @@ def priority_benefit(severity: int, sparsity: int, hazard: int) -> float:
 
 def build_uav_problem(
     net: GridNetwork,
-    uavs: list[UavState],
+    uavs: list[Vehicle],
     benefits: dict[CellId, float],
 ) -> DcopProblem:
     """Maximize summed site benefit minus flight-distance discount.
@@ -87,31 +77,17 @@ def build_uav_problem(
     # open in one Dijkstra call the rows the unary reads: a UAV's own cell
     # is 0.0 away and needs none
     travel_rows(net, [u.cell for u in fleet if set(cells) - {u.cell}])
-    domain = cells + [None]
-    agents = [u.id for u in fleet]
-    unary = {
-        u.id: [
-            benefits[c] - BENEFIT_PER_HOUR * travel_time(net, u.cell, c)
-            for c in cells
-        ] + [0.0]
+    unary = [
+        [benefits[c] - BENEFIT_PER_HOUR * travel_time(net, u.cell, c)
+         for c in cells] + [0.0]
         for u in fleet
-    }
-    conflict = all_different_table(domain, domain, sense="max")
-    return DcopProblem(
-        agents=agents,
-        domains=dict.fromkeys(agents, domain),
-        unary=unary,
-        binary=[
-            BinaryConstraint(a=ua, b=ub, table=conflict)
-            for i, ua in enumerate(agents) for ub in agents[i + 1:]
-        ],
-        sense="max",
-    )
+    ]
+    return assignment_problem([u.id for u in fleet], cells + [None], unary, "max")
 
 
 def apply_uav_assignment(
     net: GridNetwork,
-    uavs: list[UavState],
+    uavs: list[Vehicle],
     assignment: dict[str, CellId | None],
     stage_time: float,
 ) -> dict[str, CellId]:
@@ -124,9 +100,7 @@ def apply_uav_assignment(
         u = by_id.get(uid)
         if u is None:
             raise InputError(f"assignment names unknown UAV {uid!r}")
-        flight = travel_time(net, u.cell, cell)
-        u.available_at = stage_time + flight
-        u.cell = cell
+        u.move_to(net, cell, stage_time)
         observed[uid] = cell
     return observed
 

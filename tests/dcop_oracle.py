@@ -1,7 +1,8 @@
 """Exhaustive optimum of a DcopProblem, the oracle local search is tested against.
 
 No production path solves a stage exactly by enumeration, so the oracle
-lives with the tests that use it.
+lives with the tests that use it. `plain` puts a problem in a form that
+compares with ==.
 """
 import itertools
 import math
@@ -10,6 +11,13 @@ from timdcop.dcop import Assignment, DcopProblem, total_cost
 from timdcop.errors import CapExceededError
 
 BRUTE_FORCE_CAP = 10**6
+
+
+def plain(p: DcopProblem) -> tuple:
+    """A problem as plain lists and dicts: agents, domains, unary rows,
+    (a, b, table) per constraint, sense."""
+    return (p.agents, p.domains, {a: v.tolist() for a, v in p.unary.items()},
+            [(c.a, c.b, c.table.tolist()) for c in p.binary], p.sense)
 
 
 def search_space(p: DcopProblem) -> int:

@@ -18,8 +18,9 @@ from dcop_oracle import brute_force_optimum
 
 from timdcop.cli import main as cli_main
 from timdcop.dcop import BinaryConstraint, DcopProblem, total_cost
-from timdcop.erv import ErvState, StageContext, build_erv_problem
+from timdcop.erv import StageContext, build_erv_problem
 from timdcop.incidents import TrafficParams, delay_variance, expected_delay, sample_incident
+from timdcop.network import Vehicle
 from timdcop.scenarios import (
     Scenario,
     materialize,
@@ -131,7 +132,7 @@ def dispatch_stage_problem(seed: int) -> DcopProblem:
         open_incidents=list(w.incidents),
         lookahead=2, relocation_k=10,
     )
-    fleet = [ErvState(id=f"erv{i}", cell=c) for i, c in enumerate(w.erv_cells)]
+    fleet = [Vehicle(id=f"erv{i}", cell=c) for i, c in enumerate(w.erv_cells)]
     return build_erv_problem(ctx, fleet)
 
 

@@ -10,6 +10,7 @@ from timdcop.dcop import (
     BinaryConstraint,
     DcopProblem,
     all_different_table,
+    assignment_problem,
     total_cost,
 )
 from timdcop.errors import CapExceededError, InputError
@@ -273,3 +274,20 @@ def test_all_different_table_marks_equal_values_only():
     assert t[0, 2] == t[1, 0] == math.inf
     assert np.count_nonzero(t) == 2  # None never conflicts, even with None
     assert all_different_table([1, None], [1, None], sense="max")[0, 0] == -math.inf
+
+
+@pytest.mark.parametrize("sense, sentinel", [("min", math.inf), ("max", -math.inf)])
+def test_assignment_problem_joins_every_pair_with_one_shared_table(sense, sentinel):
+    domain = [4, 7, None]
+    p = assignment_problem(["x", "y", "z"], domain,
+                           [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]], sense)
+    assert p.sense == sense
+    assert all(p.domains[a] is domain for a in p.agents)
+    assert p.unary["y"].tolist() == [3.0, 4.0, 0.0]
+    assert [(c.a, c.b) for c in p.binary] == [("x", "y"), ("x", "z"), ("y", "z")]
+    table = p.binary[0].table
+    assert all(c.table is table for c in p.binary)
+    # the None column (and row) never conflicts, not even with itself
+    assert table.tolist() == [[sentinel, 0.0, 0.0], [0.0, sentinel, 0.0], [0.0, 0.0, 0.0]]
+    assert total_cost(p, {"x": None, "y": None, "z": 4}) == 5.0
+    assert total_cost(p, {"x": 4, "y": 4, "z": None}) == sentinel

@@ -5,15 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dcop_oracle import brute_force_optimum
+from dcop_oracle import brute_force_optimum, plain
 from erv_oracle import myopic_cost, relocation_weight, unary_cost
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timdcop import network
+from timdcop.dcop import assignment_problem
 from timdcop.erv import (
     FUTURE_PARAMS,
-    ErvState,
     StageContext,
     apply_assignment,
     build_erv_problem,
@@ -29,7 +29,7 @@ from timdcop.incidents import (
     reference_params,
     sample_incident,
 )
-from timdcop.network import build_grid, travel_time
+from timdcop.network import Vehicle, build_grid, travel_time
 
 PARAMS = TrafficParams(
     s=1800.0, s1_mean=1100.0, s1_sd=200.0, q=1500.0, r_var=0.04, clearance=0.3
@@ -76,7 +76,7 @@ def test_dispatch_cost_is_weighted_expected_delay():
     net = build_grid(3, 3, (0.4, 1.2), seed=5)
     inc = incident("i0", 4)
     ctx = make_ctx(net, incidents=[inc])
-    erv = ErvState(id="e0", cell=0)
+    erv = Vehicle(id="e0", cell=0)
     # the dispatch weight is 1: the entry is the expected delay itself
     want = expected_delay(inc.params, travel_time(net, 0, 4))
     assert built_cost(ctx, [erv], erv, 4) == want
@@ -85,7 +85,7 @@ def test_dispatch_cost_is_weighted_expected_delay():
 def test_relocation_cost_of_hopeless_cell_is_full_weight():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     ctx = make_ctx(net, relocation_k=4)  # zero field: probability 0
-    erv = ErvState(id="e", cell=0)
+    erv = Vehicle(id="e", cell=0)
     # no open incident to scale from: w_r is 100 x the dispatch weight
     assert built_cost(ctx, [erv], erv, 3) == 100.0
 
@@ -96,7 +96,7 @@ def test_likelier_cells_are_cheaper_to_cover():
     values[1, 2] = 0.7   # stage u+1 drives this stage's relocation price
     values[1, 5] = 0.2
     ctx = make_ctx(net, field_=values)
-    erv = ErvState(id="e", cell=0)
+    erv = Vehicle(id="e", cell=0)
     assert built_cost(ctx, [erv], erv, 2) == pytest.approx(30.0)
     assert built_cost(ctx, [erv], erv, 5) == pytest.approx(80.0)
     assert built_cost(ctx, [erv], erv, 2) < built_cost(ctx, [erv], erv, 5)
@@ -181,7 +181,7 @@ def test_built_costs_add_expected_delay_to_forecast_hotspots(seed):
     net = build_grid(4, 4, (0.3, 1.0), seed=seed)
     field_ = generate_field(16, 6, seed=seed + 40)
     inc = sample_incident("i0", 3, 5, 0.0, np.random.default_rng(seed))
-    erv = ErvState(id="e0", cell=0)
+    erv = Vehicle(id="e0", cell=0)
     ctx = make_ctx(net, field_=field_, incidents=[inc], lookahead=2,
                    relocation_k=4, stage_index=1)
     problem = build_erv_problem(ctx, [erv])
@@ -207,7 +207,7 @@ def test_coverage_is_cheaper_nearer_the_hotspot():
     values[2, 4] = 0.9  # centre cell, two stages out
     ctx = make_ctx(net, field_=values,
                    lookahead=2, relocation_k=3)
-    erv = ErvState(id="e", cell=0)
+    erv = Vehicle(id="e", cell=0)
     problem = build_erv_problem(ctx, [erv])
     # zero next-stage field: the candidates are the first cells by index
     assert problem.domains["e"] == [0, 1, 2]
@@ -225,7 +225,7 @@ def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
     # an older incident on the cell was served: it is not in the open list
     first = incident("i-first", 5, report_time=0.2)
     later = incident("i-later", 5, report_time=0.4, params=slow)
-    erv = ErvState(id="e0", cell=0)
+    erv = Vehicle(id="e0", cell=0)
     ctx = make_ctx(net, field_=field_, incidents=[later, first],
                    lookahead=2, relocation_k=4, stage_index=1)
     problem = build_erv_problem(ctx, [erv])
@@ -251,7 +251,7 @@ def test_build_past_the_forecast_horizon_opens_only_dispatch_rows():
                    incidents=[incident("i0", 8)], lookahead=2,
                    relocation_k=3, stage_index=5)
     assert [forecast_hotspots(ctx, 5 + t, 3) for t in (1, 2)] == [[], []]
-    fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=4)]
+    fleet = [Vehicle(id="e0", cell=0), Vehicle(id="e1", cell=4)]
     problem = build_erv_problem(ctx, fleet)
     assert problem.domains["e0"] == [8, 0, 1, 2]
     # rows from the vehicles to the incident, none for the coverage term
@@ -280,8 +280,8 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
         if rng.random() >= 0.2:  # one in five was served: not open
             incidents.append(inc)
     fleet = [
-        ErvState(id=f"e{j}", cell=int(rng.integers(0, n)),
-                 available_at=float(rng.random() < 0.2))
+        Vehicle(id=f"e{j}", cell=int(rng.integers(0, n)),
+                available_at=float(rng.random() < 0.2))
         for j in range(int(rng.integers(1, 5)))
     ]
     fleet[0].available_at = 0.0
@@ -311,6 +311,9 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
     for e in free:
         got = problem.unary[e.id].tolist()
         assert got == [unary_cost(scalar, e, c, w_r) for c in problem.domains[e.id]]
+    agents = [e.id for e in sorted(free, key=lambda e: e.id)]
+    assert plain(problem) == plain(assignment_problem(
+        agents, problem.domains[agents[0]], [problem.unary[a] for a in agents], "min"))
     assert sorted(net._dist_cache) == sorted(scalar_net._dist_cache)
     assert all(net._dist_cache[s].tolist() == row.tolist()
                for s, row in scalar_net._dist_cache.items())
@@ -323,7 +326,7 @@ def test_two_ervs_one_incident_sends_exactly_one():
     net = build_grid(3, 3, (0.4, 1.0), seed=3)
     inc = incident("i0", 4)
     ctx = make_ctx(net, incidents=[inc])
-    fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=8)]
+    fleet = [Vehicle(id="e0", cell=0), Vehicle(id="e1", cell=8)]
     problem = build_erv_problem(ctx, fleet)
     assert problem.agents == ["e0", "e1"]
     best, _ = brute_force_optimum(problem)
@@ -337,7 +340,7 @@ def test_one_erv_two_incidents_takes_the_cheaper_delay():
     a = sample_incident("a", 3, 2, 0.0, rng)
     b = sample_incident("b", 3, 7, 0.0, rng)
     ctx = make_ctx(net, incidents=[a, b])
-    erv = ErvState(id="e0", cell=1)
+    erv = Vehicle(id="e0", cell=1)
     problem = build_erv_problem(ctx, [erv])
     assert problem.binary == [] and len(problem.unary) == 1
     best, _ = brute_force_optimum(problem)
@@ -358,7 +361,7 @@ def test_stage_objective_counts_each_vehicle_once(algorithm):
     incidents = [
         sample_incident(f"i{j}", 2, c, 0.0, rng) for j, c in enumerate((2, 6))
     ]
-    fleet = [ErvState(id=f"e{i}", cell=c) for i, c in enumerate((0, 4, 8))]
+    fleet = [Vehicle(id=f"e{i}", cell=c) for i, c in enumerate((0, 4, 8))]
     ctx = make_ctx(net, field_=field_, incidents=incidents)
     problem = build_erv_problem(ctx, fleet)
     assert len(problem.binary) == 3
@@ -379,7 +382,7 @@ def test_idle_fleet_spreads_over_top_probability_cells():
     values = np.zeros((3, 9))
     values[1] = [0.05, 0.3, 0.0, 0.6, 0.1, 0.0, 0.45, 0.0, 0.2]
     ctx = make_ctx(net, field_=values, relocation_k=3)
-    fleet = [ErvState(id=f"e{i}", cell=i) for i in range(3)]
+    fleet = [Vehicle(id=f"e{i}", cell=i) for i in range(3)]
     problem = build_erv_problem(ctx, fleet)
     best, _ = brute_force_optimum(problem)
     assert set(best.values()) == {3, 6, 1}  # the three likeliest cells
@@ -392,15 +395,15 @@ def test_busy_vehicles_are_left_out_of_the_stage_problem():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     ctx = make_ctx(net, stage_time=1.0)
     fleet = [
-        ErvState(id="e0", cell=0, available_at=5.0),
-        ErvState(id="e1", cell=3, available_at=0.9),
+        Vehicle(id="e0", cell=0, available_at=5.0),
+        Vehicle(id="e1", cell=3, available_at=0.9),
     ]
     problem = build_erv_problem(ctx, fleet)
     assert problem.agents == ["e1"]
     with pytest.raises(InputError):
         build_erv_problem(
             replace(ctx, stage_time=0.0),
-            [ErvState(id="e0", cell=0, available_at=5.0)],
+            [Vehicle(id="e0", cell=0, available_at=5.0)],
         )
 
 
@@ -408,7 +411,7 @@ def test_auto_weight_is_hundredfold_worst_dispatch():
     net = build_grid(3, 3, (0.4, 1.2), seed=9)
     a, b = incident("a", 2), incident("b", 6)
     ctx = make_ctx(net, incidents=[a, b])
-    fleet = [ErvState(id="e0", cell=0), ErvState(id="e1", cell=4)]
+    fleet = [Vehicle(id="e0", cell=0), Vehicle(id="e1", cell=4)]
     problem = build_erv_problem(ctx, fleet)
     worst = max(
         expected_delay(i.params, travel_time(net, e.cell, i.location))
@@ -432,7 +435,7 @@ def test_open_incidents_outrank_relocation_under_auto_weight(seed):
         for j in range(n_open)
     ]
     fleet = [
-        ErvState(id=f"e{j}", cell=int(cells[n_open + j])) for j in range(n_free)
+        Vehicle(id=f"e{j}", cell=int(cells[n_open + j])) for j in range(n_free)
     ]
     ctx = make_ctx(net, field_=field_, incidents=incidents, relocation_k=2)
     problem = build_erv_problem(ctx, fleet)
@@ -460,7 +463,7 @@ def test_dispatch_bookkeeping_and_record():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     inc = incident("i0", 1, report_time=0.0)
     ctx = make_ctx(net, incidents=[inc], stage_time=1.0)
-    erv = ErvState(id="e0", cell=0)
+    erv = Vehicle(id="e0", cell=0)
     records = apply_assignment(ctx, [erv], {"e0": 1})
     assert len(records) == 1
     rec = records[0]
@@ -476,7 +479,7 @@ def test_relocation_bookkeeping_clears_nothing():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     inc = incident("i0", 8)
     ctx = make_ctx(net, incidents=[inc], stage_time=2.0)
-    erv = ErvState(id="e0", cell=0)
+    erv = Vehicle(id="e0", cell=0)
     records = apply_assignment(ctx, [erv], {"e0": 4})
     assert records == []  # the open incident on cell 8 is not served
     assert erv.cell == 4
@@ -487,10 +490,10 @@ def test_apply_assignment_rejects_unknown_or_busy_vehicles():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     ctx = make_ctx(net)
     with pytest.raises(InputError):
-        apply_assignment(ctx, [ErvState(id="e0", cell=0)], {"ghost": 1})
+        apply_assignment(ctx, [Vehicle(id="e0", cell=0)], {"ghost": 1})
     with pytest.raises(InputError):
         apply_assignment(
-            ctx, [ErvState(id="e0", cell=0, available_at=9.0)], {"e0": 1}
+            ctx, [Vehicle(id="e0", cell=0, available_at=9.0)], {"e0": 1}
         )
 
 
@@ -498,7 +501,7 @@ def test_two_stage_cycle_frees_the_vehicle_again():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     inc0 = incident("i0", 1, report_time=0.0)
     inc1 = incident("i1", 2, report_time=0.5)
-    erv = ErvState(id="e0", cell=0)
+    erv = Vehicle(id="e0", cell=0)
     ctx0 = make_ctx(net, incidents=[inc0], stage_time=0.0)
     apply_assignment(ctx0, [erv], {"e0": 1})
     assert erv.available_at == pytest.approx(0.8)

@@ -75,3 +75,16 @@ def test_readme_library_example_runs_and_prints_the_kernel_it_states():
     stated = line.split("# ", 1)[1]
     assert str(namespace["world"].forecast.kernel) == stated
     assert stated in out.getvalue().splitlines()
+
+
+def test_package_root_exports_only_the_library_api():
+    import timdcop
+
+    assert sorted(timdcop.__all__) == [
+        "RunResult", "Scenario", "__version__", "materialize", "run_policy"]
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    imported = {name.strip() for line in block.splitlines()
+                if line.startswith("from timdcop")
+                for name in line.split(" import ", 1)[1].split(",")}
+    assert imported and imported <= set(timdcop.__all__)

@@ -20,11 +20,12 @@ from timdcop.dcop import (
     all_different_table,
     total_cost,
 )
-from timdcop.erv import ErvState, StageContext, build_erv_problem
+from timdcop.erv import StageContext, build_erv_problem
 from timdcop.errors import InputError
+from timdcop.network import Vehicle
 from timdcop.scenarios import Scenario, materialize
 from timdcop.solvers import MAX_ITERATIONS, SolverConfig, solve
-from timdcop.uav import UavState, build_uav_problem
+from timdcop.uav import build_uav_problem
 
 
 def random_table_problem(seed: int, n_agents=3, n_values=4) -> DcopProblem:
@@ -339,7 +340,7 @@ def erv_problems(draw) -> DcopProblem:
                                      unique_by=lambda i: i.id)),
         lookahead=draw(st.integers(0, 2)), relocation_k=draw(st.integers(0, 4)),
     )
-    fleet = [ErvState(id=f"erv{i}", cell=c)
+    fleet = [Vehicle(id=f"erv{i}", cell=c)
              for i, c in enumerate(draw(st.lists(cell, min_size=1, max_size=9)))]
     return build_erv_problem(ctx, fleet)
 
@@ -348,7 +349,7 @@ def erv_problems(draw) -> DcopProblem:
 def uav_problems(draw) -> DcopProblem:
     w = small_world(draw(st.integers(0, 3)))
     cell = st.integers(0, w.net.n_cells - 1)
-    uavs = [UavState(id=f"uav{i}", cell=c)
+    uavs = [Vehicle(id=f"uav{i}", cell=c)
             for i, c in enumerate(draw(st.lists(cell, min_size=1, max_size=9)))]
     benefits = draw(st.dictionaries(cell, st.integers(2, 40).map(float),
                                     min_size=1, max_size=5))

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcop_oracle import brute_force_optimum
+from dcop_oracle import brute_force_optimum, plain
+from timdcop.dcop import assignment_problem
 from timdcop.errors import InputError, ModelDomainError
 from timdcop.incidents import TrafficParams, expected_delay
-from timdcop.network import build_grid, travel_time
+from timdcop.network import Vehicle, build_grid, travel_time
 from timdcop.uav import (
     HAZARD_REDUCTION,
     AssimilationRecord,
     DelayBelief,
-    UavState,
     apply_uav_assignment,
     assimilate,
     build_uav_problem,
@@ -69,7 +69,7 @@ def test_priority_benefit_rejects_out_of_range_levels():
 def test_single_uav_picks_the_higher_stake_site():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
     # cells 2 and 6 are both 2 hops from the centre: pure benefit contest
-    uav = UavState(id="u0", cell=4)
+    uav = Vehicle(id="u0", cell=4)
     problem = build_uav_problem(net, [uav], {2: 30.0, 6: 10.0})
     assert problem.sense == "max"
     best, util = brute_force_optimum(problem)
@@ -79,7 +79,7 @@ def test_single_uav_picks_the_higher_stake_site():
 
 def test_surplus_uav_takes_the_idle_slot():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
-    uavs = [UavState(id="u0", cell=0), UavState(id="u1", cell=8)]
+    uavs = [Vehicle(id="u0", cell=0), Vehicle(id="u1", cell=8)]
     problem = build_uav_problem(net, uavs, {4: 25.0})
     best, _ = brute_force_optimum(problem)
     assert sorted(best.values(), key=str) == [4, None]
@@ -87,7 +87,7 @@ def test_surplus_uav_takes_the_idle_slot():
 
 def test_idle_wins_when_flight_discount_eats_the_benefit():
     net = build_grid(2, 2, (1.0, 1.0), seed=0)
-    uav = UavState(id="u0", cell=0)
+    uav = Vehicle(id="u0", cell=0)
     # two hops away at 10 benefit/h: discount 20 > benefit 5
     problem = build_uav_problem(net, [uav], {3: 5.0})
     best, util = brute_force_optimum(problem)
@@ -99,7 +99,7 @@ def test_three_uavs_five_sites_brute_force_is_an_upper_bound():
     from timdcop.solvers import SolverConfig, solve
 
     net = build_grid(3, 3, (0.3, 0.9), seed=12)
-    uavs = [UavState(id=f"u{i}", cell=2 * i) for i in range(3)]
+    uavs = [Vehicle(id=f"u{i}", cell=2 * i) for i in range(3)]
     benefits = {c: float(b) for c, b in zip((1, 3, 5, 7, 8), (12, 30, 8, 22, 17))}
     problem = build_uav_problem(net, uavs, benefits)
     _, best = brute_force_optimum(problem)
@@ -119,30 +119,33 @@ def test_a_uav_build_opens_its_rows_in_at_most_one_call(monkeypatch):
                         lambda n, s: calls.append(list(s)) or real(n, s))
     # u0 and u3 share cell 0, off both sites; u1 and u2 each sit on one site
     # and fly to the other: three rows, one call
-    uavs = [UavState(id=f"u{i}", cell=c) for i, c in enumerate((0, 9, 5, 0))]
+    uavs = [Vehicle(id=f"u{i}", cell=c) for i, c in enumerate((0, 9, 5, 0))]
     problem = build_uav_problem(net, uavs, {5: 20.0, 9: 12.0})
     assert calls == [[0, 9, 5]]
     assert problem.unary["u2"][0] == 20.0  # no flight to its own cell
     assert problem.unary["u1"].tolist() == [
         20.0 - 10.0 * travel_time(net, 9, 5), 12.0, 0.0]
+    agents = ["u0", "u1", "u2", "u3"]
+    assert plain(problem) == plain(assignment_problem(
+        agents, [5, 9, None], [problem.unary[a] for a in agents], "max"))
     build_uav_problem(net, uavs, {5: 20.0, 9: 12.0})
     assert len(calls) == 1  # rows are cached
     # a UAV on the only site needs no row
-    build_uav_problem(net, [UavState(id="u4", cell=6)], {6: 20.0})
+    build_uav_problem(net, [Vehicle(id="u4", cell=6)], {6: 20.0})
     assert len(calls) == 1 and sorted(net._dist_cache) == [0, 5, 9]
 
 
 def test_build_uav_problem_rejects_empty_inputs():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     with pytest.raises(InputError):
-        build_uav_problem(net, [UavState(id="u0", cell=0)], {})
+        build_uav_problem(net, [Vehicle(id="u0", cell=0)], {})
     with pytest.raises(InputError):
         build_uav_problem(net, [], {1: 5.0})
 
 
 def test_apply_uav_assignment_moves_and_reports():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
-    uavs = [UavState(id="u0", cell=0), UavState(id="u1", cell=8)]
+    uavs = [Vehicle(id="u0", cell=0), Vehicle(id="u1", cell=8)]
     observed = apply_uav_assignment(
         net, uavs, {"u0": 4, "u1": None}, stage_time=2.0
     )
@@ -299,7 +302,7 @@ def test_assimilation_csv_schema_and_round_trip(tmp_path):
 
 def test_observation_then_fusion_tightens_a_belief():
     net = build_grid(3, 3, (0.5, 0.5), seed=0)
-    uav = UavState(id="u0", cell=0)
+    uav = Vehicle(id="u0", cell=0)
     benefits = {4: priority_benefit(3, 4, 2)}
     problem = build_uav_problem(net, [uav], benefits)
     best, _ = brute_force_optimum(problem)
