@@ -159,11 +159,7 @@ def _manifest_text(doc: dict) -> str:
 
 
 def _apply_axis(sc: Scenario, axis: str, value) -> Scenario:
-    key = _AXES[axis]
-    attr = SCENARIO_FIELDS[key][0]
-    if key.startswith("solver."):
-        return replace(sc, solver=replace(sc.solver, **{attr: value}))
-    return replace(sc, **{attr: value})
+    return replace(sc, **{SCENARIO_FIELDS[_AXES[axis]][0]: value})
 
 
 def _parse_policies(raw: list[str]) -> list[str]:

@@ -53,8 +53,6 @@ class StageContext:
     oldest: dict[CellId, Incident] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lookahead < 0 or self.lookahead > 2:
-            raise InputError("lookahead must be 0, 1 or 2")
         self.oldest = {}
         for i in sorted(self.open_incidents, key=lambda i: (i.report_time, i.id)):
             self.oldest.setdefault(i.location, i)
@@ -168,8 +166,6 @@ def apply_assignment(
         erv = by_id.get(erv_id)
         if erv is None:
             raise InputError(f"assignment names unknown ERV {erv_id!r}")
-        if not erv.is_free(ctx.stage_time):
-            raise InputError(f"ERV {erv_id} is not free at t={ctx.stage_time}")
         travel = erv.move_to(ctx.net, cell, ctx.stage_time)
         inc = unserved.pop(cell, None)
         if inc is not None:

@@ -64,15 +64,11 @@ def generate_field(
     normalize: bool = False,
     budget: float = 1.0,
 ) -> np.ndarray:
-    """Draw a uniform random primary field, shape (stages, n_cells) with
-    entries in [0, 1]; when normalizing, each stage sums to `budget`."""
-    lo, hi = prob_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise InputError(f"probability range must sit inside [0,1]: ({lo},{hi})")
-    if stages < 1 or n_cells < 1:
-        raise InputError("field needs at least one stage and one cell")
+    """Draw a uniform random primary field, shape (stages, n_cells), from
+    `prob_range` (a Scenario keeps it inside [0, 1]); when normalizing, each
+    stage sums to `budget`."""
     rng = np.random.default_rng(seed)
-    vals = rng.uniform(lo, hi, size=(stages, n_cells))
+    vals = rng.uniform(*prob_range, size=(stages, n_cells))
     if normalize:
         sums = vals.sum(axis=1, keepdims=True)
         nonzero = sums[:, 0] > 0

@@ -58,11 +58,7 @@ def build_grid(
     east link then south link), laid out into `east` and `south`, so a seed
     fully determines the network.
     """
-    if rows < 2 or cols < 2:
-        raise InputError(f"grid must be at least 2x2, got {rows}x{cols}")
     lo, hi = edge_time_range
-    if lo <= 0 or hi < lo:
-        raise InputError(f"bad edge time range ({lo}, {hi})")
     # per cell in row-major order, its east link then its south link
     has = np.stack(np.broadcast_arrays(
         np.arange(cols) < cols - 1, np.arange(rows)[:, None] < rows - 1), axis=2)
@@ -139,7 +135,9 @@ class Vehicle:
 
     def move_to(self, net: GridNetwork, cell: CellId, now: float) -> float:
         """Leave for `cell` at `now`: the vehicle is next free on arrival.
-        Returns the travel time."""
+        Returns the travel time. A vehicle still busy at `now` is refused."""
+        if not self.is_free(now):
+            raise InputError(f"{self.id} is not free at t={now}")
         travel = travel_time(net, self.cell, cell)
         self.cell = cell
         self.available_at = now + travel

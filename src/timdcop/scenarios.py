@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -40,7 +40,7 @@ from .erv import (
     apply_assignment,
     build_erv_problem,
 )
-from .forecast import Forecast, default_kernel, generate_field
+from .forecast import DEFAULT_PROB_RANGE, Forecast, default_kernel, generate_field
 from .incidents import (
     SEVERITY_RANGES,
     Incident,
@@ -49,6 +49,7 @@ from .incidents import (
     sample_incident,
 )
 from .network import (
+    DEFAULT_EDGE_RANGE,
     TIME_EPS,
     GridNetwork,
     Vehicle,
@@ -56,8 +57,9 @@ from .network import (
     travel_rows,
     travel_time,
 )
-from .solvers import SOLVER_RULES, SolverConfig, solve
+from .solvers import MAX_ITERATIONS, SolverConfig, solve
 from .uav import (
+    DEFAULT_OBS_VAR_RATIO,
     AssimilationRecord,
     DelayBelief,
     apply_uav_assignment,
@@ -115,11 +117,11 @@ def _any(x) -> bool:
     return True
 
 
-# The scenario file format: file key -> (attribute, kind, rule, check). A
-# dotted key names a field of a section object, and a key in the solver
-# section sets a SolverConfig field rather than a Scenario one. A key a file
-# leaves out keeps the field's default; only seed and schedule are required.
-# The rule is the README's text for what `check` accepts.
+# The scenario file format: file key -> (Scenario attribute, kind, rule,
+# check). A dotted key names a field of a section object. A key a file leaves
+# out keeps the field's default; only seed and schedule are required. The
+# rule is the README's text for what `check` accepts, and Scenario is the one
+# place that checks it.
 SCENARIO_FIELDS = {
     "name": ("name", "text", "", _any),
     "seed": ("seed", "count", "≥ 0", lambda x: x >= 0),
@@ -133,9 +135,11 @@ SCENARIO_FIELDS = {
     "fleet.ervs": ("n_ervs", "count", "≥ 1", lambda x: x >= 1),
     "fleet.uavs": ("n_uavs", "count", "≥ 0", lambda x: x >= 0),
     "stage_gap_h": ("stage_gap", "number", "positive and finite", _positive),
-    "solver.algorithm": ("algorithm", "text", *SOLVER_RULES["algorithm"]),
-    "solver.iterations": ("iterations", "count", *SOLVER_RULES["iterations"]),
-    "solver.dsa_threshold": ("dsa_threshold", "number", *SOLVER_RULES["dsa_threshold"]),
+    "solver.algorithm": ("algorithm", "text", '"mgm" or "dsa"',
+                         lambda x: x in ("mgm", "dsa")),
+    "solver.iterations": ("iterations", "count", f"1 to {MAX_ITERATIONS:,}",
+                          lambda x: 1 <= x <= MAX_ITERATIONS),
+    "solver.dsa_threshold": ("dsa_threshold", "number", "in [0, 1]", _unit),
     "forecast.prob_range": ("prob_range", "numbers", "two numbers 0 ≤ lo ≤ hi ≤ 1",
                             lambda x: len(x) == 2 and 0 <= x[0] <= x[1] <= 1),
     "forecast.normalize": ("normalize_field", "switch", "", _any),
@@ -148,29 +152,26 @@ SCENARIO_FIELDS = {
 }
 
 
-def _holder(sc: Scenario, key: str):
-    """The object that holds `key`'s attribute: the solver or the scenario."""
-    return sc.solver if key.startswith("solver.") else sc
-
-
 @dataclass(frozen=True)
 class Scenario:
     seed: int
     schedule: tuple[int, ...] = (1,)   # new requests per stage
     rows: int = 10
     cols: int = 10
-    edge_time_range: tuple[float, float] = (0.1, 1.5)
+    edge_time_range: tuple[float, float] = DEFAULT_EDGE_RANGE
     n_ervs: int = 3
     n_uavs: int = 0
     stage_gap: float = 0.5             # hours between request stages
-    solver: SolverConfig = SolverConfig()
-    prob_range: tuple[float, float] = (0.0, 0.15)
+    algorithm: str = SolverConfig.algorithm
+    iterations: int = SolverConfig.iterations
+    dsa_threshold: float = SolverConfig.dsa_threshold
+    prob_range: tuple[float, float] = DEFAULT_PROB_RANGE
     normalize_field: bool = False
     field_budget: float = 1.0
     lookahead: int = 2
     relocation_k: int = 10
     cooperation: bool = True
-    kappa: float = 0.5                 # observation variance ratio
+    kappa: float = DEFAULT_OBS_VAR_RATIO  # observation variance ratio
     forecast_signal: float = 0.35      # probability lift at true incident cells
     name: str = ""
 
@@ -179,7 +180,7 @@ class Scenario:
         for name in ("schedule", "edge_time_range", "prob_range"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for key, (attr, _, rule, check) in SCENARIO_FIELDS.items():
-            value = getattr(_holder(self, key), attr)
+            value = getattr(self, attr)
             if not check(value):
                 raise InputError(f"{key} must be {rule}, got {value!r}")
         cells = self.rows * self.cols
@@ -446,8 +447,9 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
 
     def solved(problem, purpose: int, stage: int):
         # each sub-team solves on its own seeded stream of the stage
-        return solve(problem,
-                     replace(sc.solver, seed=_int_seed(sc.seed, purpose, stage)))
+        return solve(problem, SolverConfig(sc.algorithm, sc.iterations,
+                                           sc.dsa_threshold,
+                                           _int_seed(sc.seed, purpose, stage)))
 
     def step(stage: int, t: float, open_inc: list[Incident],
              free: list[Vehicle]) -> tuple[list[Incident], dict]:
@@ -576,15 +578,14 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
 # ---------------------------------------------------------------------- opt
 
 
-def run_opt(sc: Scenario, world: World | None = None,
-            cap: int = OPT_EVAL_CAP) -> RunResult:
+def run_opt(sc: Scenario, world: World | None = None) -> RunResult:
     """Clairvoyant exact baseline (see _ExactSearch).
 
     The search starts from the best of three polished incumbents -- a greedy
     schedule and both realized policies replayed with direct motion -- so it
     returns at or below either policy's cost by construction (on a world
     that already ran them, the stored runs are replayed). States surviving
-    their own floor count as evaluations; exceeding `cap` raises
+    their own floor count as evaluations; exceeding OPT_EVAL_CAP raises
     CapExceededError.
     """
     w = world if world is not None else materialize(sc)
@@ -593,7 +594,7 @@ def run_opt(sc: Scenario, world: World | None = None,
                   search.replay(run_proactive(sc, w))]
     cost, seqs = min((search.polish(cost, seqs) for cost, seqs in incumbents),
                      key=lambda t: t[0])
-    plan, nodes = search.search(cost, seqs, cap)
+    plan, nodes = search.search(cost, seqs, OPT_EVAL_CAP)
 
     incidents = search.incidents
     outcomes = [_served(incidents[i], _erv_id(e), start - incidents[i].report_time)
@@ -1045,7 +1046,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
     d: dict = {}
     for key, (attr, kind, *_) in SCENARIO_FIELDS.items():
         section, _, name = key.rpartition(".")
-        value = getattr(_holder(sc, key), attr)
+        value = getattr(sc, attr)
         (d.setdefault(section, {}) if section else d)[name] = (
             list(value) if kind in ("counts", "numbers") else value)
     return d
@@ -1066,13 +1067,9 @@ def scenario_from_dict(d: dict) -> Scenario:
     for key in ("seed", "schedule"):
         if key not in flat:
             raise InputError(f"a scenario needs {key}")
-    fields: dict = {}
-    solver: dict = {}
-    for key, (attr, kind, *_) in SCENARIO_FIELDS.items():
-        if key in flat:
-            (solver if key.startswith("solver.") else fields)[attr] = (
-                READERS[kind](flat[key], key))
-    return Scenario(solver=SolverConfig(**solver), **fields)
+    return Scenario(**{attr: READERS[kind](flat[key], key)
+                       for key, (attr, kind, *_) in SCENARIO_FIELDS.items()
+                       if key in flat})
 
 
 # The result JSON, written from one %-template per record kind with the keys

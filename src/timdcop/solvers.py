@@ -54,29 +54,19 @@ from .dcop import Assignment, DcopProblem, total_cost
 from .errors import InputError
 
 
-# ceiling on the rounds of one solve (45 is the default)
+# ceiling on the rounds of one solve, checked by Scenario (45 is the default)
 MAX_ITERATIONS = 10_000
-# SolverConfig field -> (rule, check): the rule is the README's text for what
-# `check` accepts, and the scenario file table takes both from here
-SOLVER_RULES = {
-    "algorithm": ('"mgm" or "dsa"', lambda x: x in ("mgm", "dsa")),
-    "iterations": (f"1 to {MAX_ITERATIONS:,}", lambda x: 1 <= x <= MAX_ITERATIONS),
-    "dsa_threshold": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
-}
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One solve's settings. A Scenario holds and checks the first three;
+    the seed is the stage's own stream."""
+
     algorithm: str = "dsa"      # "mgm" or "dsa"
     iterations: int = 45
     dsa_threshold: float = 0.9  # activation probability, DSA only
     seed: int | None = None     # mandatory for DSA (stochastic move rule)
-
-    def __post_init__(self) -> None:
-        for attr, (rule, check) in SOLVER_RULES.items():
-            value = getattr(self, attr)
-            if not check(value):
-                raise InputError(f"solver.{attr} must be {rule}, got {value!r}")
 
 
 @dataclass

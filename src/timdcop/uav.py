@@ -135,8 +135,6 @@ def simulate_observation(
     The instrument's variance is kappa * prior variance; the reading is
     normal around the latent delay.
     """
-    if kappa <= 0:
-        raise InputError(f"kappa must be positive, got {kappa}")
     obs_var = kappa * prior.variance
     obs_mean = float(rng.normal(latent_mean, math.sqrt(obs_var)))
     return obs_mean, obs_var

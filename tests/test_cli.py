@@ -1,6 +1,5 @@
 """Command-line front end: outputs, exit codes, manifests, sweeps."""
 import csv
-import functools
 import hashlib
 import inspect
 import json
@@ -23,7 +22,6 @@ from timdcop.cli import main
 from timdcop.errors import CapExceededError, ModelDomainError
 from timdcop.scenarios import (
     Scenario,
-    run_opt,
     run_policy,
     scenario_from_dict,
     scenario_to_dict,
@@ -267,9 +265,7 @@ def test_run_manifest_policies_are_read_like_the_option(tmp_path, capsys):
 def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     # squeeze the exact search's evaluation budget; the real cap needs a
     # far bigger request set than a unit test should run
-    monkeypatch.setattr(
-        scenarios, "run_opt", functools.partial(run_opt, cap=10)
-    )
+    monkeypatch.setattr(scenarios, "OPT_EVAL_CAP", 10)
     hard = tmp_path / "hard.json"
     hard.write_text(json.dumps(scenario_to_dict(
         Scenario(seed=305, schedule=(3, 3, 3), rows=4, cols=4, n_ervs=2)

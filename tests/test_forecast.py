@@ -14,6 +14,7 @@ from timdcop.forecast import (
     generate_field,
 )
 from timdcop.network import build_grid
+from timdcop.scenarios import Scenario
 
 # --------------------------------------------------------------- oracle
 # Written before the module code: the literal triple-loop sum over every
@@ -175,17 +176,23 @@ def test_generate_field_normalization_budget():
     assert np.allclose(sums, 0.8)
 
 
+# generate_field takes its range and dimensions from a Scenario, which
+# refuses a range outside [0, 1] and a world with no stage or no cell
+
+
 @pytest.mark.parametrize("rng_pair", [(-0.1, 0.5), (0.2, 0.1), (0.5, 1.5)])
 def test_generate_field_rejects_bad_range(rng_pair):
-    with pytest.raises(InputError):
-        generate_field(4, 3, prob_range=rng_pair)
+    with pytest.raises(InputError) as refused:
+        Scenario(seed=0, prob_range=rng_pair)
+    assert str(refused.value) == ("forecast.prob_range must be two numbers "
+                                  f"0 ≤ lo ≤ hi ≤ 1, got {rng_pair}")
 
 
 def test_generate_field_rejects_empty_dimensions():
-    with pytest.raises(InputError):
-        generate_field(0, 3)
-    with pytest.raises(InputError):
-        generate_field(4, 0)
+    with pytest.raises(InputError, match="^schedule must be non-empty"):
+        Scenario(seed=0, schedule=())
+    with pytest.raises(InputError, match="^grid.rows must be ≥ 2, got 0$"):
+        Scenario(seed=0, rows=0, cols=0)
 
 
 def test_expected_probability_rejects_negative_stage():

@@ -15,6 +15,7 @@ from timdcop.network import (
     travel_rows,
     travel_time,
 )
+from timdcop.scenarios import Scenario
 
 
 # --------------------------------------------------------------- oracle
@@ -193,16 +194,23 @@ def test_metric_properties_hold_everywhere(rows, cols, seed):
 # ---------------------------------------------------------------- errors
 
 
+# build_grid takes its size and edge range from a Scenario, which refuses a
+# grid under 2x2 and an edge range build_grid cannot draw from
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 5), (5, 1), (0, 0)])
 def test_rejects_degenerate_dimensions(rows, cols):
-    with pytest.raises(InputError):
-        build_grid(rows, cols)
+    key, value = ("grid.rows", rows) if rows < 2 else ("grid.cols", cols)
+    with pytest.raises(InputError, match=f"^{key} must be ≥ 2, got {value}$"):
+        Scenario(seed=0, rows=rows, cols=cols)
 
 
 @pytest.mark.parametrize("rng_pair", [(0.0, 1.0), (-0.2, 0.5), (1.0, 0.5)])
 def test_rejects_bad_edge_range(rng_pair):
-    with pytest.raises(InputError):
-        build_grid(3, 3, rng_pair)
+    with pytest.raises(InputError) as refused:
+        Scenario(seed=0, edge_time_range=rng_pair)
+    assert str(refused.value) == ("grid.edge_time_range must be two finite "
+                                  f"numbers 0 < lo ≤ hi, got {rng_pair}")
 
 
 def test_rejects_out_of_range_cells():

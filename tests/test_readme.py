@@ -11,7 +11,6 @@ import pytest
 import timdcop.cli as cli
 from timdcop.errors import InputError
 from timdcop.scenarios import SCENARIO_FIELDS, Scenario, scenario_from_dict
-from timdcop.solvers import SolverConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the README's words for the field table's kinds
@@ -52,8 +51,7 @@ def test_readme_scenario_row_matches_the_code(row):
         with pytest.raises(InputError, match=f"needs {key}"):
             scenario_from_dict({k: v for k, v in required.items() if k != key})
     else:
-        holder = SolverConfig if key.startswith("solver.") else Scenario
-        value = {f.name: f.default for f in dataclasses.fields(holder)}[attr]
+        value = {f.name: f.default for f in dataclasses.fields(Scenario)}[attr]
         value = list(value) if isinstance(value, tuple) else value
         assert json.dumps(json.loads(default)) == json.dumps(value)
         assert key not in required

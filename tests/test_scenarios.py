@@ -35,7 +35,7 @@ from timdcop.scenarios import (
     write_incident_csv,
     write_stage_csv,
 )
-from timdcop.solvers import MAX_ITERATIONS, SolverConfig
+from timdcop.solvers import MAX_ITERATIONS
 from timdcop.uav import AssimilationRecord
 
 POLICIES = ("conventional", "pdronetim", "opt")
@@ -231,7 +231,7 @@ def test_opt_on_a_world_that_already_ran_both_policies():
 
 def test_stored_runs_are_keyed_by_the_whole_scenario():
     sc = small(326, (2, 2), n_ervs=2)
-    mgm = replace(sc, solver=replace(sc.solver, algorithm="mgm"))
+    mgm = replace(sc, algorithm="mgm")
     world = materialize(sc)
     assert run_proactive(sc, world) is run_proactive(sc, world)
     # same world, a scenario that differs only in its solver
@@ -461,13 +461,14 @@ def test_the_exact_baseline_equals_the_brute_force_optimum(
     assert run_opt(sc, w).total_delay_veh_h == pytest.approx(best, rel=1e-12)
 
 
-def test_evaluation_cap_stops_the_exact_search():
+def test_evaluation_cap_stops_the_exact_search(monkeypatch):
     sc = small(305, (3, 3, 3), n_ervs=2)
     world = materialize(sc)
     full = run_opt(sc, world)
     assert full.opt_nodes > 10
+    monkeypatch.setattr(scenarios, "OPT_EVAL_CAP", 10)
     with pytest.raises(CapExceededError):
-        run_opt(sc, world, cap=10)
+        run_opt(sc, world)
 
 
 def test_unknown_policy_is_rejected():
@@ -566,43 +567,59 @@ def test_materialize_is_deterministic():
 
 
 def test_scenario_validation():
-    with pytest.raises(InputError):
-        Scenario(seed=0, n_ervs=0)
-    with pytest.raises(InputError):
-        Scenario(seed=0, n_uavs=-1)
+    # the rules that span keys (one rule key at a time: see REFUSED below)
     with pytest.raises(InputError, match="17 UAVs on a 4x4 grid"):
         Scenario(seed=0, rows=4, cols=4, n_uavs=17)
     Scenario(seed=0, rows=4, cols=4, n_uavs=16)  # one per cell is allowed
-    with pytest.raises(InputError):
-        Scenario(seed=0, stage_gap=0.0)
-    with pytest.raises(InputError):
-        Scenario(seed=0, schedule=())
-    with pytest.raises(InputError):
-        Scenario(seed=0, schedule=(1, -1))
-    with pytest.raises(InputError):
-        Scenario(seed=0, forecast_signal=1.5)
-    for lookahead in (-1, 3):
-        with pytest.raises(InputError):
-            Scenario(seed=0, lookahead=lookahead)
-    for kappa in (0.0, -0.5, float("nan"), float("inf")):
-        with pytest.raises(InputError):
-            Scenario(seed=0, kappa=kappa)
-    for bad in (dict(seed=-1), dict(relocation_k=-1),
-                dict(stage_gap=math.nan), dict(stage_gap=math.inf),
-                dict(edge_time_range=(0.5,)), dict(edge_time_range=(0.5, 0.4)),
-                dict(prob_range=(0.0, math.inf)), dict(prob_range=(0, 0.1, 0.2)),
-                dict(field_budget=0.0), dict(field_budget=-1.0),
-                dict(field_budget=math.nan), dict(field_budget=math.inf),
-                # what build_grid and generate_field refuse, refused at load
-                dict(rows=1, cols=8), dict(prob_range=(0.5, 1.5)),
-                dict(edge_time_range=(0, 1)),
-                # ints too large for a float are not finite numbers
-                dict(kappa=10**400), dict(stage_gap=10**400),
+    with pytest.raises(InputError, match="17 incidents on 16 cells"):
+        Scenario(seed=0, schedule=(17,), rows=4, cols=4)  # caught at load
+    # ints too large for a float are not finite numbers
+    for bad in (dict(kappa=10**400), dict(stage_gap=10**400),
                 dict(field_budget=10**400), dict(edge_time_range=(0.1, 10**400))):
         with pytest.raises(InputError):
             Scenario(**{"seed": 0, **bad})
-    with pytest.raises(InputError, match="17 incidents on 16 cells"):
-        Scenario(seed=0, schedule=(17,), rows=4, cols=4)  # caught at load
+
+
+# file key -> values its rule refuses, each one the file's reader accepts
+REFUSED = {
+    "seed": (-1,),
+    "schedule": ((), (1, -1)),
+    "grid.rows": (1,),
+    "grid.cols": (0,),
+    "grid.edge_time_range": ((0.0, 1.0), (0.5, 0.4), (0.5,), (0.1, math.inf)),
+    "fleet.ervs": (0,),
+    "fleet.uavs": (-1,),
+    "stage_gap_h": (0.0, math.nan, math.inf),
+    "solver.algorithm": ("tabu",),
+    "solver.iterations": (0, MAX_ITERATIONS + 1),
+    "solver.dsa_threshold": (1.0001,),
+    "forecast.prob_range": ((0.5, 1.5), (0.0, math.inf), (0.0, 0.1, 0.2)),
+    "forecast.budget": (0.0, -1.0, math.nan, math.inf),
+    "forecast.signal": (1.5,),
+    "lookahead": (-1, 3),
+    "relocation_k": (-1,),
+    "kappa": (0.0, -0.5, math.nan, math.inf),
+}
+
+
+def test_every_rule_has_refused_values():
+    assert list(REFUSED) == [key for key, (_, _, rule, _)
+                             in scenarios.SCENARIO_FIELDS.items() if rule]
+
+
+@pytest.mark.parametrize("key", REFUSED)
+def test_the_scenario_refuses_what_each_rule_refuses(key):
+    attr, _, rule, _ = scenarios.SCENARIO_FIELDS[key]
+    section, _, name = key.rpartition(".")
+    for value in REFUSED[key]:
+        as_json = list(value) if isinstance(value, tuple) else value
+        doc = {"seed": 0, "schedule": [1],
+               **({section: {name: as_json}} if section else {name: as_json})}
+        for make in (lambda: Scenario(**{"seed": 0, attr: value}),
+                     lambda: scenario_from_dict(doc)):
+            with pytest.raises(InputError) as refused:
+                make()
+            assert str(refused.value) == f"{key} must be {rule}, got {value!r}"
 
 
 def test_stage_bound_and_rounds_have_a_ceiling_at_load():
@@ -615,9 +632,10 @@ def test_stage_bound_and_rounds_have_a_ceiling_at_load():
             Scenario(**tiny, stage_gap=gap)
     sc = Scenario(**tiny)
     most = MAX_ITERATIONS
-    assert replace(sc, solver=replace(sc.solver, iterations=most)).solver.iterations == most
-    with pytest.raises(InputError, match="iterations"):
-        replace(sc, solver=replace(sc.solver, iterations=most + 1))
+    assert replace(sc, iterations=most).iterations == most
+    with pytest.raises(InputError,
+                       match=r"^solver\.iterations must be 1 to 10,000, got 10001$"):
+        replace(sc, iterations=most + 1)
 
 
 # ---------------------------------------------------------- serialization
@@ -636,9 +654,8 @@ def test_scenario_round_trips_through_its_dict_form():
 
 def test_the_field_table_states_the_whole_format():
     attrs = [attr for attr, *_ in scenarios.SCENARIO_FIELDS.values()]
-    fields = [f.name for f in dataclasses.fields(Scenario) if f.name != "solver"]
-    fields += [f.name for f in dataclasses.fields(SolverConfig) if f.name != "seed"]
-    assert sorted(attrs) == sorted(fields)  # each field exactly once
+    # each field exactly once
+    assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(Scenario))
     assert all(kind in scenarios.READERS
                for _, kind, *_ in scenarios.SCENARIO_FIELDS.values())
     # a file with only the required keys takes every default
@@ -714,7 +731,7 @@ def oracle_json(res) -> str:
 def test_result_json_equals_the_oracle_on_generated_runs(
         seed, rows, cols, n_ervs, n_uavs, algorithm, schedule):
     sc = small(seed, schedule, rows=rows, cols=cols, n_ervs=n_ervs,
-               n_uavs=n_uavs, solver=SolverConfig(algorithm=algorithm))
+               n_uavs=n_uavs, algorithm=algorithm)
     world = materialize(sc)
     for policy in POLICIES:
         res = run_policy(sc, policy, world)

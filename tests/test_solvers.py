@@ -402,16 +402,3 @@ def test_identical_seeds_give_bit_identical_traces():
 def test_dsa_requires_a_seed():
     with pytest.raises(InputError):
         solve(random_table_problem(0), SolverConfig("dsa", seed=None))
-
-
-def test_config_validation():
-    with pytest.raises(InputError):
-        SolverConfig("tabu")
-    with pytest.raises(InputError):
-        SolverConfig("mgm", iterations=0)
-    with pytest.raises(InputError):
-        SolverConfig("dsa", dsa_threshold=1.0001, seed=0)
-    # a library config meets the scenario file's rules and message
-    with pytest.raises(InputError,
-                       match=r"^solver\.iterations must be 1 to 10,000, got 10001$"):
-        SolverConfig("mgm", iterations=MAX_ITERATIONS + 1)

@@ -157,6 +157,14 @@ def test_apply_uav_assignment_moves_and_reports():
         apply_uav_assignment(net, uavs, {"ghost": 4}, stage_time=2.0)
 
 
+def test_a_busy_uav_is_not_tasked():
+    net = build_grid(3, 3, (0.5, 0.5), seed=0)
+    uav = Vehicle(id="u0", cell=0, available_at=5.0)
+    with pytest.raises(InputError, match=r"^u0 is not free at t=0\.0$"):
+        apply_uav_assignment(net, [uav], {"u0": 8}, stage_time=0.0)
+    assert (uav.cell, uav.available_at) == (0, 5.0)
+
+
 # ------------------------------------------------------------ assimilation
 
 
@@ -220,10 +228,6 @@ def test_simulated_instrument_variance_is_kappa_share_of_prior():
         prior, 190.0, np.random.default_rng(42), kappa=0.5
     )
     assert (again_mean, again_var) == (obs_mean, obs_var)
-    with pytest.raises(InputError):
-        simulate_observation(prior, 190.0, rng, kappa=0.0)
-    with pytest.raises(InputError):
-        simulate_observation(prior, 190.0, rng, kappa=-1.0)
 
 
 def test_default_kappa_gives_two_thirds_observation_weight():
