@@ -11,7 +11,11 @@ class ModelDomainError(ValueError):
 
 
 class InputError(ValueError):
-    """Malformed or inconsistent user input (files, schemas, CLI args)."""
+    """Malformed or inconsistent user input (files, schemas, CLI args).
+
+    Raised at the gate only: the CLI, the scenario reader and Scenario, plus
+    network.py's cell-range and busy-vehicle guards. The layers below the
+    gate take its values as given."""
 
 
 class CapExceededError(RuntimeError):

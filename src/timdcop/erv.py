@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dcop import DcopProblem, assignment_problem
-from .errors import InputError
 from .forecast import Forecast
 from .incidents import Incident, expected_delays, reference_params
 from .network import CellId, GridNetwork, Vehicle, travel_rows
@@ -88,12 +87,11 @@ def _responses(rows: dict[CellId, np.ndarray], cells: list[CellId],
 
 
 def build_erv_problem(ctx: StageContext, fleet: list[Vehicle]) -> DcopProblem:
-    """Stage DCOP for the free part of the fleet."""
+    """Stage DCOP for the free part of the fleet (the stage loop builds one
+    only when a vehicle is free)."""
     free = sorted(
         (e for e in fleet if e.is_free(ctx.stage_time)), key=lambda e: e.id
     )
-    if not free:
-        raise InputError("no free ERVs at this stage")
 
     open_cells = sorted(ctx.oldest)
     k = max(ctx.relocation_k, len(free))  # keep the conflict graph satisfiable
@@ -163,9 +161,7 @@ def apply_assignment(
     unserved = dict(ctx.oldest)
     records: list[DispatchRecord] = []
     for erv_id, cell in assignment.items():
-        erv = by_id.get(erv_id)
-        if erv is None:
-            raise InputError(f"assignment names unknown ERV {erv_id!r}")
+        erv = by_id[erv_id]
         travel = erv.move_to(ctx.net, cell, ctx.stage_time)
         inc = unserved.pop(cell, None)
         if inc is not None:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
 from .network import GridNetwork
 
 DEFAULT_PROB_RANGE = (0.0, 0.15)
@@ -91,19 +90,15 @@ def expected_probability(
     kernel: DependencyKernel,
     stage: int,
 ) -> np.ndarray:
-    """Primary plus lagged secondary probability of every cell at `stage`,
-    capped at 1, from a (stages, cells) primary field.
+    """Primary plus lagged secondary probability of every cell at `stage`
+    (>= 0, a stage of the stage loop), capped at 1, from a (stages, cells)
+    primary field of the kernel's grid.
 
     Each cell adds its terms in one order: its primary, then its neighbours
     up, down, left and right, each at lag 1 then lag 2.
     """
-    if stage < 0:
-        raise InputError(f"stage must be >= 0, got {stage}")
     stages, cells = fld.shape
     shape = (kernel.rows, kernel.cols)
-    if min(shape) < 1 or kernel.rows * kernel.cols != cells:
-        raise InputError(
-            f"a {kernel.rows}x{kernel.cols} kernel on a {cells}-cell field")
 
     def primary(u: int) -> np.ndarray:
         return fld[u] if 0 <= u < stages else np.zeros(cells)

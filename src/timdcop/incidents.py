@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ModelDomainError
+from .errors import ModelDomainError
 from .network import CellId
 
 # Severity -> uniform sampling ranges: capacity s (vph), reduced-capacity mean
@@ -147,10 +147,7 @@ def sample_params(severity: int, rng: np.random.Generator) -> TrafficParams:
     values, their order and the generator state afterwards equal six scalar
     uniform draws bit for bit (tests/params_oracle.py keeps those draws).
     """
-    try:
-        lows, spans = _PARAM_TABLE[severity]
-    except KeyError:
-        raise InputError(f"severity must be 1..4, got {severity}") from None
+    lows, spans = _PARAM_TABLE[severity]
     u = rng.random(6).tolist()
     # TrafficParams declares its fields in _PARAM_ORDER
     return TrafficParams(*[lo + span * x for lo, span, x in zip(lows, spans, u)])

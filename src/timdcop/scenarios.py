@@ -57,7 +57,7 @@ from .network import (
     travel_rows,
     travel_time,
 )
-from .solvers import MAX_ITERATIONS, SolverConfig, solve
+from .solvers import MAX_ITERATIONS, solve
 from .uav import (
     DEFAULT_OBS_VAR_RATIO,
     AssimilationRecord,
@@ -73,9 +73,17 @@ from .uav import (
 POLICIES = ("conventional", "pdronetim", "opt")
 
 OPT_EVAL_CAP = 10**6
-# load-time ceiling on a scenario's stages: a 100x100 grid with 1,000
-# requests at the default gap is bounded by about 1.2e6 stages
+# load-time ceilings on a scenario's size, the scale a run is planned for:
+# - stages: a 100x100 grid with 1,000 requests at the default gap is bounded
+#   by about 1.2e6 stages;
+# - cells: a 100x100 grid, whose shortest-path rows are 80 KB each (a
+#   5000x5000 grid's would be 200 MB each);
+# - forecast field entries, (schedule stages + lookahead + 1) x cells: 80 MB
+#   of primary field, and as much again in each of a run's cached stage rows
+#   and rankings, so a 100x100 grid keeps a schedule of up to 997 stages
 MAX_STAGES = 10**7
+MAX_CELLS = 100 * 100
+MAX_FIELD = 10**7
 _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
@@ -162,9 +170,9 @@ class Scenario:
     n_ervs: int = 3
     n_uavs: int = 0
     stage_gap: float = 0.5             # hours between request stages
-    algorithm: str = SolverConfig.algorithm
-    iterations: int = SolverConfig.iterations
-    dsa_threshold: float = SolverConfig.dsa_threshold
+    algorithm: str = "dsa"
+    iterations: int = 45
+    dsa_threshold: float = 0.9         # DSA's activation probability
     prob_range: tuple[float, float] = DEFAULT_PROB_RANGE
     normalize_field: bool = False
     field_budget: float = 1.0
@@ -184,6 +192,15 @@ class Scenario:
             if not check(value):
                 raise InputError(f"{key} must be {rule}, got {value!r}")
         cells = self.rows * self.cols
+        if cells > MAX_CELLS:
+            raise InputError(f"a {self.rows}x{self.cols} grid has more than "
+                             f"{MAX_CELLS:,} cells")
+        # the field materialize draws; with the cell ceiling, this keeps
+        # every count in _stage_bound far below a float's range
+        if (len(self.schedule) + self.lookahead + 1) * cells > MAX_FIELD:
+            raise InputError(f"{len(self.schedule)} stages and lookahead "
+                             f"{self.lookahead} on {cells:,} cells need more "
+                             f"than {MAX_FIELD:,} forecast field entries")
         if self.n_ervs > cells:  # keeps all-different satisfiable
             raise InputError(f"{self.n_ervs} ERVs on a {self.rows}x{self.cols} "
                              "grid: at most one per cell")
@@ -193,11 +210,7 @@ class Scenario:
         if max(self.schedule) > cells:  # one incident per cell
             raise InputError(f"a stage requests {max(self.schedule)} incidents "
                              f"on {cells} cells")
-        try:
-            bound = _stage_bound(self)
-        except OverflowError:  # a count too large for a float
-            bound = math.inf
-        if not bound <= MAX_STAGES:  # a NaN bound fails too
+        if not _stage_bound(self) <= MAX_STAGES:  # a NaN bound fails too
             raise InputError(
                 f"stage gap {self.stage_gap} h allows more than {MAX_STAGES} "
                 "stages on this grid and schedule")
@@ -447,9 +460,7 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
 
     def solved(problem, purpose: int, stage: int):
         # each sub-team solves on its own seeded stream of the stage
-        return solve(problem, SolverConfig(sc.algorithm, sc.iterations,
-                                           sc.dsa_threshold,
-                                           _int_seed(sc.seed, purpose, stage)))
+        return solve(problem, sc, _int_seed(sc.seed, purpose, stage))
 
     def step(stage: int, t: float, open_inc: list[Incident],
              free: list[Vehicle]) -> tuple[list[Incident], dict]:

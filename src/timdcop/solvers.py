@@ -42,31 +42,26 @@ one pass over the binary constraints. The move rules, the random stream
 (one draw per agent per DSA round, in agent order) and every trace field are
 those of the plain dict-per-round loop in tests/solver_oracle.py, which fills
 a stopped trace out to `iterations` rounds with the best cost and 0 moves.
+
+The settings come from a Scenario, which has checked them, and the seed is
+the stage's own stream, so a solve checks neither.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dcop import Assignment, DcopProblem, total_cost
-from .errors import InputError
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 
-# ceiling on the rounds of one solve, checked by Scenario (45 is the default)
+# ceiling on the rounds of one solve, checked by Scenario
 MAX_ITERATIONS = 10_000
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """One solve's settings. A Scenario holds and checks the first three;
-    the seed is the stage's own stream."""
-
-    algorithm: str = "dsa"      # "mgm" or "dsa"
-    iterations: int = 45
-    dsa_threshold: float = 0.9  # activation probability, DSA only
-    seed: int | None = None     # mandatory for DSA (stochastic move rule)
 
 
 @dataclass
@@ -107,12 +102,11 @@ def _gain(cur: float, best: float) -> float:
     return cur - best
 
 
-def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
-    """Run the configured local search for cfg.iterations barrier rounds,
-    stopping early at a fixed point (the trace ends at that round)."""
-    if cfg.algorithm == "dsa" and cfg.seed is None:
-        raise InputError("DSA needs an explicit seed")
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
+def solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
+    """Run the scenario's local search (sc.algorithm, sc.dsa_threshold) for
+    sc.iterations barrier rounds on the stream `seed`, stopping early at a
+    fixed point (the trace ends at that round)."""
+    rng = np.random.default_rng(seed)
     flip = 1.0 if p.sense == "min" else -1.0
 
     # agents by index; an index is also the tie-break rank (builders declare
@@ -154,13 +148,13 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
     moves_per_round: list[int] = []
     # per round, everyone broadcasts its value; MGM adds a gain broadcast
     msgs = sum(map(len, neighbors))
-    if cfg.algorithm == "mgm":
+    if sc.algorithm == "mgm":
         msgs *= 2
 
     agents = range(len(order))
     proposals = [0] * len(order)
     gains = [0.0] * len(order)
-    for _ in range(cfg.iterations):
+    for _ in range(sc.iterations):
         for i in agents:
             local = unary[i]
             for table_rows, j in tables[i]:
@@ -180,7 +174,7 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
             moves_per_round.append(0)
             break
 
-        if cfg.algorithm == "mgm":
+        if sc.algorithm == "mgm":
             movers = []
             for i in agents:
                 g = gains[i]
@@ -194,7 +188,7 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
             # doubles as one rng.random() per agent
             draws = rng.random(len(order)).tolist()
             movers = [i for i in agents
-                      if draws[i] < cfg.dsa_threshold and gains[i] > 0.0]
+                      if draws[i] < sc.dsa_threshold and gains[i] > 0.0]
 
         for i in movers:
             pos[i] = proposals[i]
@@ -212,5 +206,5 @@ def solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
         final_assignment=best_assignment,
         last_assignment=current,
         moves=moves_per_round,
-        messages=msgs * cfg.iterations,
+        messages=msgs * sc.iterations,
     )

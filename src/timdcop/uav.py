@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcop import DcopProblem, assignment_problem
-from .errors import InputError, ModelDomainError
+from .errors import ModelDomainError
 from .network import CellId, GridNetwork, Vehicle, travel_rows, travel_time
 
 # hazard level -> fractional response-time reduction under cooperation
@@ -48,12 +48,6 @@ class DelayBelief:
 
 def priority_benefit(severity: int, sparsity: int, hazard: int) -> float:
     """Observation priority of an incident site for the UAV objective."""
-    if severity not in (1, 2, 3, 4):
-        raise InputError(f"severity must be 1..4, got {severity}")
-    if sparsity not in (1, 2, 3, 4, 5):
-        raise InputError(f"sensor sparsity must be 1..5, got {sparsity}")
-    if hazard not in (1, 2, 3, 4, 5):
-        raise InputError(f"hazard level must be 1..5, got {hazard}")
     return float(severity * (sparsity + hazard))
 
 
@@ -65,12 +59,9 @@ def build_uav_problem(
     """Maximize summed site benefit minus flight-distance discount.
 
     Domains are the incident cells plus the idle value None; idle earns 0 and
-    never conflicts, so surplus UAVs always have a feasible slot.
+    never conflicts, so surplus UAVs always have a feasible slot. The stage
+    loop builds one only when a UAV is free and an incident was served.
     """
-    if not benefits:
-        raise InputError("no incident cells to observe")
-    if not uavs:
-        raise InputError("no free UAVs at this stage")
     fleet = sorted(uavs, key=lambda u: u.id)
     cells = sorted(benefits)
 
@@ -97,10 +88,7 @@ def apply_uav_assignment(
     for uid, cell in assignment.items():
         if cell is None:
             continue
-        u = by_id.get(uid)
-        if u is None:
-            raise InputError(f"assignment names unknown UAV {uid!r}")
-        u.move_to(net, cell, stage_time)
+        by_id[uid].move_to(net, cell, stage_time)
         observed[uid] = cell
     return observed
 
@@ -142,8 +130,6 @@ def simulate_observation(
 
 def cooperation_effect(response_time: float, hazard: int, cooperating: bool) -> float:
     """Response time after (possible) UAV route scouting."""
-    if hazard not in HAZARD_REDUCTION:
-        raise InputError(f"hazard level must be 1..5, got {hazard}")
     if response_time < 0:
         raise ModelDomainError(f"negative response time {response_time}")
     if not cooperating:

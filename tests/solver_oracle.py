@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from timdcop.dcop import AgentId, Assignment, DcopProblem, Value, total_cost
-from timdcop.errors import InputError
-from timdcop.solvers import SolverConfig, SolveTrace
+from timdcop.scenarios import Scenario
+from timdcop.solvers import SolveTrace
 
 
 def neighbors(p: DcopProblem, agent: AgentId) -> list:
@@ -49,10 +49,8 @@ def _gain(cur: float, best: float) -> float:
     return cur - best
 
 
-def reference_solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
-    if cfg.algorithm == "dsa" and cfg.seed is None:
-        raise InputError("DSA needs an explicit seed")
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
+def reference_solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
+    rng = np.random.default_rng(seed)
     flip = 1.0 if p.sense == "min" else -1.0
 
     order = list(p.agents)
@@ -76,10 +74,10 @@ def reference_solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
     moves_per_round: list[int] = []
     # per round, everyone broadcasts its value; MGM adds a gain broadcast
     msgs = sum(len(nbrs[a]) for a in order)
-    if cfg.algorithm == "mgm":
+    if sc.algorithm == "mgm":
         msgs *= 2
 
-    for _ in range(cfg.iterations):
+    for _ in range(sc.iterations):
         snapshot = dict(current)
         pos = {a: p.index[a][snapshot[a]] for a in order}
 
@@ -101,12 +99,12 @@ def reference_solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
 
         if all(g <= 0.0 for g in gains.values()):
             # fixed point: no agent moves now or in any later round
-            rest = cfg.iterations - len(best_costs)
+            rest = sc.iterations - len(best_costs)
             best_costs += [flip * best] * rest
             moves_per_round += [0] * rest
             break
 
-        if cfg.algorithm == "mgm":
+        if sc.algorithm == "mgm":
             movers = []
             for a in order:
                 g = gains[a]
@@ -122,7 +120,7 @@ def reference_solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
             draws = {a: rng.random() for a in order}
             movers = [
                 a for a in order
-                if gains[a] > 0.0 and draws[a] < cfg.dsa_threshold
+                if gains[a] > 0.0 and draws[a] < sc.dsa_threshold
             ]
 
         for a in movers:
@@ -140,5 +138,5 @@ def reference_solve(p: DcopProblem, cfg: SolverConfig) -> SolveTrace:
         final_assignment=best_assignment,
         last_assignment=current,
         moves=moves_per_round,
-        messages=msgs * cfg.iterations,
+        messages=msgs * sc.iterations,
     )

@@ -28,7 +28,7 @@ from timdcop.scenarios import (
     run_opt,
     run_proactive,
 )
-from timdcop.solvers import SolverConfig, solve
+from timdcop.solvers import solve
 from timdcop.uav import (
     HAZARD_REDUCTION,
     DelayBelief,
@@ -73,11 +73,13 @@ def small_dcop(seed: int) -> DcopProblem:
 def small_dcop_batch():
     t0 = time.perf_counter()
     rows = []
+    mgm_sc = Scenario(seed=0, algorithm="mgm", iterations=45, dsa_threshold=0.9)
+    dsa_sc = Scenario(seed=0, algorithm="dsa", iterations=45, dsa_threshold=0.9)
     for t in range(100):
         p = small_dcop(31000 + t)
         _, opt_c = brute_force_optimum(p)
-        mgm = solve(p, SolverConfig("mgm", 45, seed=900 + t))
-        dsa = solve(p, SolverConfig("dsa", 45, 0.9, seed=900 + t))
+        mgm = solve(p, mgm_sc, 900 + t)
+        dsa = solve(p, dsa_sc, 900 + t)
         rows.append((p, opt_c, mgm, dsa))
     return rows, time.perf_counter() - t0
 
@@ -151,9 +153,10 @@ def dispatch_batch():
         ("d1", "dsa", 0.1),
     ]:
         t0 = time.perf_counter()
+        sc = Scenario(seed=0, algorithm=algorithm, iterations=45,
+                      dsa_threshold=threshold)
         costs[label] = [
-            solve(p, SolverConfig(algorithm, 45, threshold, seed=70000 + t)
-                  ).final_cost
+            solve(p, sc, 70000 + t).final_cost
             for t, p in enumerate(problems)
         ]
         times[label] = time.perf_counter() - t0

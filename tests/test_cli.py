@@ -323,7 +323,7 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
      "fleet": {"ervs": 1}, "stage_gap_h": 5e-324},
     {"seed": 1, "schedule": [2], "grid": {"rows": 3, "cols": 3},
      "fleet": {"ervs": 2}, "solver": {"iterations": 100000000, "dsa_threshold": 0}},
-    # a count too large for a float overflows the stage bound
+    # a count too large for a float is past the cell ceiling
     {"seed": 1, "schedule": [1], "grid": {"rows": 10**400}},
     # more UAVs than cells: far past what numpy can draw, and just past the bound
     {"seed": 1, "schedule": [1], "fleet": {"uavs": 10**22}},
@@ -332,6 +332,10 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     {"extra_key": 3},
     {"grid": {"rowz": 4}},
     {"grid.rows": 4},
+    # a world too large to build: past the cell ceiling, or a field past its
+    # ceiling on a grid within it
+    {"seed": 1, "schedule": [1], "grid": {"rows": 5000, "cols": 5000}},
+    {"seed": 1, "schedule": [1] * 998, "grid": {"rows": 100, "cols": 100}},
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -976,6 +980,8 @@ def test_a_manifest_key_its_kind_lacks_exits_2(tmp_path, capsys, command, doc,
     {"grid": {"rows": 1, "cols": 8}},
     {"forecast": {"prob_range": [0.5, 1.5]}},
     {"grid": {"edge_time_range": [0, 1]}},
+    {"grid": {"rows": 5000, "cols": 5000}},
+    {"schedule": [1] * 998, "grid": {"rows": 100, "cols": 100}},
 ])
 def test_a_world_the_builders_refuse_exits_2_before_any_sweep_point(
         tmp_path, capsys, monkeypatch, bad):

@@ -13,7 +13,7 @@ from timdcop.dcop import (
     assignment_problem,
     total_cost,
 )
-from timdcop.errors import CapExceededError, InputError
+from timdcop.errors import CapExceededError
 
 
 def table_problem(costs: dict, agents, domains, sense="min") -> DcopProblem:
@@ -111,12 +111,6 @@ def test_single_agent_without_constraints_costs_zero():
     assert total_cost(p, {"solo": 4}) == 0.0
 
 
-def test_total_cost_rejects_incomplete_assignment():
-    p = DcopProblem(agents=["a", "b"], domains={"a": [0], "b": [0]})
-    with pytest.raises(InputError):
-        total_cost(p, {"a": 0})
-
-
 # ----------------------------------------------------------- brute force
 
 
@@ -177,83 +171,17 @@ def test_search_space_and_cap():
     assert cost == 0.0 and best == {"a": 0, "b": 0}
 
 
-# ------------------------------------------------------------- validation
+# ------------------------------------------------------------- indexing
 
 
-def test_problem_validation():
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a"], domains={"a": [0]}, sense="best")
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a", "a"], domains={"a": [0]})
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a"], domains={"a": []})
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a"], domains={})
-    with pytest.raises(InputError):
-        DcopProblem(
-            agents=["a"], domains={"a": [0]},
-            unary={"ghost": [0.0]},
-        )
-    with pytest.raises(InputError):
-        DcopProblem(
-            agents=["a", "b"], domains={"a": [0], "b": [0]},
-            binary=[BinaryConstraint(a="a", b="ghost", table=[[0.0]])],
-        )
-    with pytest.raises(InputError):
-        DcopProblem(
-            agents=["a", "b"], domains={"a": [0], "b": [0]},
-            binary=[BinaryConstraint(a="a", b="a", table=[[0.0]])],
-        )
-
-
-def test_misshaped_tables_are_rejected():
-    doms = {"a": [0, 1], "b": [0, 1, 2]}
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a", "b"], domains=doms, unary={"a": [0.0] * 3})
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a", "b"], domains=doms,
-                    unary={"b": [[0.0, 1.0, 2.0]]})
-    with pytest.raises(InputError):
-        DcopProblem(
-            agents=["a", "b"], domains=doms,
-            binary=[BinaryConstraint(a="a", b="b", table=np.zeros((3, 2)))],
-        )
-    # the transpose of a table must name its agents the other way round
-    p = DcopProblem(
-        agents=["a", "b"], domains=doms,
-        binary=[BinaryConstraint(a="b", b="a", table=np.zeros((3, 2)))],
-    )
-    assert p.binary[0].table.shape == (3, 2)
-
-
-def test_a_table_shared_by_many_pairs_is_checked_for_each_shape():
+def test_a_table_shared_by_many_pairs_is_converted_once():
     dom = [0, 1, 2]
     pairs = [("a", "b"), ("a", "c"), ("b", "c")]
-    wrong = np.zeros((3, 2))
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a", "b", "c"], domains=dict.fromkeys("abc", dom),
-                    binary=[BinaryConstraint(a, b, wrong) for a, b in pairs])
-    # the table fits a-b, but not b-c, whose second domain is shorter
-    square = np.zeros((3, 3))
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a", "b", "c"],
-                    domains={"a": dom, "b": dom, "c": [0, 1]},
-                    binary=[BinaryConstraint("a", "b", square),
-                            BinaryConstraint("b", "c", square)])
-    # a fitting shared table is converted once and shared by every pair
     shared = [[0.0] * 3] * 3
     p = DcopProblem(agents=["a", "b", "c"], domains=dict.fromkeys("abc", dom),
                     binary=[BinaryConstraint(a, b, shared) for a, b in pairs])
     assert p.binary[0].table is p.binary[1].table is p.binary[2].table
     assert p.binary[0].table.shape == (3, 3)
-
-
-def test_repeated_domain_values_and_foreign_values_are_rejected():
-    with pytest.raises(InputError):
-        DcopProblem(agents=["a"], domains={"a": [1, 1]})
-    p = DcopProblem(agents=["a"], domains={"a": [0, 1]})
-    with pytest.raises(InputError):
-        total_cost(p, {"a": 2})
 
 
 def test_agents_sharing_a_domain_list_share_its_index():
@@ -263,9 +191,6 @@ def test_agents_sharing_a_domain_list_share_its_index():
     assert p.index["a"] is p.index["b"]
     assert p.index["a"] == {"c1": 0, "c2": 1, None: 2}
     assert p.index["c"] == {"c2": 0, "c1": 1, None: 2}
-    with pytest.raises(InputError):
-        twice = [1, 1]
-        DcopProblem(agents=["a", "b"], domains={"a": twice, "b": twice})
 
 
 def test_all_different_table_marks_equal_values_only():

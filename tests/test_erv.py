@@ -353,7 +353,8 @@ def test_one_erv_two_incidents_takes_the_cheaper_delay():
 
 @pytest.mark.parametrize("algorithm", ["mgm", "dsa"])
 def test_stage_objective_counts_each_vehicle_once(algorithm):
-    from timdcop.solvers import SolverConfig, solve
+    from timdcop.scenarios import Scenario
+    from timdcop.solvers import solve
 
     net = build_grid(3, 3, (0.3, 1.0), seed=8)
     field_ = generate_field(9, 6, seed=19)
@@ -365,7 +366,8 @@ def test_stage_objective_counts_each_vehicle_once(algorithm):
     ctx = make_ctx(net, field_=field_, incidents=incidents)
     problem = build_erv_problem(ctx, fleet)
     assert len(problem.binary) == 3
-    trace = solve(problem, SolverConfig(algorithm, iterations=20, seed=1))
+    sc = Scenario(seed=0, algorithm=algorithm, iterations=20, dsa_threshold=0.9)
+    trace = solve(problem, sc, 1)
     chosen = trace.final_assignment
     assert len(set(chosen.values())) == 3
     # lookahead 0: each unary entry is exactly the vehicle's myopic cost
@@ -400,11 +402,6 @@ def test_busy_vehicles_are_left_out_of_the_stage_problem():
     ]
     problem = build_erv_problem(ctx, fleet)
     assert problem.agents == ["e1"]
-    with pytest.raises(InputError):
-        build_erv_problem(
-            replace(ctx, stage_time=0.0),
-            [Vehicle(id="e0", cell=0, available_at=5.0)],
-        )
 
 
 def test_auto_weight_is_hundredfold_worst_dispatch():
@@ -482,11 +479,9 @@ def test_relocation_bookkeeping_clears_nothing():
     assert erv.available_at == pytest.approx(3.0)  # 2.0 + two 0.5 edges
 
 
-def test_apply_assignment_rejects_unknown_or_busy_vehicles():
+def test_apply_assignment_rejects_a_busy_vehicle():
     net = build_grid(2, 2, (0.5, 0.5), seed=0)
     ctx = make_ctx(net)
-    with pytest.raises(InputError):
-        apply_assignment(ctx, [Vehicle(id="e0", cell=0)], {"ghost": 1})
     with pytest.raises(InputError):
         apply_assignment(
             ctx, [Vehicle(id="e0", cell=0, available_at=9.0)], {"e0": 1}
@@ -501,11 +496,8 @@ def test_two_stage_cycle_frees_the_vehicle_again():
     ctx0 = make_ctx(net, incidents=[inc0], stage_time=0.0)
     apply_assignment(ctx0, [erv], {"e0": 1})
     assert erv.available_at == pytest.approx(0.8)
-    # busy at the next stage boundary, so it cannot be tasked there
-    ctx1 = make_ctx(net, incidents=[inc1], stage_time=0.5)
+    # busy at the next stage boundary, so the stage loop does not task it
     assert not erv.is_free(0.5)
-    with pytest.raises(InputError):
-        build_erv_problem(ctx1, [erv])
     # one stage later it is free and can clear the backlog (auto weight
     # keeps the dispatch ahead of any relocation cell)
     ctx2 = make_ctx(net, incidents=[inc1], stage_time=1.0)

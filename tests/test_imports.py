@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module: a deletion
-that leaves an import behind fails here, since no linter runs on the tree."""
+that leaves an import behind fails here, since no linter runs on the tree.
+And input is checked at the gate only: no module below it raises InputError."""
 import ast
 from pathlib import Path
 
@@ -38,3 +39,30 @@ def test_the_guard_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport os, numpy as np\n"
               "from .a import b, c\n__all__ = ['c']\nnp.zeros(b)\n")
     assert unused_imports(source) == ["os (line 2)"]
+
+
+# the gate: the CLI, the scenario reader and Scenario, and the cell-range and
+# busy-vehicle guards of the network
+GATE = {"cli.py", "scenarios.py", "network.py"}
+BELOW_GATE = [p for p in MODULES if p.name not in GATE]
+
+
+def input_error_raises(source: str) -> list[int]:
+    """Lines that raise InputError, called or bare."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and any(isinstance(n, ast.Name) and n.id == "InputError"
+                          for n in ast.walk(node.exc)))
+
+
+@pytest.mark.parametrize("path", BELOW_GATE, ids=[p.name for p in BELOW_GATE])
+def test_only_the_gate_raises_input_error(path):
+    assert input_error_raises(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_sees_an_input_error_raise():
+    source = ("from .errors import InputError, ModelDomainError\n"
+              "def f(x):\n    if x:\n        raise InputError(f'{x}')\n"
+              "    raise ModelDomainError('x')\n"
+              "def g():\n    raise InputError\n")
+    assert input_error_raises(source) == [4, 7]

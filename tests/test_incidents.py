@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import params_oracle
 
-from timdcop.errors import InputError, ModelDomainError
+from timdcop.errors import ModelDomainError
 from timdcop.incidents import (
     SEVERITY_RANGES,
     Incident,
@@ -304,19 +304,18 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_sampled_incidents_always_well_posed():
-    # every severity keeps min(s) > max(q), so s > q for all draws
+    # every severity keeps min(s) > max(q), so s > q for all draws, a
+    # positive q and non-negative spreads and clearance: no draw can break a
+    # TrafficParams rule, so no sampled incident reaches exit 1
     for sev, ranges in SEVERITY_RANGES.items():
         assert ranges["s"][0] > ranges["q"][1], sev
+        assert ranges["q"][0] > 0, sev
+        for name in ("s1_sd", "r_var", "clearance"):
+            assert ranges[name][0] >= 0, (sev, name)
     rng = np.random.default_rng(5)
     for _ in range(400):
         p = sample_params(int(rng.integers(1, 5)), rng)
         assert p.s > p.q
-
-
-@pytest.mark.parametrize("severity", [0, 5, -1])
-def test_rejects_out_of_range_severity(severity):
-    with pytest.raises(InputError):
-        sample_params(severity, np.random.default_rng(0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,14 +336,6 @@ def test_one_call_draw_equals_six_uniform_draws(seed, n):
                 == params_oracle.field_reprs(
                     params_oracle.sample_params(severity, old)))
         assert new.bit_generator.state == old.bit_generator.state
-
-
-def test_a_bad_severity_draws_nothing():
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    with pytest.raises(InputError):
-        sample_params(5, rng)
-    assert rng.bit_generator.state == before
 
 
 def test_reference_params_are_severity_averaged_midpoints():

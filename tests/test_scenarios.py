@@ -626,6 +626,19 @@ def test_stage_bound_and_rounds_have_a_ceiling_at_load():
     # a large world at the default gap stays well under the stage ceiling
     big = Scenario(seed=0, schedule=(1000,), rows=100, cols=100)
     assert 1e6 < scenarios._stage_bound(big) < scenarios.MAX_STAGES
+    # a 100x100 grid is the largest world a scenario may build, and its
+    # field may span 997 schedule stages plus the lookahead window
+    assert scenarios.MAX_CELLS == 100 * 100
+    for rows, cols in ((5000, 5000), (101, 100), (2, 5001), (10**400, 2)):
+        with pytest.raises(InputError, match=f"^a {rows}x{cols} grid has more "
+                                             "than 10,000 cells$"):
+            Scenario(seed=1, rows=rows, cols=cols)
+    replace(big, schedule=(1,) * 997)
+    for schedule, lookahead in (((1,) * 998, 2), ((1,) * 999, 1), ((0,) * 10**6, 0)):
+        with pytest.raises(InputError, match=(
+                f"^{len(schedule)} stages and lookahead {lookahead} on 10,000 "
+                "cells need more than 10,000,000 forecast field entries$")):
+            replace(big, schedule=schedule, lookahead=lookahead)
     tiny = dict(seed=1, schedule=(2,), rows=3, cols=3, n_ervs=1)
     for gap in (1e-9, 5e-324):  # about 3e10 stages; an infinite bound
         with pytest.raises(InputError, match="stages"):

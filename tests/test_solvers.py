@@ -21,10 +21,9 @@ from timdcop.dcop import (
     total_cost,
 )
 from timdcop.erv import StageContext, build_erv_problem
-from timdcop.errors import InputError
 from timdcop.network import Vehicle
 from timdcop.scenarios import Scenario, materialize
-from timdcop.solvers import MAX_ITERATIONS, SolverConfig, solve
+from timdcop.solvers import MAX_ITERATIONS, solve
 from timdcop.uav import build_uav_problem
 
 
@@ -53,6 +52,12 @@ def random_table_problem(seed: int, n_agents=3, n_values=4) -> DcopProblem:
     )
 
 
+def scenario(algorithm: str, iterations: int, dsa_threshold: float = 0.9) -> Scenario:
+    """The solver settings of a checked Scenario; the rest stays default."""
+    return Scenario(seed=0, algorithm=algorithm, iterations=iterations,
+                    dsa_threshold=dsa_threshold)
+
+
 def padded(trace, iterations: int):
     """The trace filled out to `iterations` rounds with its last best cost and
     0 moves, the form the pins below and tests/solver_oracle.py report."""
@@ -76,10 +81,7 @@ def forced_collision_problem() -> DcopProblem:
 @pytest.mark.parametrize("algorithm", ["mgm", "dsa"])
 @pytest.mark.parametrize("seed", range(10))
 def test_conflict_escape(algorithm, seed):
-    trace = solve(
-        forced_collision_problem(),
-        SolverConfig(algorithm=algorithm, iterations=5, seed=seed),
-    )
+    trace = solve(forced_collision_problem(), scenario(algorithm, 5), seed)
     if algorithm == "mgm":
         # b's escape gain is infinite, so it wins round 1 outright, and
         # round 2 at the latest is the fixed point
@@ -95,20 +97,18 @@ def test_lone_agent_moves_to_the_first_cheapest_value(algorithm):
     p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
                     unary={"a": [3.0, 1.0, 2.0, 1.0]})
     # seed 4 starts at "y"; the tied best values are "x" and "z"
-    trace = solve(p, SolverConfig(algorithm, iterations=3, dsa_threshold=1.0,
-                                  seed=4))
+    trace = solve(p, scenario(algorithm, 3, 1.0), 4)
     assert trace.moves == [1, 0]  # the trace ends at the fixed-point round
     assert trace.last_assignment == {"a": "x"}
     assert trace.final_cost == 1.0
     # a value tied with the best never moves: "z" stays put under seed 0
-    stay = solve(p, SolverConfig(algorithm, iterations=3, dsa_threshold=1.0,
-                                 seed=0))
+    stay = solve(p, scenario(algorithm, 3, 1.0), 0)
     assert stay.moves == [0] and stay.last_assignment == {"a": "z"}
 
 
 def test_dsa_threshold_zero_never_moves():
     p = random_table_problem(3)
-    trace = solve(p, SolverConfig("dsa", iterations=20, dsa_threshold=0.0, seed=1))
+    trace = solve(p, scenario("dsa", 20, 0.0), 1)
     assert trace.moves == [0] * 20
     assert trace.last_assignment == trace.final_assignment
     assert trace.final_cost == pytest.approx(total_cost(p, trace.last_assignment))
@@ -116,20 +116,15 @@ def test_dsa_threshold_zero_never_moves():
 
 def test_mgm_best_costs_never_increase():
     for seed in range(20):
-        trace = solve(
-            random_table_problem(seed),
-            SolverConfig("mgm", iterations=30, seed=seed),
-        )
+        trace = solve(random_table_problem(seed), scenario("mgm", 30), seed)
         for earlier, later in zip(trace.best_costs, trace.best_costs[1:]):
             assert later <= earlier + 1e-12
 
 
 def test_mgm_single_mover_per_round_on_complete_graph():
     for seed in range(20):
-        trace = solve(
-            random_table_problem(seed, n_agents=4, n_values=6),
-            SolverConfig("mgm", iterations=25, seed=seed),
-        )
+        trace = solve(random_table_problem(seed, n_agents=4, n_values=6),
+                      scenario("mgm", 25), seed)
         assert all(m <= 1 for m in trace.moves)
 
 
@@ -137,7 +132,7 @@ def test_mgm_terminal_state_is_its_best_state():
     # every accepted move strictly improves, so the loop ends at the best
     for seed in range(10):
         p = random_table_problem(seed)
-        trace = solve(p, SolverConfig("mgm", iterations=30, seed=seed))
+        trace = solve(p, scenario("mgm", 30), seed)
         assert total_cost(p, trace.last_assignment) == pytest.approx(
             trace.final_cost
         )
@@ -146,7 +141,7 @@ def test_mgm_terminal_state_is_its_best_state():
 def test_mgm_termination_is_one_local_optimum():
     for seed in range(15):
         p = random_table_problem(seed, n_agents=3, n_values=5)
-        trace = solve(p, SolverConfig("mgm", iterations=40, seed=seed))
+        trace = solve(p, scenario("mgm", 40), seed)
         final = trace.last_assignment
         base = total_cost(p, final)
         for agent in p.agents:
@@ -156,10 +151,7 @@ def test_mgm_termination_is_one_local_optimum():
 
 def test_dsa_reported_best_is_anytime():
     for seed in range(10):
-        trace = solve(
-            random_table_problem(seed),
-            SolverConfig("dsa", iterations=30, dsa_threshold=0.7, seed=seed),
-        )
+        trace = solve(random_table_problem(seed), scenario("dsa", 30, 0.7), seed)
         for earlier, later in zip(trace.best_costs, trace.best_costs[1:]):
             assert later <= earlier + 1e-12
 
@@ -168,11 +160,8 @@ def test_solutions_never_beat_brute_force():
     for seed in range(20):
         p = random_table_problem(seed, n_agents=3, n_values=5)
         _, opt = brute_force_optimum(p)
-        for cfg in (
-            SolverConfig("mgm", iterations=30, seed=seed),
-            SolverConfig("dsa", iterations=30, dsa_threshold=0.9, seed=seed),
-        ):
-            assert solve(p, cfg).final_cost >= opt - 1e-9
+        for sc in (scenario("mgm", 30), scenario("dsa", 30, 0.9)):
+            assert solve(p, sc, seed).final_cost >= opt - 1e-9
 
 
 def test_maximize_problems_are_searched_uphill():
@@ -185,7 +174,7 @@ def test_maximize_problems_are_searched_uphill():
         ])],
         sense="max",
     )
-    trace = solve(p, SolverConfig("dsa", iterations=25, seed=4))
+    trace = solve(p, scenario("dsa", 25), 4)
     _, best = brute_force_optimum(p)
     assert trace.final_cost <= best + 1e-12
     for earlier, later in zip(trace.best_costs, trace.best_costs[1:]):
@@ -225,9 +214,7 @@ def test_traces_match_the_full_length_loop():
         h = hashlib.sha256()
         for algorithm, threshold in (("mgm", 0.9), ("dsa", 0.1), ("dsa", 0.5),
                                      ("dsa", 0.9)):
-            t = padded(solve(p, SolverConfig(algorithm, iterations=30,
-                                             dsa_threshold=threshold, seed=seed)),
-                       30)
+            t = padded(solve(p, scenario(algorithm, 30, threshold), seed), 30)
             # the pins hash a per-round message list; every round sends
             # the same count, so it is rebuilt from the total
             per_round = [t.messages // len(t.moves)] * len(t.moves)
@@ -253,8 +240,7 @@ def test_lone_agent_stops_at_its_fixed_point(algorithm, monkeypatch):
     p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
                     unary={"a": [3.0, 1.0, 2.0, 1.0]})
     # seed 4 starts at "y": one move to "x", then a fixed point
-    trace = solve(p, SolverConfig(algorithm, iterations=45, dsa_threshold=1.0,
-                                  seed=4))
+    trace = solve(p, scenario(algorithm, 45, 1.0), 4)
     assert len(calls) <= 3
     assert trace.moves == [1, 0]
     assert trace.best_costs == [1.0, 1.0]
@@ -265,8 +251,7 @@ def test_a_huge_round_budget_costs_only_the_rounds_run():
     p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
                     unary={"a": [3.0, 1.0, 2.0, 1.0]})
     t0 = time.perf_counter()
-    trace = solve(p, SolverConfig("dsa", iterations=MAX_ITERATIONS,
-                                  dsa_threshold=1.0, seed=4))
+    trace = solve(p, scenario("dsa", MAX_ITERATIONS, 1.0), 4)
     elapsed = time.perf_counter() - t0
     assert len(trace.best_costs) == len(trace.moves) <= 2
     assert trace.final_cost == 1.0
@@ -275,12 +260,13 @@ def test_a_huge_round_budget_costs_only_the_rounds_run():
 
 # ------------------------------------------------------- reference loop
 
-configs = st.builds(
-    SolverConfig,
-    algorithm=st.sampled_from(["mgm", "dsa"]),
-    iterations=st.integers(1, 30),
-    dsa_threshold=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
-    seed=st.integers(0, 2**32 - 1),
+# (settings, stage seed) pairs
+configs = st.tuples(
+    st.builds(scenario,
+              algorithm=st.sampled_from(["mgm", "dsa"]),
+              iterations=st.integers(1, 30),
+              dsa_threshold=st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+    st.integers(0, 2**32 - 1),
 )
 # small whole costs tie often, which exercises the first-lowest and rank rules
 costs = st.one_of(st.integers(0, 3).map(float),
@@ -360,9 +346,10 @@ def uav_problems(draw) -> DcopProblem:
 @given(p=st.one_of(table_problems(), erv_problems(), uav_problems()),
        cfg=configs)
 def test_solve_matches_the_reference_loop(p, cfg):
-    trace = solve(p, cfg)
-    assert len(trace.moves) <= cfg.iterations
-    assert padded(trace, cfg.iterations) == reference_solve(p, cfg)
+    sc, seed = cfg
+    trace = solve(p, sc, seed)
+    assert len(trace.moves) <= sc.iterations
+    assert padded(trace, sc.iterations) == reference_solve(p, sc, seed)
 
 
 # ------------------------------------------------------------ bookkeeping
@@ -371,16 +358,16 @@ def test_solve_matches_the_reference_loop(p, cfg):
 def test_message_accounting_per_round():
     p = random_table_problem(0, n_agents=3, n_values=4)
     # complete graph on 3 agents: 6 directed neighbour links
-    dsa = solve(p, SolverConfig("dsa", iterations=7, seed=0))
+    dsa = solve(p, scenario("dsa", 7), 0)
     assert dsa.messages == 6 * 7
-    mgm = solve(p, SolverConfig("mgm", iterations=7, seed=0))
+    mgm = solve(p, scenario("mgm", 7), 0)
     # value broadcast plus gain broadcast
     assert mgm.messages == 12 * 7
 
 
 def test_trace_metadata_and_length():
     p = random_table_problem(1)
-    trace = solve(p, SolverConfig("dsa", iterations=9, dsa_threshold=0.5, seed=2))
+    trace = solve(p, scenario("dsa", 9, 0.5), 2)
     # round 1 is already a fixed point, so the trace holds that round only
     assert len(trace.best_costs) == len(trace.moves) == 1
     assert trace.messages == 6 * 9  # every configured round counts
@@ -388,17 +375,7 @@ def test_trace_metadata_and_length():
 
 def test_identical_seeds_give_bit_identical_traces():
     p = random_table_problem(6)
-    cfg = SolverConfig("dsa", iterations=25, dsa_threshold=0.8, seed=123)
-    one, two = solve(p, cfg), solve(p, cfg)
+    sc = scenario("dsa", 25, 0.8)
+    one, two = solve(p, sc, 123), solve(p, sc, 123)
     assert one == two
-    assert solve(p, SolverConfig("mgm", iterations=25, seed=5)) == solve(
-        p, SolverConfig("mgm", iterations=25, seed=5)
-    )
-
-
-# ---------------------------------------------------------------- errors
-
-
-def test_dsa_requires_a_seed():
-    with pytest.raises(InputError):
-        solve(random_table_problem(0), SolverConfig("dsa", seed=None))
+    assert solve(p, scenario("mgm", 25), 5) == solve(p, scenario("mgm", 25), 5)
