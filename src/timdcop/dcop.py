@@ -39,10 +39,10 @@ class DcopProblem:
 
     def __post_init__(self) -> None:
         # builders make every problem well formed, so nothing is checked
-        # here. One value -> position map per distinct domain list and one
-        # float array per distinct table, shared by every agent and pair that
-        # holds it (builders pass one domain list and one all-different table
-        # to all)
+        # here. One value -> position map per distinct domain list, shared by
+        # every agent that holds it (builders pass one domain list to all);
+        # a float64 table, like the builders' shared all-different table,
+        # stays the one object every pair holds
         self.index = {}
         by_list: dict[int, dict] = {}
         for a in self.agents:
@@ -53,26 +53,19 @@ class DcopProblem:
             self.index[a] = index
         self.unary = {a: np.asarray(vec, dtype=float)
                       for a, vec in self.unary.items()}
-        by_table: dict[int, np.ndarray] = {}
         for c in self.binary:
-            table = by_table.get(id(c.table))
-            if table is None:
-                table = by_table[id(c.table)] = np.asarray(c.table, dtype=float)
-            c.table = table
+            c.table = np.asarray(c.table, dtype=float)
 
 
-def all_different_table(dom_a: list, dom_b: list, sense: str = "min") -> np.ndarray:
-    """Conflict table: the hard sentinel where both agents take one non-None
-    value, 0 elsewhere (None is an idle slot that never conflicts).
-
-    The values of dom_b are distinct, as in every problem domain.
-    """
-    pos_b = {v: j for j, v in enumerate(dom_b) if v is not None}
-    table = np.zeros((len(dom_a), len(dom_b)))
-    for i, va in enumerate(dom_a):
-        j = pos_b.get(va)
-        if j is not None:
-            table[i, j] = math.inf if sense == "min" else -math.inf
+def all_different_table(domain: list, sense: str = "min") -> np.ndarray:
+    """Conflict table of two agents over one domain of distinct values: the
+    hard sentinel where both take one non-None value, 0 elsewhere (None is an
+    idle slot that never conflicts)."""
+    table = np.zeros((len(domain), len(domain)))
+    np.fill_diagonal(table, math.inf if sense == "min" else -math.inf)
+    if None in domain:  # at most once: the values are distinct
+        idle = domain.index(None)
+        table[idle, idle] = 0.0
     return table
 
 
@@ -81,7 +74,7 @@ def assignment_problem(agents: list, domain: list, unary, sense: str) -> DcopPro
     idle slot, may repeat). The agents share the domain list and one
     all-different table, which joins every pair in agent order; `unary`
     holds one cost row per agent, in agent order."""
-    conflict = all_different_table(domain, domain, sense)
+    conflict = all_different_table(domain, sense)
     return DcopProblem(
         agents=agents,
         domains=dict.fromkeys(agents, domain),

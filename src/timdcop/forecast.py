@@ -3,8 +3,8 @@
 A primary probability field gives, per (cell, stage), the chance a fresh
 incident is reported there. A dependency kernel adds secondary pressure: an
 incident at a cell raises the probability at its grid neighbours N(k) (up,
-down, left and right) one and two stages later, by the ratios delta_1 and
-delta_2. The expected probability at (k, u) is
+down, left and right) one and two stages later, by the fixed ratios
+delta_1 = 0.3 and delta_2 = 0.1. The expected probability at (k, u) is
 
     E[tau(k, u)] = min(1, pr_p[k, u]
                         + sum_{j in N(k)} (delta_1 * pr_p[j, u-1]
@@ -27,6 +27,7 @@ import numpy as np
 from .network import GridNetwork
 
 DEFAULT_PROB_RANGE = (0.0, 0.15)
+# the coupling ratios delta_1 and delta_2 of every grid neighbour
 DEFAULT_LAG1 = 0.3
 DEFAULT_LAG2 = 0.1
 
@@ -36,22 +37,18 @@ class DependencyKernel:
     """Secondary-incident coupling of every cell of a rows x cols grid to its
     grid neighbours.
 
-    An incident at a cell adds lag1 times its probability to each neighbour
-    (up, down, left, right) one stage later, and lag2 times it two stages
-    later. A lag whose ratio is not positive adds nothing.
+    An incident at a cell adds DEFAULT_LAG1 times its probability to each
+    neighbour (up, down, left, right) one stage later, and DEFAULT_LAG2
+    times it two stages later.
     """
 
     rows: int
     cols: int
-    lag1: float
-    lag2: float
 
 
-def default_kernel(
-    net: GridNetwork, lag1: float = DEFAULT_LAG1, lag2: float = DEFAULT_LAG2
-) -> DependencyKernel:
+def default_kernel(net: GridNetwork) -> DependencyKernel:
     """Couple every cell to its grid neighbours at lags 1 and 2."""
-    return DependencyKernel(net.rows, net.cols, lag1, lag2)
+    return DependencyKernel(net.rows, net.cols)
 
 
 def generate_field(
@@ -106,7 +103,7 @@ def expected_probability(
     row = primary(stage).astype(float)
     total = row.reshape(shape)  # a view: adds land in `row`
     lagged = [(ratio * primary(stage - lag)).reshape(shape)
-              for lag, ratio in ((1, kernel.lag1), (2, kernel.lag2)) if ratio > 0]
+              for lag, ratio in ((1, DEFAULT_LAG1), (2, DEFAULT_LAG2))]
     for target, source in _NEIGHBOURS:
         into = total[target]
         for term in lagged:

@@ -80,10 +80,17 @@ OPT_EVAL_CAP = 10**6
 #   5000x5000 grid's would be 200 MB each);
 # - forecast field entries, (schedule stages + lookahead + 1) x cells: 80 MB
 #   of primary field, and as much again in each of a run's cached stage rows
-#   and rankings, so a 100x100 grid keeps a schedule of up to 997 stages
+#   and rankings, so a 100x100 grid keeps a schedule of up to 997 stages;
+# - horizon, the stage bound times the gap: a float's spacing at 4e6 h is
+#   4.7e-10 h, below TIME_EPS, so every dispatch's busy time (at least a
+#   clearance) still shows on the clock; the 100x100 grid above spans 6e5 h;
+# - incidents, sum(schedule): a world holds about 0.8 KB per incident, and
+#   1e5 of them build in about 1 s and 145 MiB
 MAX_STAGES = 10**7
 MAX_CELLS = 100 * 100
 MAX_FIELD = 10**7
+MAX_HORIZON_H = 4e6
+MAX_INCIDENTS = 10**5
 _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
@@ -210,10 +217,18 @@ class Scenario:
         if max(self.schedule) > cells:  # one incident per cell
             raise InputError(f"a stage requests {max(self.schedule)} incidents "
                              f"on {cells} cells")
-        if not _stage_bound(self) <= MAX_STAGES:  # a NaN bound fails too
+        if sum(self.schedule) > MAX_INCIDENTS:
+            raise InputError(f"the schedule requests {sum(self.schedule):,} "
+                             f"incidents, more than {MAX_INCIDENTS:,}")
+        bound = _stage_bound(self)
+        if not bound <= MAX_STAGES:  # a NaN bound fails too
             raise InputError(
                 f"stage gap {self.stage_gap} h allows more than {MAX_STAGES} "
                 "stages on this grid and schedule")
+        if not bound * self.stage_gap <= MAX_HORIZON_H:  # an overflow fails too
+            raise InputError(
+                f"stage gap {self.stage_gap} h allows a stage loop longer than "
+                f"{MAX_HORIZON_H:,.0f} h on this grid and schedule")
 
 
 @dataclass
@@ -265,19 +280,16 @@ def materialize(sc: Scenario) -> World:
                 f"i{len(incidents):03d}", severity, cell,
                 stage * sc.stage_gap, inc_rng,
             ))
+            # the forecast has skill: lift the primary probability where and
+            # when incidents will actually land (strength is a scenario knob;
+            # 0 = noise)
+            if sc.forecast_signal > 0:
+                field_[stage, cell] = min(1.0, field_[stage, cell] + sc.forecast_signal)
     # (hazard, sparsity) per incident in report order, drawn in one call:
     # the same values as one scalar draw each, in that order
     attrs = _rng(sc.seed, _ATTRS).integers(1, 6, size=2 * len(incidents)).tolist()
     hazard = {inc.id: h for inc, h in zip(incidents, attrs[0::2])}
     sparsity = {inc.id: s for inc, s in zip(incidents, attrs[1::2])}
-
-    # the forecast has skill: lift the primary probability where and when
-    # incidents will actually land (strength is a scenario knob; 0 = noise)
-    if sc.forecast_signal > 0:
-        for inc in incidents:
-            stage = int(round(inc.report_time / sc.stage_gap))
-            cell = inc.location
-            field_[stage, cell] = min(1.0, field_[stage, cell] + sc.forecast_signal)
 
     pos_rng = _rng(sc.seed, _POS)
     erv_cells = [int(c) for c in pos_rng.integers(0, net.n_cells, sc.n_ervs)]
@@ -355,7 +367,7 @@ def _finish(policy: str, sc: Scenario, stages, outcomes, records,
         delay_total += o.delay_veh_h
         response_total += o.response_h
     for s in stages:
-        if s.uav_utility is not None and math.isfinite(s.uav_utility):
+        if s.uav_utility is not None:
             uav_total += s.uav_utility
     return RunResult(
         policy=policy,
@@ -522,11 +534,10 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
             outcomes.append(o)
 
         # data assimilation for every overflight (UAVs observe served cells
-        # only, at most one UAV per cell)
+        # only, at most one UAV per cell); a served incident's delay variance
+        # is positive (incidents.py), so every prior can be updated
         for uid in sorted(observed):
             inc_id, prior = beliefs[observed[uid]]
-            if prior.variance <= 0:
-                continue
             obs_mean, obs_var = simulate_observation(
                 prior, prior.mean, obs_rng, kappa=sc.kappa
             )
@@ -577,8 +588,7 @@ def _run_conventional(sc: Scenario, w: World) -> RunResult:
             # serve, then drive home; busy for the whole tour
             back = travel_time(w.net, inc.location, erv.cell)
             erv.available_at = t + travel + inc.params.clearance + back
-            if not erv.is_free(t):  # as a fresh scan of the fleet would
-                avail.remove(erv)
+            avail.remove(erv)  # busy for at least the clearance
             assignments.append((erv.id, inc.location, "dispatch"))
         return served, {"erv_assignments": assignments}
 

@@ -48,7 +48,6 @@ the stage's own stream, so a solve checks neither.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -92,14 +91,6 @@ def _initial_assignment(
         if v is not None:
             taken.add(v)
     return out
-
-
-def _gain(cur: float, best: float) -> float:
-    if cur == best:
-        return 0.0
-    if math.isinf(cur) and not math.isinf(best):
-        return math.inf
-    return cur - best
 
 
 def solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
@@ -162,11 +153,12 @@ def solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
             cur_cost = local.item(pos[i])
             k = local.argmin()
             best_cost = local.item(k)
+            # signed costs are finite or +inf, so a gain is positive, +inf
+            # when a conflict can be left, or 0.0
             if best_cost < cur_cost:
-                proposals[i] = k
+                proposals[i], gains[i] = k, cur_cost - best_cost
             else:
-                proposals[i], best_cost = pos[i], cur_cost
-            gains[i] = _gain(cur_cost, best_cost)
+                proposals[i], gains[i] = pos[i], 0.0
 
         if all(g <= 0.0 for g in gains):
             # fixed point: no agent moves now or in any later round

@@ -2,10 +2,13 @@
 
 No production path solves a stage exactly by enumeration, so the oracle
 lives with the tests that use it. `plain` puts a problem in a form that
-compares with ==.
+compares with ==. `all_different_table` is the conflict table built by a loop
+over two domains, which the one-domain diagonal of timdcop.dcop must equal.
 """
 import itertools
 import math
+
+import numpy as np
 
 from timdcop.dcop import Assignment, DcopProblem, total_cost
 from timdcop.errors import CapExceededError
@@ -48,3 +51,18 @@ def brute_force_optimum(
             best, best_cost = asg, cost
     assert best is not None
     return best, best_cost
+
+
+def all_different_table(dom_a: list, dom_b: list, sense: str = "min") -> np.ndarray:
+    """Conflict table: the hard sentinel where both agents take one non-None
+    value, 0 elsewhere (None is an idle slot that never conflicts).
+
+    The values of dom_b are distinct, as in every problem domain.
+    """
+    pos_b = {v: j for j, v in enumerate(dom_b) if v is not None}
+    table = np.zeros((len(dom_a), len(dom_b)))
+    for i, va in enumerate(dom_a):
+        j = pos_b.get(va)
+        if j is not None:
+            table[i, j] = math.inf if sense == "min" else -math.inf
+    return table

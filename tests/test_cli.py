@@ -277,6 +277,37 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+# scenarios past the horizon or the incident ceiling -> the rule's message.
+# Without the ceilings the first two end in an OverflowError traceback, and
+# the second with only conventional serves two incidents with one vehicle at
+# one instant: a 1e300 h clock absorbs the busy time
+CEILING_PROBES = {
+    "stage gap 1e+307 h allows a stage loop longer than 4,000,000 h on this "
+    "grid and schedule": {"seed": 1, "schedule": [1] * 21, "stage_gap_h": 1e307},
+    "stage gap 1e+300 h allows a stage loop longer than 4,000,000 h on this "
+    "grid and schedule": {"seed": 1, "schedule": [1, 2], "stage_gap_h": 1e300,
+                          "fleet": {"ervs": 1}},
+    "the schedule requests 1,200,000 incidents, more than 100,000": {
+        "seed": 1, "schedule": [4] * 300_000, "stage_gap_h": 1.0,
+        "grid": {"rows": 2, "cols": 2, "edge_time_range": [0.001, 0.001]}},
+}
+
+
+@pytest.mark.parametrize("message", CEILING_PROBES)
+@pytest.mark.parametrize("command", [
+    ["run", "--policy", "conventional,pdronetim,opt"],
+    ["sweep", "--axis", "ervs=1,2"],
+])
+def test_a_scenario_past_a_ceiling_exits_2_with_its_rule(tmp_path, capsys,
+                                                         message, command):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(CEILING_PROBES[message]))
+    out = tmp_path / "o"
+    assert main([*command, "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [
     {"lookahead": 3},
     {"kappa": 0.0},
@@ -336,6 +367,9 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     # ceiling on a grid within it
     {"seed": 1, "schedule": [1], "grid": {"rows": 5000, "cols": 5000}},
     {"seed": 1, "schedule": [1] * 998, "grid": {"rows": 100, "cols": 100}},
+    # a stage loop past the horizon ceiling, or a world past the incident
+    # ceiling (CEILING_PROBES)
+    *CEILING_PROBES.values(),
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -982,6 +1016,7 @@ def test_a_manifest_key_its_kind_lacks_exits_2(tmp_path, capsys, command, doc,
     {"grid": {"edge_time_range": [0, 1]}},
     {"grid": {"rows": 5000, "cols": 5000}},
     {"schedule": [1] * 998, "grid": {"rows": 100, "cols": 100}},
+    *CEILING_PROBES.values(),
 ])
 def test_a_world_the_builders_refuse_exits_2_before_any_sweep_point(
         tmp_path, capsys, monkeypatch, bad):

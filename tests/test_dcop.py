@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dcop_oracle
 from dcop_oracle import brute_force_optimum, search_space
 from timdcop.dcop import (
     BinaryConstraint,
@@ -99,7 +102,7 @@ def test_conflict_is_absorbing_in_both_senses():
         agents=["a", "b"],
         domains={"a": [0], "b": [0]},
         binary=[BinaryConstraint(
-            a="a", b="b", table=all_different_table([0], [0], sense="max"),
+            a="a", b="b", table=all_different_table([0], sense="max"),
         )],
         sense="max",
     )
@@ -175,13 +178,13 @@ def test_search_space_and_cap():
 
 
 def test_a_table_shared_by_many_pairs_is_converted_once():
+    # a float table, like the builders' all-different table, is not copied
     dom = [0, 1, 2]
     pairs = [("a", "b"), ("a", "c"), ("b", "c")]
-    shared = [[0.0] * 3] * 3
+    shared = np.zeros((3, 3))
     p = DcopProblem(agents=["a", "b", "c"], domains=dict.fromkeys("abc", dom),
                     binary=[BinaryConstraint(a, b, shared) for a, b in pairs])
-    assert p.binary[0].table is p.binary[1].table is p.binary[2].table
-    assert p.binary[0].table.shape == (3, 3)
+    assert all(c.table is shared for c in p.binary)
 
 
 def test_agents_sharing_a_domain_list_share_its_index():
@@ -194,11 +197,26 @@ def test_agents_sharing_a_domain_list_share_its_index():
 
 
 def test_all_different_table_marks_equal_values_only():
-    t = all_different_table([3, 5, None], [5, None, 3])
+    t = all_different_table([3, 5, None])
     assert t.shape == (3, 3)
-    assert t[0, 2] == t[1, 0] == math.inf
+    assert t[0, 0] == t[1, 1] == math.inf
     assert np.count_nonzero(t) == 2  # None never conflicts, even with None
-    assert all_different_table([1, None], [1, None], sense="max")[0, 0] == -math.inf
+    assert all_different_table([1, None], sense="max")[0, 0] == -math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.integers(0, 60), max_size=12, unique=True),
+       idle=st.one_of(st.none(), st.integers(0, 12)),
+       sense=st.sampled_from(["min", "max"]))
+def test_the_one_domain_table_equals_the_two_domain_loop(cells, idle, sense):
+    # a builder domain: distinct cells, with or without the idle slot None
+    domain = list(cells)
+    if idle is not None:
+        domain.insert(min(idle, len(domain)), None)
+    want = dcop_oracle.all_different_table(domain, domain, sense)
+    got = all_different_table(domain, sense)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("sense, sentinel", [("min", math.inf), ("max", -math.inf)])

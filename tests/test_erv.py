@@ -45,7 +45,7 @@ def make_ctx(net, field_=None, incidents=(), **kw) -> StageContext:
         net=net,
         forecast=Forecast(
             field_ if field_ is not None else zero_field(net.n_cells),
-            DependencyKernel(net.rows, net.cols, 0.0, 0.0),
+            DependencyKernel(net.rows, net.cols),
         ),
         stage_time=0.0,
         stage_index=0,

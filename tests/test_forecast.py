@@ -36,26 +36,25 @@ def probability_oracle(values, delta, cell, stage) -> float:
     return min(1.0, total)
 
 
-def default_kernel_oracle(net, lag1=0.3, lag2=0.1) -> dict:
+def default_kernel_oracle(net) -> dict:
     """A rows x cols grid's neighbour couplings {(source, lag, target): ratio}
-    by a double loop over cells and neighbours, target by target."""
+    by a double loop over cells and neighbours, target by target, at the
+    ratios 0.3 (lag 1) and 0.1 (lag 2)."""
     delta = {}
     for k in range(net.rows * net.cols):
         for j in grid_neighbors(net, k):
-            if lag1 > 0:
-                delta[(j, 1, k)] = lag1
-            if lag2 > 0:
-                delta[(j, 2, k)] = lag2
+            delta[(j, 1, k)] = 0.3
+            delta[(j, 2, k)] = 0.1
     return delta
 
 
 def assert_matches_oracle(values, kernel, stages):
-    """Every row up to `stages` equals the oracle fed the kernel's couplings."""
+    """Every row of `stages` equals the oracle fed the kernel's couplings."""
     raw = [list(map(float, row)) for row in values]
     by_target = [{} for _ in range(values.shape[1])]  # the oracle skips other targets
-    for (j, lag, k), ratio in default_kernel_oracle(kernel, kernel.lag1, kernel.lag2).items():
+    for (j, lag, k), ratio in default_kernel_oracle(kernel).items():
         by_target[k][(j, lag, k)] = ratio
-    for stage in range(stages):
+    for stage in stages:
         row = expected_probability(values, kernel, stage)
         assert row.shape == (values.shape[1],)
         for cell in range(values.shape[1]):
@@ -67,65 +66,64 @@ def test_matches_oracle_on_random_five_cell_world():
     rng = np.random.default_rng(8)
     values = rng.uniform(0.0, 0.3, size=(6, 5))
     for shape in ((1, 5), (5, 1)):
-        for _ in range(4):
-            lag1, lag2 = (float(x) for x in rng.uniform(-0.2, 0.8, 2))
-            # includes stages past the horizon
-            assert_matches_oracle(values, DependencyKernel(*shape, lag1, lag2), 8)
+        # includes stages past the horizon
+        assert_matches_oracle(values, DependencyKernel(*shape), range(8))
     # the default kernel: up to eight incoming couplings per cell
     net = build_grid(6, 6, seed=3)
     values = np.random.default_rng(9).uniform(0.0, 0.4, size=(4, net.n_cells))
-    assert_matches_oracle(values, default_kernel(net), 6)
+    assert_matches_oracle(values, default_kernel(net), range(6))
 
 
 def test_zero_kernel_returns_primary_probability():
-    values = np.array([[0.05, 0.10], [0.12, 0.01], [0.0, 0.15]])
-    kernel = DependencyKernel(1, 2, 0.0, 0.0)
-    for stage in range(3):
-        for cell in range(2):
-            assert expected_probability(values, kernel, stage)[cell] == pytest.approx(
-                float(values[stage, cell])
-            )
+    # the neighbours' two lagged stages are zero, so no coupling adds to a
+    # stage-2 row: it is the primary row itself
+    values = np.array([[0.0, 0.0], [0.0, 0.0], [0.05, 0.10]])
+    assert expected_probability(values, DependencyKernel(1, 2), 2).tolist() == [0.05, 0.10]
 
 
 def test_worked_secondary_contribution():
-    # 0.1 primary + 0.5 coupling x 0.2 at the previous stage = 0.2
+    # 0.1 primary + 0.3 coupling x 0.2 at the previous stage = 0.16
     values = np.array([[0.2, 0.0], [0.0, 0.1]])
-    kernel = DependencyKernel(1, 2, 0.5, 0.0)
-    assert expected_probability(values, kernel, 1).tolist() == pytest.approx([0.0, 0.2])
+    kernel = DependencyKernel(1, 2)
+    assert expected_probability(values, kernel, 1).tolist() == pytest.approx([0.0, 0.16])
 
 
 def test_probability_caps_at_one():
+    # 0.9 + 0.3 x 0.9 = 1.17
     values = np.array([[0.9, 0.9], [0.9, 0.9]])
-    kernel = DependencyKernel(1, 2, 5.0, 0.0)
+    kernel = DependencyKernel(1, 2)
     assert expected_probability(values, kernel, 1)[1] == 1.0
 
 
 def test_missing_history_counts_as_zero():
-    values = np.array([[0.0, 0.1]])
-    kernel = DependencyKernel(1, 2, 0.9, 0.9)
+    values = np.array([[0.9, 0.1]])
+    kernel = DependencyKernel(1, 2)
     # stage 0: both lags reach before the horizon -> only the primary term
     assert expected_probability(values, kernel, 0)[1] == pytest.approx(0.1)
 
 
 def test_beyond_horizon_is_fed_only_by_lagged_history():
     values = np.array([[0.3, 0.0]])
-    kernel = DependencyKernel(1, 2, 0.5, 0.0)
-    # stage 1 is outside the one-stage horizon; the lag-1 term still lands
-    assert expected_probability(values, kernel, 1)[1] == pytest.approx(0.15)
-    assert expected_probability(values, kernel, 2)[1] == 0.0
+    kernel = DependencyKernel(1, 2)
+    # stages 1 and 2 are outside the one-stage horizon; the lagged terms
+    # still land, 0.3 x 0.3 and then 0.1 x 0.3
+    assert expected_probability(values, kernel, 1)[1] == pytest.approx(0.09)
+    assert expected_probability(values, kernel, 2)[1] == pytest.approx(0.03)
+    assert expected_probability(values, kernel, 3)[1] == 0.0
 
 
 def test_increasing_a_coupling_never_decreases_probability():
+    # raising a neighbour's probability one or two stages back raises the
+    # coupling term it feeds, and never lowers any row
     rng = np.random.default_rng(12)
     values = rng.uniform(0.0, 0.2, size=(5, 4))
-    base = DependencyKernel(2, 2, 0.2, 0.4)
-    for bumped in (DependencyKernel(2, 2, 0.9, 0.4), DependencyKernel(2, 2, 0.2, 0.9)):
-        for stage in range(6):
-            for cell in range(4):
-                assert (
-                    expected_probability(values, bumped, stage)[cell]
-                    >= expected_probability(values, base, stage)[cell] - 1e-15
-                )
+    kernel = DependencyKernel(2, 2)
+    for stage, cell in ((1, 0), (2, 3), (3, 1), (4, 2)):
+        bumped = values.copy()
+        bumped[stage - 1, cell] += 0.5
+        for u in range(6):
+            assert np.all(expected_probability(bumped, kernel, u)
+                          >= expected_probability(values, kernel, u))
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,9 +139,8 @@ def test_output_always_a_probability(stages, rows, cols, stage, data):
         [data.draw(st.floats(0.0, 1.0)) for _ in range(rows * cols)]
         for _ in range(stages)
     ])
-    kernel = DependencyKernel(rows, cols, data.draw(st.floats(-1.0, 3.0)),
-                              data.draw(st.floats(-1.0, 3.0)))
-    delta = default_kernel_oracle(kernel, kernel.lag1, kernel.lag2)
+    kernel = DependencyKernel(rows, cols)
+    delta = default_kernel_oracle(kernel)
     raw = values.tolist()
     for cell in range(rows * cols):
         p = expected_probability(values, kernel, stage)[cell]
@@ -237,7 +234,7 @@ def impulse_rows(kernel, source, stages=4):
 def test_default_kernel_couples_grid_neighbourhood():
     net = build_grid(3, 4, (1.0, 1.0), seed=0)
     kernel = default_kernel(net)
-    assert kernel == DependencyKernel(3, 4, 0.3, 0.1)
+    assert kernel == DependencyKernel(3, 4)
     for k in range(net.n_cells):
         # an incident at k raises exactly its grid neighbours, at both lags
         near = np.zeros(net.n_cells)
@@ -248,26 +245,21 @@ def test_default_kernel_couples_grid_neighbourhood():
         assert not rows[3].any()
 
 
-def test_default_kernel_drops_zero_lags():
-    net = build_grid(2, 2, (1.0, 1.0), seed=0)
-    for lag2 in (0.0, -0.1, float("nan")):
-        rows = impulse_rows(default_kernel(net, lag1=0.5, lag2=lag2), 0)
-        assert rows[1].tolist() == [0.0, 0.5, 0.5, 0.0]
-        assert rows[2].tolist() == [0.0] * 4  # no lag-2 term, not even a negative one
-
-
 @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (6, 7), (40, 40)])
-@pytest.mark.parametrize("lags", [
-    (0.3, 0.1), (0.5, 0.0), (0.0, 0.2), (0.0, 0.0), (-0.1, 0.1)])
+# the lags whose stage lies inside a three-stage field (lag 0 is the stage's
+# own primary term): each set is read at the one stage it holds at
+@pytest.mark.parametrize("lags", [(0, 1, 2), (0, 1), (0,), (1, 2), (2,)])
 def test_default_kernel_matches_the_double_loop_in_order(shape, lags):
     net = build_grid(*shape, (1.0, 1.0), seed=0)
     horizon = 3
+    [stage] = [u for u in range(horizon + 2)
+               if [lag for lag in range(3) if 0 <= u - lag < horizon] == list(lags)]
     # up to 0.6, so that some cells of some rows reach the cap
     values = np.random.default_rng(17).uniform(0.0, 0.6, size=(horizon, net.n_cells))
-    assert_matches_oracle(values, default_kernel(net, *lags), horizon + 4)
+    assert_matches_oracle(values, default_kernel(net), [stage])
 
 
 def test_kernel_validation():
     fld = generate_field(4, 3, seed=0)
     for shape in ((2, 2), (1, 4), (4, 1)):  # any grid of the field's 4 cells
-        assert expected_probability(fld, DependencyKernel(*shape, 0.3, 0.1), 1).shape == (4,)
+        assert expected_probability(fld, DependencyKernel(*shape), 1).shape == (4,)

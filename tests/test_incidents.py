@@ -1,4 +1,5 @@
 """Delay model: exact-rational oracle, clamping, sampling."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from timdcop.incidents import (
     sample_incident,
     sample_params,
 )
+from timdcop.scenarios import MAX_HORIZON_H
 
 # --------------------------------------------------------------- oracle
 # Written before the module code: the two closed forms evaluated in exact
@@ -316,6 +318,17 @@ def test_sampled_incidents_always_well_posed():
     for _ in range(400):
         p = sample_params(int(rng.integers(1, 5)), rng)
         assert p.s > p.q
+    # the delay variance is positive at every corner of every row, for any
+    # response a stage loop can reach: the subtracted term is at most 3/4 of
+    # the first, which leaves at least s1_sd^2 r_var / (3 q^2) > 0, so every
+    # served incident's prior can be assimilated
+    for sev, ranges in SEVERITY_RANGES.items():
+        for corner in itertools.product(*ranges.values()):
+            p = TrafficParams(**dict(zip(ranges, corner)))
+            floor = p.s1_sd**2 * p.r_var / (3 * p.q**2)
+            assert floor > 0, (sev, corner)
+            for response in (0.0, 0.5, MAX_HORIZON_H):
+                assert delay_variance(p, response) > floor, (sev, corner, response)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -307,6 +308,22 @@ def test_runs_equal_the_sort_and_rescan_oracle(seed, n_ervs, n_uavs, schedule,
     for policy in ("conventional", "pdronetim"):
         assert (result_to_json(run_policy(sc, policy, w))
                 == generation_order_json(sc, w, policy))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ervs=st.integers(1, 3),
+       n_uavs=st.integers(1, 4),
+       schedule=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       algorithm=st.sampled_from(["mgm", "dsa"]))
+def test_every_uav_stage_has_a_finite_utility(seed, n_ervs, n_uavs, schedule,
+                                              algorithm):
+    # a UAV solve starts conflict-free, since the idle slot is always free,
+    # and its best cost only ever falls: no stage's utility is a sentinel
+    sc = small(seed, schedule, n_ervs=n_ervs, n_uavs=n_uavs, algorithm=algorithm)
+    res = run_proactive(sc)
+    utilities = [s.uav_utility for s in res.stages if s.uav_utility is not None]
+    assert all(math.isfinite(u) for u in utilities)
+    assert math.isfinite(res.total_uav_utility)
 
 
 @pytest.mark.parametrize("policy", ["conventional", "pdronetim"])
@@ -623,9 +640,29 @@ def test_the_scenario_refuses_what_each_rule_refuses(key):
 
 
 def test_stage_bound_and_rounds_have_a_ceiling_at_load():
-    # a large world at the default gap stays well under the stage ceiling
+    # a large world at the default gap stays well under the stage and
+    # horizon ceilings
     big = Scenario(seed=0, schedule=(1000,), rows=100, cols=100)
     assert 1e6 < scenarios._stage_bound(big) < scenarios.MAX_STAGES
+    assert 5e5 < scenarios._stage_bound(big) * big.stage_gap < scenarios.MAX_HORIZON_H
+    # at the horizon ceiling a float still tells instants TIME_EPS apart
+    assert math.ulp(scenarios.MAX_HORIZON_H) < scenarios.TIME_EPS
+    # a gap so long that the loop's clock would swallow a dispatch's busy
+    # time (or overflow): refused, whatever the stage count
+    for schedule, gap in (((1,) * 21, 1e307), ((1, 2), 1e300), ((1,), 4e6)):
+        with pytest.raises(InputError, match=(
+                f"^stage gap {re.escape(str(gap))} h allows a stage loop "
+                "longer than 4,000,000 h on this grid and schedule$")):
+            Scenario(seed=1, schedule=schedule, n_ervs=1, stage_gap=gap)
+    # a world of more than 1e5 incidents, even on a short horizon
+    Scenario(seed=1, schedule=(4,) * 25_000, rows=2, cols=2,
+             edge_time_range=(0.001, 0.001), stage_gap=1.0)
+    for schedule in ((4,) * 25_001, (4,) * 300_000):
+        with pytest.raises(InputError, match=(
+                f"^the schedule requests {4 * len(schedule):,} incidents, "
+                "more than 100,000$")):
+            Scenario(seed=1, schedule=schedule, rows=2, cols=2,
+                     edge_time_range=(0.001, 0.001), stage_gap=1.0)
     # a 100x100 grid is the largest world a scenario may build, and its
     # field may span 997 schedule stages plus the lookahead window
     assert scenarios.MAX_CELLS == 100 * 100

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcop_oracle
 from dcop_oracle import brute_force_optimum
 from solver_oracle import reference_solve
 from timdcop import solvers
@@ -287,7 +288,7 @@ def table_problems(draw) -> DcopProblem:
     if shared:
         dom = draw(cells)
         domains = dict.fromkeys(agents, dom)
-        table = all_different_table(dom, dom, sense) + draw(
+        table = all_different_table(dom, sense) + draw(
             st.lists(costs, min_size=len(dom) ** 2, max_size=len(dom) ** 2)
             .map(lambda xs: np.reshape(xs, (len(dom), len(dom)))))
     else:
@@ -306,6 +307,28 @@ def table_problems(draw) -> DcopProblem:
             elif draw(st.booleans()):
                 rows = [vector(len(domains[b])) for _ in domains[a]]
                 binary.append(BinaryConstraint(a=a, b=b, table=rows))
+    return DcopProblem(agents=agents, domains=domains, unary=unary,
+                       binary=binary, sense=sense)
+
+
+@st.composite
+def crowded_problems(draw) -> DcopProblem:
+    """2-6 agents on domains of their own over at most four cells, with an
+    all-different table on every pair and finite unary vectors; min or max.
+    A later agent often finds every value of its domain taken, so initial
+    states hold conflicts: infinite local costs, some of which a move can
+    leave and some of which no move can."""
+    sense = draw(st.sampled_from(["min", "max"]))
+    cells = range(draw(st.integers(1, 4)))
+    agents = [f"a{i}" for i in range(draw(st.integers(2, 6)))]
+    domains = {a: draw(st.lists(st.sampled_from(cells), min_size=1,
+                                max_size=len(cells), unique=True))
+               for a in agents}
+    unary = {a: draw(st.lists(costs, min_size=len(dom), max_size=len(dom)))
+             for a, dom in domains.items()}
+    binary = [BinaryConstraint(a=a, b=b, table=dcop_oracle.all_different_table(
+                  domains[a], domains[b], sense))
+              for i, a in enumerate(agents) for b in agents[i + 1:]]
     return DcopProblem(agents=agents, domains=domains, unary=unary,
                        binary=binary, sense=sense)
 
@@ -343,7 +366,8 @@ def uav_problems(draw) -> DcopProblem:
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=st.one_of(table_problems(), erv_problems(), uav_problems()),
+@given(p=st.one_of(table_problems(), crowded_problems(), erv_problems(),
+                   uav_problems()),
        cfg=configs)
 def test_solve_matches_the_reference_loop(p, cfg):
     sc, seed = cfg
