@@ -43,17 +43,10 @@ from .uav import write_assimilation_csv
 WORKERS_ENV = "TIMDCOP_WORKERS"
 
 # sweep axis -> the scenario file key it sets
-_AXES = {
-    "dsa_threshold": "solver.dsa_threshold",
-    "iterations": "solver.iterations",
-    "algorithm": "solver.algorithm",
-    "ervs": "fleet.ervs",
-    "uavs": "fleet.uavs",
-    "lookahead": "lookahead",
-    "relocation_k": "relocation_k",
-    "kappa": "kappa",
-    "cooperation": "cooperation",
-}
+_AXES = {key.rpartition(".")[2]: key for key in (
+    "solver.dsa_threshold", "solver.iterations", "solver.algorithm",
+    "fleet.ervs", "fleet.uavs", "lookahead", "relocation_k", "kappa",
+    "cooperation")}
 # --axis cooperation=... words
 _ON, _OFF = ("1", "true", "on"), ("0", "false", "off")
 # manifest kind (the command that writes and reads it) -> the keys it holds

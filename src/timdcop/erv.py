@@ -17,8 +17,8 @@ the candidate to c). Future incidents have no sampled parameters yet, so the
 delay uses the severity-averaged reference parameter set.
 
 A stage problem is built from a few array operations: one (candidate x
-hotspot) and one (vehicle x open cell) response matrix, each priced by one
-`expected_delays` call, over travel rows opened together.
+hotspot) and one (vehicle x open cell) response matrix, gathered together
+by one `travel_matrices` call and each priced by one `expected_delays` call.
 """
 from __future__ import annotations
 
@@ -29,9 +29,8 @@ import numpy as np
 from .dcop import DcopProblem, assignment_problem
 from .forecast import Forecast
 from .incidents import Incident, expected_delays, reference_params
-from .network import CellId, GridNetwork, Vehicle, travel_rows
+from .network import CellId, GridNetwork, Vehicle, travel_matrices
 
-DISPATCH_WEIGHT = 1.0  # a dispatch costs its expected delay, unscaled
 RELOCATION_WEIGHT_FACTOR = 100.0
 FUTURE_PARAMS = reference_params()  # prices forecast (not yet sampled) incidents
 
@@ -74,18 +73,6 @@ def forecast_hotspots(ctx: StageContext, stage: int, k: int) -> list[tuple[CellI
             if p > 0.0]
 
 
-def _responses(rows: dict[CellId, np.ndarray], cells: list[CellId],
-               to: list[CellId]) -> np.ndarray:
-    """Travel times from each of `cells` to each of `to`; a cell without a
-    row has every target on itself."""
-    out = np.zeros((len(cells), len(to)))
-    for r, cell in enumerate(cells):
-        row = rows.get(cell)
-        if row is not None:
-            out[r] = row[to]
-    return out
-
-
 def build_erv_problem(ctx: StageContext, fleet: list[Vehicle]) -> DcopProblem:
     """Stage DCOP for the free part of the fleet (the stage loop builds one
     only when a vehicle is free)."""
@@ -105,31 +92,25 @@ def build_erv_problem(ctx: StageContext, fleet: list[Vehicle]) -> DcopProblem:
             hot_cells.append(c)
             hot_p.append(p)
 
-    # A vehicle's row is needed when an open cell lies away from it, and a
-    # candidate's when a hotspot does (travel to the cell itself is 0.0, the
-    # row's own entry); the missing rows come from one Dijkstra call.
-    open_set, hot_set = set(open_cells), set(hot_cells)
-    sources = [e.cell for e in free if open_set - {e.cell}] + \
-        [c for c in domain if hot_set - {c}]
-    rows = dict(zip(sources, travel_rows(ctx.net, sources)))
+    to_open, to_hot = travel_matrices(
+        ctx.net, ([e.cell for e in free], open_cells), (domain, hot_cells))
 
     # a cell's look-ahead coverage is the same for every vehicle; p * delay
     # summed left to right in hotspot order
     coverage = np.zeros(len(domain))
     if hot_cells:
-        delays = expected_delays([FUTURE_PARAMS] * len(hot_cells),
-                                 _responses(rows, domain, hot_cells))
+        delays = expected_delays([FUTURE_PARAMS] * len(hot_cells), to_hot)
         coverage = np.cumsum(np.array(hot_p) * delays, axis=1)[:, -1]
 
     # (vehicle x open cell) dispatch costs, priced once for w_r and the unary
     n_open = len(open_cells)
     dispatch = expected_delays([ctx.oldest[c].params for c in open_cells],
-                               _responses(rows, [e.cell for e in free], open_cells)) \
-        + coverage[:n_open]
+                               to_open) + coverage[:n_open]
 
     # dispatch must dominate relocation: scale off the costliest dispatch
+    # (100 when no incident is open, or no dispatch costs anything)
     worst = float(dispatch.max()) if n_open else 0.0
-    w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)
+    w_r = RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else 1.0)
 
     p_next = ctx.forecast.row(ctx.stage_index + 1)
     unary = np.empty((len(free), len(domain)))

@@ -8,10 +8,10 @@ Shortest-path travel times come in whole rows, one per source cell, computed
 lazily with scipy's Dijkstra over one CSR graph that holds every link in
 both directions, built from the arrays on the first Dijkstra call; the rows
 a caller asks for together come from one Dijkstra call. A row is the
-read-only float64 array scipy returns, so callers gather from it by index.
-Rows and graph are cached on the network, which is immutable after
-construction. A `Vehicle`, ERV or UAV alike, moves between cells at these
-travel times.
+read-only float64 array scipy returns, and `travel_matrices` gathers from
+rows by index the (vehicle x cell) matrices both stage problems price. Rows
+and graph are cached on the network, which is immutable after construction.
+A `Vehicle`, ERV or UAV alike, moves between cells at these travel times.
 """
 from __future__ import annotations
 
@@ -107,6 +107,26 @@ def travel_rows(net: GridNetwork, sources: list[CellId]) -> list[np.ndarray]:
     if missing:
         cache.update(zip(missing, _dijkstra(net, missing)))
     return [cache[s] for s in sources]
+
+
+def travel_matrices(net: GridNetwork, *pairs: tuple[list[CellId], list[CellId]]
+                    ) -> list[np.ndarray]:
+    """Travel times in hours, one (cells x targets) matrix per (cells, targets)
+    pair. A cell's row is opened only when one of its targets lies away from
+    it (a cell without one reads 0.0); the missing rows of every pair come
+    from one Dijkstra call, sources in pair order, then cell order."""
+    sources = [c for cells, targets in pairs for c in cells
+               if targets.count(c) < len(targets)]  # a target lies away from c
+    rows = dict(zip(sources, travel_rows(net, sources)))
+    out = []
+    for cells, targets in pairs:
+        m = np.zeros((len(cells), len(targets)))
+        at = np.array(targets, dtype=np.intp)  # converted once, not per row
+        for r, c in enumerate(cells):
+            if c in rows:
+                m[r] = rows[c][at]
+        out.append(m)
+    return out
 
 
 def travel_time(net: GridNetwork, a: CellId, b: CellId) -> float:

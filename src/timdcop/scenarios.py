@@ -85,12 +85,19 @@ OPT_EVAL_CAP = 10**6
 #   4.7e-10 h, below TIME_EPS, so every dispatch's busy time (at least a
 #   clearance) still shows on the clock; the 100x100 grid above spans 6e5 h;
 # - incidents, sum(schedule): a world holds about 0.8 KB per incident, and
-#   1e5 of them build in about 1 s and 145 MiB
+#   1e5 of them build in about 1 s and 145 MiB;
+# - fleets and relocation_k: a solve holds n(n-1)/2 pair constraints, and the
+#   coverage matrix is (open cells + k) x lookahead * k;
+# - kappa, times a delay variance of at most 7.2e12 (a response of two
+#   horizons at a severity's worst corner): far from overflow
 MAX_STAGES = 10**7
 MAX_CELLS = 100 * 100
 MAX_FIELD = 10**7
 MAX_HORIZON_H = 4e6
 MAX_INCIDENTS = 10**5
+MAX_FLEET = 1000
+MAX_RELOCATION_K = 1000
+MAX_KAPPA = 1e6
 _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
@@ -147,8 +154,10 @@ SCENARIO_FIELDS = {
     "grid.edge_time_range": (
         "edge_time_range", "numbers", "two finite numbers 0 < lo ≤ hi",
         lambda x: len(x) == 2 and all(map(_finite, x)) and 0 < x[0] <= x[1]),
-    "fleet.ervs": ("n_ervs", "count", "≥ 1", lambda x: x >= 1),
-    "fleet.uavs": ("n_uavs", "count", "≥ 0", lambda x: x >= 0),
+    "fleet.ervs": ("n_ervs", "count", f"1 to {MAX_FLEET:,}",
+                   lambda x: 1 <= x <= MAX_FLEET),
+    "fleet.uavs": ("n_uavs", "count", f"0 to {MAX_FLEET:,}",
+                   lambda x: 0 <= x <= MAX_FLEET),
     "stage_gap_h": ("stage_gap", "number", "positive and finite", _positive),
     "solver.algorithm": ("algorithm", "text", '"mgm" or "dsa"',
                          lambda x: x in ("mgm", "dsa")),
@@ -161,9 +170,11 @@ SCENARIO_FIELDS = {
     "forecast.budget": ("field_budget", "number", "positive and finite", _positive),
     "forecast.signal": ("forecast_signal", "number", "in [0, 1]", _unit),
     "lookahead": ("lookahead", "count", "0, 1 or 2", lambda x: x in (0, 1, 2)),
-    "relocation_k": ("relocation_k", "count", "≥ 0", lambda x: x >= 0),
+    "relocation_k": ("relocation_k", "count", f"0 to {MAX_RELOCATION_K:,}",
+                     lambda x: 0 <= x <= MAX_RELOCATION_K),
     "cooperation": ("cooperation", "switch", "", _any),
-    "kappa": ("kappa", "number", "positive and finite", _positive),
+    "kappa": ("kappa", "number", f"positive, at most {MAX_KAPPA:,.0f}",
+              lambda x: 0 < x <= MAX_KAPPA),
 }
 
 
@@ -292,8 +303,8 @@ def materialize(sc: Scenario) -> World:
     sparsity = {inc.id: s for inc, s in zip(incidents, attrs[1::2])}
 
     pos_rng = _rng(sc.seed, _POS)
-    erv_cells = [int(c) for c in pos_rng.integers(0, net.n_cells, sc.n_ervs)]
-    uav_cells = [int(c) for c in pos_rng.integers(0, net.n_cells, sc.n_uavs)]
+    erv_cells = pos_rng.integers(0, net.n_cells, sc.n_ervs).tolist()
+    uav_cells = pos_rng.integers(0, net.n_cells, sc.n_uavs).tolist()
     return World(
         net=net, forecast=Forecast(field_, default_kernel(net)),  # after the lift
         # the world order, after every draw that follows generation order
@@ -491,7 +502,7 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
             dispatched = {r.erv_id for r in records}
             fields.update(
                 erv_assignments=[
-                    (erv_id, int(cell),
+                    (erv_id, cell,
                      "dispatch" if erv_id in dispatched else "relocate")
                     for erv_id, cell in sorted(trace.final_assignment.items())
                 ],
@@ -517,9 +528,7 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                 w.net, free_uavs, u_trace.final_assignment, t
             )
             fields.update(
-                uav_assignments=sorted(
-                    (uid, int(c)) for uid, c in observed.items()
-                ),
+                uav_assignments=sorted(observed.items()),
                 uav_utility=u_trace.final_cost,
             )
 

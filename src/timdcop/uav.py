@@ -27,7 +27,7 @@ import numpy as np
 
 from .dcop import DcopProblem, assignment_problem
 from .errors import ModelDomainError
-from .network import CellId, GridNetwork, Vehicle, travel_rows, travel_time
+from .network import CellId, GridNetwork, Vehicle, travel_matrices
 
 # hazard level -> fractional response-time reduction under cooperation
 HAZARD_REDUCTION = {1: 0.03, 2: 0.05, 3: 0.07, 4: 0.09, 5: 0.11}
@@ -65,14 +65,9 @@ def build_uav_problem(
     fleet = sorted(uavs, key=lambda u: u.id)
     cells = sorted(benefits)
 
-    # open in one Dijkstra call the rows the unary reads: a UAV's own cell
-    # is 0.0 away and needs none
-    travel_rows(net, [u.cell for u in fleet if set(cells) - {u.cell}])
-    unary = [
-        [benefits[c] - BENEFIT_PER_HOUR * travel_time(net, u.cell, c)
-         for c in cells] + [0.0]
-        for u in fleet
-    ]
+    flight, = travel_matrices(net, ([u.cell for u in fleet], cells))
+    unary = np.zeros((len(fleet), len(cells) + 1))  # idle, the last column, is 0.0
+    unary[:, :-1] = np.array([benefits[c] for c in cells]) - BENEFIT_PER_HOUR * flight
     return assignment_problem([u.id for u in fleet], cells + [None], unary, "max")
 
 

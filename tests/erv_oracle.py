@@ -4,7 +4,6 @@
 keeps the per-cell loop it replaced, as the oracle its tests compare with.
 """
 from timdcop.erv import (
-    DISPATCH_WEIGHT,
     FUTURE_PARAMS,
     RELOCATION_WEIGHT_FACTOR,
     forecast_hotspots,
@@ -40,10 +39,11 @@ def unary_cost(ctx, erv, cell, w_r) -> float:
 
 def relocation_weight(ctx, fleet) -> float:
     """100x the costliest dispatch of a free vehicle to an open cell,
-    look-ahead included (a dispatch cost never reads the weight)."""
+    look-ahead included (a dispatch cost never reads the weight), or 100
+    when no incident is open or no dispatch costs anything."""
     free = [e for e in fleet if e.is_free(ctx.stage_time)]
     worst = 0.0
     for e in free:
         for cell in ctx.oldest:
             worst = max(worst, unary_cost(ctx, e, cell, None))
-    return RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else DISPATCH_WEIGHT)
+    return RELOCATION_WEIGHT_FACTOR * (worst if worst > 0 else 1.0)

@@ -277,10 +277,13 @@ def test_search_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
-# scenarios past the horizon or the incident ceiling -> the rule's message.
-# Without the ceilings the first two end in an OverflowError traceback, and
-# the second with only conventional serves two incidents with one vehicle at
-# one instant: a 1e300 h clock absorbs the busy time
+# scenarios past the horizon, incident, kappa, relocation_k or fleet
+# ceiling -> the rule's message. Without the ceilings the first two end in an
+# OverflowError traceback, and the second with only conventional serves two
+# incidents with one vehicle at one instant: a 1e300 h clock absorbs the busy
+# time. The kappa probe exits 0 with NaN and infinite assimilation records,
+# and the last two end in a MemoryError traceback under a 1.5 GB
+# address-space limit
 CEILING_PROBES = {
     "stage gap 1e+307 h allows a stage loop longer than 4,000,000 h on this "
     "grid and schedule": {"seed": 1, "schedule": [1] * 21, "stage_gap_h": 1e307},
@@ -290,6 +293,15 @@ CEILING_PROBES = {
     "the schedule requests 1,200,000 incidents, more than 100,000": {
         "seed": 1, "schedule": [4] * 300_000, "stage_gap_h": 1.0,
         "grid": {"rows": 2, "cols": 2, "edge_time_range": [0.001, 0.001]}},
+    "kappa must be positive, at most 1,000,000, got 1e+308": {
+        "seed": 3, "schedule": [9, 9, 9], "fleet": {"ervs": 1, "uavs": 2},
+        "kappa": 1e308},
+    "relocation_k must be 0 to 1,000, got 1000000000": {
+        "seed": 1, "schedule": [1], "grid": {"rows": 100, "cols": 100},
+        "fleet": {"ervs": 3}, "relocation_k": 1_000_000_000},
+    "fleet.ervs must be 1 to 1,000, got 3000": {
+        "seed": 1, "schedule": [1], "grid": {"rows": 60, "cols": 60},
+        "fleet": {"ervs": 3000}},
 }
 
 
@@ -367,8 +379,8 @@ def test_a_scenario_past_a_ceiling_exits_2_with_its_rule(tmp_path, capsys,
     # ceiling on a grid within it
     {"seed": 1, "schedule": [1], "grid": {"rows": 5000, "cols": 5000}},
     {"seed": 1, "schedule": [1] * 998, "grid": {"rows": 100, "cols": 100}},
-    # a stage loop past the horizon ceiling, or a world past the incident
-    # ceiling (CEILING_PROBES)
+    # a stage loop past the horizon ceiling, or a scenario past the incident,
+    # kappa, relocation_k or fleet ceiling (CEILING_PROBES)
     *CEILING_PROBES.values(),
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):

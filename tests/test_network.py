@@ -12,6 +12,7 @@ from timdcop.errors import InputError
 from timdcop.network import (
     GridNetwork,
     build_grid,
+    travel_matrices,
     travel_rows,
     travel_time,
 )
@@ -282,6 +283,31 @@ def test_travel_rows_open_only_the_missing_rows_in_one_call(monkeypatch):
     with pytest.raises(InputError):
         travel_rows(net, [0, 16])
     assert len(calls) == 1
+
+
+def test_travel_matrices_gather_every_pair_from_one_call(monkeypatch):
+    from timdcop import network
+
+    net = build_grid(5, 4, (0.2, 1.3), seed=8)
+    calls = []
+    dijkstra = network._dijkstra
+    monkeypatch.setattr(network, "_dijkstra",
+                        lambda n, s: calls.append(list(s)) or dijkstra(n, s))
+    # cell 7's only target is itself, so it opens no row; 3 opens one row
+    # for both pairs; sources go in pair order, then cell order
+    pairs = (([3, 7, 12], [7]), ([11, 3, 19], [0, 11]), ([7], [7]))
+    got = travel_matrices(net, *pairs)
+    assert calls == [[3, 12, 11, 19]]
+    assert sorted(net._dist_cache) == [3, 11, 12, 19]
+    for (cells, targets), m in zip(pairs, got):
+        assert m.shape == (len(cells), len(targets)) and m.dtype == np.float64
+        want = [[travel_time(net, c, t) for t in targets] for c in cells]
+        assert m.tobytes() == np.array(want).tobytes()  # 0.0 on self-pairs
+    # a pair whose only target is its own cell opens no row; an empty
+    # target list opens none and gives shape (n, 0)
+    [same], [empty] = travel_matrices(net, ([6], [6])), travel_matrices(net, ([1, 2], []))
+    assert same.tolist() == [[0.0]] and empty.shape == (2, 0)
+    assert len(calls) == 1 and 6 not in net._dist_cache
 
 
 def test_same_cell_lookups_build_no_row():

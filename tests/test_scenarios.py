@@ -604,8 +604,8 @@ REFUSED = {
     "grid.rows": (1,),
     "grid.cols": (0,),
     "grid.edge_time_range": ((0.0, 1.0), (0.5, 0.4), (0.5,), (0.1, math.inf)),
-    "fleet.ervs": (0,),
-    "fleet.uavs": (-1,),
+    "fleet.ervs": (0, 1001),
+    "fleet.uavs": (-1, 1001),
     "stage_gap_h": (0.0, math.nan, math.inf),
     "solver.algorithm": ("tabu",),
     "solver.iterations": (0, MAX_ITERATIONS + 1),
@@ -614,8 +614,8 @@ REFUSED = {
     "forecast.budget": (0.0, -1.0, math.nan, math.inf),
     "forecast.signal": (1.5,),
     "lookahead": (-1, 3),
-    "relocation_k": (-1,),
-    "kappa": (0.0, -0.5, math.nan, math.inf),
+    "relocation_k": (-1, 1001),
+    "kappa": (0.0, -0.5, math.nan, math.inf, 1e308, math.nextafter(1e6, math.inf)),
 }
 
 

@@ -1,5 +1,6 @@
 """UAV tasking, observation fusion, and route-scouting cooperation."""
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,15 @@ from hypothesis import strategies as st
 from dcop_oracle import brute_force_optimum, plain
 from timdcop.dcop import assignment_problem
 from timdcop.errors import InputError, ModelDomainError
-from timdcop.incidents import TrafficParams, expected_delay
+from timdcop.incidents import (
+    SEVERITY_RANGES,
+    TrafficParams,
+    delay_variance,
+    expected_delay,
+    sample_params,
+)
 from timdcop.network import Vehicle, build_grid, travel_time
+from timdcop.scenarios import MAX_HORIZON_H, MAX_KAPPA
 from timdcop.uav import (
     HAZARD_REDUCTION,
     AssimilationRecord,
@@ -214,6 +222,33 @@ def test_default_kappa_gives_two_thirds_observation_weight():
     assert obs_var == 0.5
     _, beta = assimilate(prior, obs_mean, obs_var)
     assert beta == 1.0 / 1.5  # bit-exact: 1/(1+0.5)
+
+
+def test_fusion_stays_finite_at_the_kappa_ceiling():
+    # a served incident's response is a wait and a leg, each within the
+    # horizon; delay_variance grows with s1_sd, r_var and the clearance and
+    # is convex in s1_mean and in 1/q, so each severity's largest sits at a
+    # corner of its ranges
+    response = 2 * MAX_HORIZON_H
+    names = ("s", "s1_mean", "s1_sd", "q", "r_var", "clearance")
+    rng = np.random.default_rng(7)
+    top = []
+    for sev, ranges in SEVERITY_RANGES.items():
+        corners = [TrafficParams(*c)
+                   for c in itertools.product(*(ranges[n] for n in names))]
+        p = max(corners, key=lambda c: delay_variance(c, response))
+        top.append((delay_variance(p, response), p))
+        for _ in range(500):  # no interior draw exceeds its severity's corners
+            assert delay_variance(sample_params(sev, rng), response) <= top[-1][0]
+    variance, p = max(top, key=lambda vp: vp[0])
+    assert 7e12 < variance < 7.3e12
+    prior = DelayBelief(mean=expected_delay(p, response), variance=variance)
+    obs_mean, obs_var = simulate_observation(prior, prior.mean, rng, kappa=MAX_KAPPA)
+    post, beta = assimilate(prior, obs_mean, obs_var)
+    assert all(map(math.isfinite, (obs_mean, obs_var, beta, post.mean, post.variance)))
+    assert beta == 1.0 / (1.0 + MAX_KAPPA)
+    lo, hi = sorted((prior.mean, obs_mean))
+    assert lo <= post.mean <= hi and post.variance < prior.variance
 
 
 # ------------------------------------------------------------ cooperation
