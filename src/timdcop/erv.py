@@ -37,9 +37,10 @@ FUTURE_PARAMS = reference_params()  # prices forecast (not yet sampled) incident
 
 @dataclass
 class StageContext:
-    """Everything a stage solve needs to price candidate cells. `oldest`
-    maps each open cell to the incident a vehicle sent there serves: its
-    oldest open one by (report time, id)."""
+    """Everything a stage solve needs to price candidate cells.
+    `open_incidents` is in the world's (report time, id) order, as the stage
+    loop keeps it, so `oldest`, which maps each open cell to the incident a
+    vehicle sent there serves, takes the first incident listed per cell."""
 
     net: GridNetwork
     forecast: Forecast
@@ -52,7 +53,7 @@ class StageContext:
 
     def __post_init__(self) -> None:
         self.oldest = {}
-        for i in sorted(self.open_incidents, key=lambda i: (i.report_time, i.id)):
+        for i in self.open_incidents:
             self.oldest.setdefault(i.location, i)
 
 
@@ -73,12 +74,11 @@ def forecast_hotspots(ctx: StageContext, stage: int, k: int) -> list[tuple[CellI
             if p > 0.0]
 
 
-def build_erv_problem(ctx: StageContext, fleet: list[Vehicle]) -> DcopProblem:
-    """Stage DCOP for the free part of the fleet (the stage loop builds one
-    only when a vehicle is free)."""
-    free = sorted(
-        (e for e in fleet if e.is_free(ctx.stage_time)), key=lambda e: e.id
-    )
+def build_erv_problem(ctx: StageContext, free: list[Vehicle]) -> DcopProblem:
+    """Stage DCOP for the vehicles free at the stage time (the stage loop
+    builds one only when a vehicle is free). The agents are in id order,
+    which differs from fleet order from erv10 on."""
+    free = sorted(free, key=lambda e: e.id)
 
     open_cells = sorted(ctx.oldest)
     k = max(ctx.relocation_k, len(free))  # keep the conflict graph satisfiable
@@ -128,17 +128,17 @@ class DispatchRecord:
 
 def apply_assignment(
     ctx: StageContext,
-    fleet: list[Vehicle],
+    free: list[Vehicle],
     assignment: dict[str, CellId],
 ) -> list[DispatchRecord]:
-    """Commit a solved stage assignment to the fleet.
+    """Commit a solved stage assignment to the free vehicles it names.
 
     A vehicle sent to an open cell serves the cell's oldest open incident
     and holds until response + clearance has elapsed; every other vehicle
     (a relocation, or a second vehicle on a cell already served) holds for
     the travel time. Returns one record per served incident.
     """
-    by_id = {e.id: e for e in fleet}
+    by_id = {e.id: e for e in free}
     unserved = dict(ctx.oldest)
     records: list[DispatchRecord] = []
     for erv_id, cell in assignment.items():

@@ -120,6 +120,8 @@ class Incident:
     severity: int
     report_time: float  # hours
     params: TrafficParams
+    hazard: int         # hazard index level 1..5
+    sparsity: int       # sensor sparsity 1..5
 
 
 class ClampTally:
@@ -151,17 +153,6 @@ def sample_params(severity: int, rng: np.random.Generator) -> TrafficParams:
     u = rng.random(6).tolist()
     # TrafficParams declares its fields in _PARAM_ORDER
     return TrafficParams(*[lo + span * x for lo, span, x in zip(lows, spans, u)])
-
-
-def sample_incident(
-    incident_id: str,
-    severity: int,
-    location: CellId,
-    report_time: float,
-    rng: np.random.Generator,
-) -> Incident:
-    return Incident(incident_id, location, severity, report_time,
-                    sample_params(severity, rng))
 
 
 def reference_params() -> TrafficParams:

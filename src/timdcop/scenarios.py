@@ -46,7 +46,7 @@ from .incidents import (
     Incident,
     delay_variance,
     expected_delay,
-    sample_incident,
+    sample_params,
 )
 from .network import (
     DEFAULT_EDGE_RANGE,
@@ -89,7 +89,10 @@ OPT_EVAL_CAP = 10**6
 # - fleets and relocation_k: a solve holds n(n-1)/2 pair constraints, and the
 #   coverage matrix is (open cells + k) x lookahead * k;
 # - kappa, times a delay variance of at most 7.2e12 (a response of two
-#   horizons at a severity's worst corner): far from overflow
+#   horizons at a severity's worst corner): far from overflow;
+# - an ERV stage problem's domain, open cells plus relocation candidates:
+#   its all-different table holds domain^2 floats, 72 MB at the ceiling,
+#   and solve holds two more copies of it (a UAV domain is smaller)
 MAX_STAGES = 10**7
 MAX_CELLS = 100 * 100
 MAX_FIELD = 10**7
@@ -98,6 +101,7 @@ MAX_INCIDENTS = 10**5
 MAX_FLEET = 1000
 MAX_RELOCATION_K = 1000
 MAX_KAPPA = 1e6
+MAX_DOMAIN = 3000
 _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
@@ -240,6 +244,13 @@ class Scenario:
             raise InputError(
                 f"stage gap {self.stage_gap} h allows a stage loop longer than "
                 f"{MAX_HORIZON_H:,.0f} h on this grid and schedule")
+        # open cells, at most one per incident, plus build_erv_problem's
+        # max(relocation_k, free vehicles) candidates, within the grid
+        domain = min(cells, min(cells, sum(self.schedule))
+                     + max(self.relocation_k, self.n_ervs))
+        if domain > MAX_DOMAIN:
+            raise InputError(f"a stage problem may hold {domain:,} candidate "
+                             f"cells, more than {MAX_DOMAIN:,}")
 
 
 @dataclass
@@ -257,8 +268,6 @@ class World:
     net: GridNetwork
     forecast: Forecast
     incidents: list[Incident]
-    hazard: dict[str, int]             # incident id -> hazard level 1..5
-    sparsity: dict[str, int]           # incident id -> sensor sparsity 1..5
     erv_cells: list[int]
     uav_cells: list[int]
     # (policy, scenario) -> RunResult: a run is a pure function of both, so
@@ -279,28 +288,27 @@ def materialize(sc: Scenario) -> World:
         budget=sc.field_budget,
     )
 
+    # (hazard, sparsity) per incident in generation order, drawn in one
+    # call: the same values as one scalar draw each, in that order
+    attrs = _rng(sc.seed, _ATTRS).integers(1, 6, size=2 * sum(sc.schedule)).tolist()
     inc_rng = _rng(sc.seed, _INC)
     incidents: list[Incident] = []
     for stage, count in enumerate(sc.schedule):
         cells = inc_rng.choice(net.n_cells, size=count, replace=False)
         for cell in cells.tolist():
+            n = len(incidents)
             # severity and parameters interleave on one stream: a scalar
             # severity draw, then one random(6) call for the parameters
             severity = int(inc_rng.integers(1, 5))
-            incidents.append(sample_incident(
-                f"i{len(incidents):03d}", severity, cell,
-                stage * sc.stage_gap, inc_rng,
+            incidents.append(Incident(
+                f"i{n:03d}", cell, severity, stage * sc.stage_gap,
+                sample_params(severity, inc_rng), attrs[2 * n], attrs[2 * n + 1],
             ))
             # the forecast has skill: lift the primary probability where and
             # when incidents will actually land (strength is a scenario knob;
             # 0 = noise)
             if sc.forecast_signal > 0:
                 field_[stage, cell] = min(1.0, field_[stage, cell] + sc.forecast_signal)
-    # (hazard, sparsity) per incident in report order, drawn in one call:
-    # the same values as one scalar draw each, in that order
-    attrs = _rng(sc.seed, _ATTRS).integers(1, 6, size=2 * len(incidents)).tolist()
-    hazard = {inc.id: h for inc, h in zip(incidents, attrs[0::2])}
-    sparsity = {inc.id: s for inc, s in zip(incidents, attrs[1::2])}
 
     pos_rng = _rng(sc.seed, _POS)
     erv_cells = pos_rng.integers(0, net.n_cells, sc.n_ervs).tolist()
@@ -309,17 +317,13 @@ def materialize(sc: Scenario) -> World:
         net=net, forecast=Forecast(field_, default_kernel(net)),  # after the lift
         # the world order, after every draw that follows generation order
         incidents=sorted(incidents, key=lambda i: (i.report_time, i.id)),
-        hazard=hazard, sparsity=sparsity,
         erv_cells=erv_cells, uav_cells=uav_cells,
     )
 
 
 @dataclass
 class IncidentOutcome:
-    incident_id: str
-    cell: int
-    severity: int
-    report_h: float
+    incident: Incident
     erv_id: str
     response_h: float
     delay_veh_h: float
@@ -332,8 +336,7 @@ def _served(inc: Incident, erv_id: str, response: float,
     """The outcome of `inc`, served by `erv_id` at `response` hours after
     its report, with its delay and delay variance priced once."""
     return IncidentOutcome(
-        incident_id=inc.id, cell=inc.location, severity=inc.severity,
-        report_h=inc.report_time, erv_id=erv_id, response_h=response,
+        incident=inc, erv_id=erv_id, response_h=response,
         delay_veh_h=expected_delay(inc.params, response),
         delay_var=delay_variance(inc.params, response),
         cooperating=cooperating,
@@ -370,7 +373,7 @@ class RunResult:
 
 def _finish(policy: str, sc: Scenario, stages, outcomes, records,
             opt_nodes: int = 0) -> RunResult:
-    outcomes = sorted(outcomes, key=lambda o: o.incident_id)
+    outcomes = sorted(outcomes, key=lambda o: o.incident.id)
     # plain adds in outcome and stage order, not sum() (which compensates
     # from 3.12), so the totals do not depend on the interpreter
     delay_total = response_total = uav_total = 0.0
@@ -497,8 +500,8 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                 stage_time=t, stage_index=stage, open_incidents=open_inc,
                 lookahead=sc.lookahead, relocation_k=sc.relocation_k,
             )
-            trace = solved(build_erv_problem(ctx, fleet), _SOLVER, stage)
-            records = apply_assignment(ctx, fleet, trace.final_assignment)
+            trace = solved(build_erv_problem(ctx, free), _SOLVER, stage)
+            records = apply_assignment(ctx, free, trace.final_assignment)
             dispatched = {r.erv_id for r in records}
             fields.update(
                 erv_assignments=[
@@ -518,8 +521,7 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
         free_uavs = [u for u in uavs if u.is_free(t)] if records else []
         if free_uavs:
             benefits = {
-                inc.location: priority_benefit(
-                    inc.severity, w.sparsity[inc.id], w.hazard[inc.id])
+                inc.location: priority_benefit(inc.severity, inc.sparsity, inc.hazard)
                 for inc in served
             }
             u_trace = solved(build_uav_problem(w.net, free_uavs, benefits),
@@ -532,27 +534,27 @@ def _run_proactive(sc: Scenario, w: World) -> RunResult:
                 uav_utility=u_trace.final_cost,
             )
 
-        # this stage's delay belief per served cell: (incident id, belief)
-        beliefs: dict[int, tuple[str, DelayBelief]] = {}
+        # this stage's outcome per served cell, whose delay is the belief
+        served_at: dict[int, IncidentOutcome] = {}
         for r in records:
             inc = r.incident
             coop = sc.cooperation and inc.location in observed.values()
-            response = cooperation_effect(r.response_h, w.hazard[inc.id], coop)
-            o = _served(inc, r.erv_id, response, coop)
-            beliefs[inc.location] = (inc.id, DelayBelief(o.delay_veh_h, o.delay_var))
+            response = cooperation_effect(r.response_h, inc.hazard, coop)
+            o = served_at[inc.location] = _served(inc, r.erv_id, response, coop)
             outcomes.append(o)
 
         # data assimilation for every overflight (UAVs observe served cells
         # only, at most one UAV per cell); a served incident's delay variance
         # is positive (incidents.py), so every prior can be updated
         for uid in sorted(observed):
-            inc_id, prior = beliefs[observed[uid]]
+            o = served_at[observed[uid]]
+            prior = DelayBelief(o.delay_veh_h, o.delay_var)
             obs_mean, obs_var = simulate_observation(
                 prior, prior.mean, obs_rng, kappa=sc.kappa
             )
             post, beta = assimilate(prior, obs_mean, obs_var)
             assim.append(AssimilationRecord(
-                incident_id=inc_id, uav_id=uid,
+                incident_id=o.incident.id, uav_id=uid,
                 prior_mean=prior.mean, prior_var=prior.variance,
                 obs_mean=obs_mean, obs_var=obs_var, beta=beta,
                 post_mean=post.mean, post_var=post.variance,
@@ -823,9 +825,9 @@ class _ExactSearch:
         each service start earlier (triangle inequality), so the schedule
         costs no more than the policy's realized total."""
         seqs: list[tuple[int, ...]] = [()] * self.n_erv
-        for o in sorted(result.incidents,
-                        key=lambda o: (o.report_h + o.response_h, o.incident_id)):
-            seqs[self.erv_index[o.erv_id]] += (self.id_to_idx[o.incident_id],)
+        for o in sorted(result.incidents, key=lambda o: (
+                o.incident.report_time + o.response_h, o.incident.id)):
+            seqs[self.erv_index[o.erv_id]] += (self.id_to_idx[o.incident.id],)
         return self.cost(seqs), seqs
 
     def polish(self, cost: float, seqs) -> tuple[float, list[tuple[int, ...]]]:
@@ -1188,9 +1190,10 @@ def _array(items: list[str], indent: str) -> str:
 def result_to_json(res: RunResult) -> str:
     incidents = [
         _INCIDENT % (
-            o.cell, "true" if o.cooperating else "false", _num(o.delay_var),
-            _num(o.delay_veh_h), _quote(o.erv_id), _quote(o.incident_id),
-            _num(o.report_h), _num(o.response_h), o.severity,
+            o.incident.location, "true" if o.cooperating else "false",
+            _num(o.delay_var), _num(o.delay_veh_h), _quote(o.erv_id),
+            _quote(o.incident.id), _num(o.incident.report_time),
+            _num(o.response_h), o.incident.severity,
         )
         for o in res.incidents
     ]
@@ -1250,8 +1253,9 @@ def write_incident_csv(res: RunResult, path) -> None:
             "response_h", "delay_veh_h", "delay_var", "cooperating",
         ])
         for o in res.incidents:
+            inc = o.incident
             w.writerow([
-                o.incident_id, o.cell, o.severity, repr(o.report_h),
+                inc.id, inc.location, inc.severity, repr(inc.report_time),
                 o.erv_id, repr(o.response_h), repr(o.delay_veh_h),
                 repr(o.delay_var), int(o.cooperating),
             ])

@@ -11,6 +11,8 @@ yet:
   the workload's policies (bench/workloads.py is only read);
 - one MGM scenario with UAVs under all three policies, and its manifest
   re-run;
+- one world past `i999` with 12 ERVs under conventional and pdronetim, where
+  string ids stop sorting like indices, for incidents and for vehicles;
 - a two-value, two-trial sweep on each sweep axis, run serially, with
   TIMDCOP_WORKERS=2, and from its manifest.
 
@@ -38,6 +40,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 MGM = {"seed": 11, "schedule": [4, 3, 2], "grid": {"rows": 6, "cols": 6},
        "fleet": {"ervs": 3, "uavs": 2}, "solver": {"algorithm": "mgm"}}
+PAST_I999 = {"seed": 5, "schedule": [10] * 101, "grid": {"rows": 10, "cols": 10},
+             "fleet": {"ervs": 12, "uavs": 2}}
 SWEPT = {"seed": 4, "schedule": [3, 3, 3], "grid": {"rows": 8, "cols": 8},
          "fleet": {"ervs": 3, "uavs": 2}}
 # sweep axis -> two values it takes
@@ -74,6 +78,8 @@ def run_all(work: Path) -> None:
         "--policy", "conventional,pdronetim,opt", "--out", str(out / "mgm"))
     cli("run", "--manifest", str(out / "mgm" / "manifest.json"),
         "--out", str(out / "mgm-manifest"))
+    cli("run", "--scenario", scenario(work, "past-i999", PAST_I999),
+        "--policy", "conventional,pdronetim", "--out", str(out / "past-i999"))
     base = scenario(work, "swept", SWEPT)
     if set(AXIS_VALUES) != set(_AXES):
         raise SystemExit(f"AXIS_VALUES must name every sweep axis: {sorted(_AXES)}")

@@ -21,10 +21,10 @@ def result_to_dict(res: RunResult) -> dict:
         "opt_nodes": res.opt_nodes,
         "incidents": [
             {
-                "id": o.incident_id,
-                "cell": o.cell,
-                "severity": o.severity,
-                "report_h": o.report_h,
+                "id": o.incident.id,
+                "cell": o.incident.location,
+                "severity": o.incident.severity,
+                "report_h": o.incident.report_time,
                 "erv": o.erv_id,
                 "response_h": o.response_h,
                 "delay_veh_h": o.delay_veh_h,

@@ -19,7 +19,7 @@ from dcop_oracle import brute_force_optimum
 from timdcop.cli import main as cli_main
 from timdcop.dcop import BinaryConstraint, DcopProblem, total_cost
 from timdcop.erv import StageContext, build_erv_problem
-from timdcop.incidents import TrafficParams, delay_variance, expected_delay, sample_incident
+from timdcop.incidents import TrafficParams, delay_variance, expected_delay, sample_params
 from timdcop.network import Vehicle
 from timdcop.scenarios import (
     Scenario,
@@ -285,13 +285,11 @@ def test_criterion_07_delay_model_properties():
     rng = np.random.default_rng(77001)
     negatives = 0
     for i in range(10_000):
-        inc = sample_incident(
-            f"x{i}", int(rng.integers(1, 5)), 0, 0.0, rng
-        )
+        params = sample_params(int(rng.integers(1, 5)), rng)
         response = float(rng.uniform(0.0, 3.0))
-        if expected_delay(inc.params, response) < 0.0:
+        if expected_delay(params, response) < 0.0:
             negatives += 1
-        if delay_variance(inc.params, response) < 0.0:
+        if delay_variance(params, response) < 0.0:
             negatives += 1
 
     # spread-free parameters against the closed-form queueing expression
@@ -398,13 +396,13 @@ def test_criterion_09_route_scouting_always_helps():
         savings.append(off.total_delay_veh_h - on.total_delay_veh_h)
         if on.total_delay_veh_h > off.total_delay_veh_h + 1e-9:
             violations.append(t)
-        off_by_id = {o.incident_id: o for o in off.incidents}
+        off_by_id = {o.incident.id: o for o in off.incidents}
         for o in on.incidents:
             if not o.cooperating:
                 continue
             ratio_checks += 1
-            raw = off_by_id[o.incident_id].response_h
-            factor = 1.0 - HAZARD_REDUCTION[world.hazard[o.incident_id]]
+            raw = off_by_id[o.incident.id].response_h
+            factor = 1.0 - HAZARD_REDUCTION[o.incident.hazard]
             assert o.response_h == pytest.approx(raw * factor, rel=1e-12)
     hi5_exact = (
         HAZARD_REDUCTION[5] == 0.11

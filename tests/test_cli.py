@@ -302,6 +302,8 @@ CEILING_PROBES = {
     "fleet.ervs must be 1 to 1,000, got 3000": {
         "seed": 1, "schedule": [1], "grid": {"rows": 60, "cols": 60},
         "fleet": {"ervs": 3000}},
+    "a stage problem may hold 6,010 candidate cells, more than 3,000": {
+        "seed": 1, "schedule": [6000], "grid": {"rows": 100, "cols": 100}},
 }
 
 
@@ -380,7 +382,7 @@ def test_a_scenario_past_a_ceiling_exits_2_with_its_rule(tmp_path, capsys,
     {"seed": 1, "schedule": [1], "grid": {"rows": 5000, "cols": 5000}},
     {"seed": 1, "schedule": [1] * 998, "grid": {"rows": 100, "cols": 100}},
     # a stage loop past the horizon ceiling, or a scenario past the incident,
-    # kappa, relocation_k or fleet ceiling (CEILING_PROBES)
+    # kappa, relocation_k, fleet or stage-domain ceiling (CEILING_PROBES)
     *CEILING_PROBES.values(),
 ])
 def test_invalid_scenario_exits_2_before_writing(tmp_path, capsys, bad):

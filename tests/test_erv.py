@@ -27,9 +27,10 @@ from timdcop.incidents import (
     TrafficParams,
     expected_delay,
     reference_params,
-    sample_incident,
+    sample_params,
 )
 from timdcop.network import Vehicle, build_grid, travel_time
+from timdcop.scenarios import Scenario, _run_stages, materialize
 
 PARAMS = TrafficParams(
     s=1800.0, s1_mean=1100.0, s1_sd=200.0, q=1500.0, r_var=0.04, clearance=0.3
@@ -59,7 +60,8 @@ def make_ctx(net, field_=None, incidents=(), **kw) -> StageContext:
 
 def incident(id_, cell, report_time=0.0, params=PARAMS) -> Incident:
     return Incident(
-        id=id_, location=cell, severity=2, report_time=report_time, params=params
+        id=id_, location=cell, severity=2, report_time=report_time, params=params,
+        hazard=3, sparsity=3,
     )
 
 
@@ -155,12 +157,18 @@ def test_incident_at_returns_oldest_then_lowest_id():
     b = incident("i-b", 1, report_time=0.0)
     c = incident("i-a", 1, report_time=0.0)
     d = incident("i-d", 3, report_time=0.5)
-    ctx = make_ctx(net, incidents=[a, b, c, d])
-    # earliest report, then lexicographic id; a cell with no incident is absent
+    # the open list comes in the world's (report time, id) order, as the
+    # stage loop keeps it: earliest report, then lexicographic id
+    in_world_order = [c, b, d, a]
+    assert in_world_order == sorted([a, b, c, d], key=lambda i: (i.report_time, i.id))
+    ctx = make_ctx(net, incidents=in_world_order)
+    # a cell with no incident is absent
     assert ctx.oldest == {1: c, 3: d}
     assert ctx.oldest[1] is c and 2 not in ctx.oldest
     # a served incident leaves the open list, and the next one takes the cell
-    assert make_ctx(net, incidents=[a, b, d]).oldest[1] is b
+    assert make_ctx(net, incidents=[b, d, a]).oldest[1] is b
+    # the context trusts the order it is given: it sorts nothing
+    assert make_ctx(net, incidents=[a, b]).oldest[1] is a
 
 
 # ------------------------------------------------------------- look-ahead
@@ -180,7 +188,7 @@ def coverage_of(problem, ctx, erv):
 def test_built_costs_add_expected_delay_to_forecast_hotspots(seed):
     net = build_grid(4, 4, (0.3, 1.0), seed=seed)
     field_ = generate_field(16, 6, seed=seed + 40)
-    inc = sample_incident("i0", 3, 5, 0.0, np.random.default_rng(seed))
+    inc = Incident("i0", 5, 3, 0.0, sample_params(3, np.random.default_rng(seed)), 3, 3)
     erv = Vehicle(id="e0", cell=0)
     ctx = make_ctx(net, field_=field_, incidents=[inc], lookahead=2,
                    relocation_k=4, stage_index=1)
@@ -226,7 +234,7 @@ def test_built_entry_prices_the_oldest_uncleared_incident_on_a_cell():
     first = incident("i-first", 5, report_time=0.2)
     later = incident("i-later", 5, report_time=0.4, params=slow)
     erv = Vehicle(id="e0", cell=0)
-    ctx = make_ctx(net, field_=field_, incidents=[later, first],
+    ctx = make_ctx(net, field_=field_, incidents=[first, later],
                    lookahead=2, relocation_k=4, stage_index=1)
     problem = build_erv_problem(ctx, [erv])
     assert ctx.oldest == {5: first}
@@ -274,11 +282,13 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
     field_ = generate_field(n, 6, seed=seed)
     incidents = []
     for j in range(int(rng.integers(0, 5))):
-        inc = sample_incident(f"i{j}", int(rng.integers(1, 5)),
-                              int(rng.integers(0, n)),
-                              float(rng.integers(0, 3)) / 2, rng)
+        severity, cell = int(rng.integers(1, 5)), int(rng.integers(0, n))
+        inc = Incident(f"i{j}", cell, severity, float(rng.integers(0, 3)) / 2,
+                       sample_params(severity, rng), 3, 3)
         if rng.random() >= 0.2:  # one in five was served: not open
             incidents.append(inc)
+    # the open list in the world's (report time, id) order
+    incidents.sort(key=lambda i: (i.report_time, i.id))
     fleet = [
         Vehicle(id=f"e{j}", cell=int(rng.integers(0, n)),
                 available_at=float(rng.random() < 0.2))
@@ -289,6 +299,8 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
         net, field_=field_, incidents=incidents, lookahead=lookahead,
         relocation_k=int(rng.integers(0, 6)), stage_index=int(rng.integers(0, 5)),
     )
+    # the stage loop hands the builder only the vehicles free at its time
+    free = [e for e in fleet if e.is_free(0.0)]
 
     calls = []
     dijkstra = network._dijkstra
@@ -299,15 +311,14 @@ def test_built_stage_equals_the_scalar_oracle(seed, lookahead):
 
     network._dijkstra = counted
     try:
-        problem = build_erv_problem(ctx, fleet)
+        problem = build_erv_problem(ctx, free)
     finally:
         network._dijkstra = dijkstra
     assert len(calls) <= 1
 
-    free = [e for e in fleet if e.is_free(0.0)]
     scalar_net = build_grid(rows, cols, (0.1, 1.5), seed=seed)
     scalar = replace(ctx, net=scalar_net)
-    w_r = relocation_weight(scalar, fleet)
+    w_r = relocation_weight(scalar, free)
     for e in free:
         got = problem.unary[e.id].tolist()
         assert got == [unary_cost(scalar, e, c, w_r) for c in problem.domains[e.id]]
@@ -337,8 +348,8 @@ def test_two_ervs_one_incident_sends_exactly_one():
 def test_one_erv_two_incidents_takes_the_cheaper_delay():
     net = build_grid(3, 3, (0.4, 1.0), seed=4)
     rng = np.random.default_rng(11)
-    a = sample_incident("a", 3, 2, 0.0, rng)
-    b = sample_incident("b", 3, 7, 0.0, rng)
+    a = Incident("a", 2, 3, 0.0, sample_params(3, rng), 3, 3)
+    b = Incident("b", 7, 3, 0.0, sample_params(3, rng), 3, 3)
     ctx = make_ctx(net, incidents=[a, b])
     erv = Vehicle(id="e0", cell=1)
     problem = build_erv_problem(ctx, [erv])
@@ -353,14 +364,14 @@ def test_one_erv_two_incidents_takes_the_cheaper_delay():
 
 @pytest.mark.parametrize("algorithm", ["mgm", "dsa"])
 def test_stage_objective_counts_each_vehicle_once(algorithm):
-    from timdcop.scenarios import Scenario
     from timdcop.solvers import solve
 
     net = build_grid(3, 3, (0.3, 1.0), seed=8)
     field_ = generate_field(9, 6, seed=19)
     rng = np.random.default_rng(3)
     incidents = [
-        sample_incident(f"i{j}", 2, c, 0.0, rng) for j, c in enumerate((2, 6))
+        Incident(f"i{j}", c, 2, 0.0, sample_params(2, rng), 3, 3)
+        for j, c in enumerate((2, 6))
     ]
     fleet = [Vehicle(id=f"e{i}", cell=c) for i, c in enumerate((0, 4, 8))]
     ctx = make_ctx(net, field_=field_, incidents=incidents)
@@ -394,14 +405,26 @@ def test_idle_fleet_spreads_over_top_probability_cells():
 
 
 def test_busy_vehicles_are_left_out_of_the_stage_problem():
-    net = build_grid(2, 2, (0.5, 0.5), seed=0)
-    ctx = make_ctx(net, stage_time=1.0)
+    # the stage loop finds the free vehicles; the builder makes an agent of
+    # each vehicle it is given, in id order
+    sc = Scenario(seed=0, schedule=(0, 0, 0), rows=2, cols=2, n_ervs=2)
+    w = materialize(sc)
     fleet = [
-        Vehicle(id="e0", cell=0, available_at=5.0),
         Vehicle(id="e1", cell=3, available_at=0.9),
+        Vehicle(id="e0", cell=0, available_at=5.0),
     ]
-    problem = build_erv_problem(ctx, fleet)
-    assert problem.agents == ["e1"]
+    agents = []
+
+    def step(stage, t, open_inc, free):
+        if free:
+            ctx = make_ctx(w.net, stage_time=t, stage_index=stage)
+            agents.append((t, build_erv_problem(ctx, free).agents))
+        return [], {"erv_assignments": []}
+
+    _run_stages(sc, w, fleet, step)
+    assert agents == [(1.0, ["e1"])]
+    ctx = make_ctx(w.net, stage_time=5.0)
+    assert build_erv_problem(ctx, fleet).agents == ["e0", "e1"]
 
 
 def test_auto_weight_is_hundredfold_worst_dispatch():
@@ -427,10 +450,11 @@ def test_open_incidents_outrank_relocation_under_auto_weight(seed):
     n_open = int(rng.integers(1, 3))
     n_free = int(rng.integers(n_open, 4))
     cells = rng.choice(9, size=n_open + n_free, replace=False)
-    incidents = [
-        sample_incident(f"i{j}", int(rng.integers(1, 5)), int(cells[j]), 0.0, rng)
-        for j in range(n_open)
-    ]
+    incidents = []
+    for j in range(n_open):
+        severity = int(rng.integers(1, 5))
+        incidents.append(Incident(f"i{j}", int(cells[j]), severity, 0.0,
+                                  sample_params(severity, rng), 3, 3))
     fleet = [
         Vehicle(id=f"e{j}", cell=int(cells[n_open + j])) for j in range(n_free)
     ]

@@ -1,4 +1,5 @@
 """Delay model: exact-rational oracle, clamping, sampling."""
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from timdcop.incidents import (
     expected_delay,
     expected_delays,
     reference_params,
-    sample_incident,
     sample_params,
 )
 from timdcop.scenarios import MAX_HORIZON_H
@@ -300,8 +300,8 @@ def test_severity_four_ranges():
 
 
 def test_sampling_is_deterministic_per_seed():
-    a = sample_incident("i0", 2, 7, 0.5, np.random.default_rng(99))
-    b = sample_incident("i0", 2, 7, 0.5, np.random.default_rng(99))
+    a = Incident("i0", 7, 2, 0.5, sample_params(2, np.random.default_rng(99)), 3, 4)
+    b = Incident("i0", 7, 2, 0.5, sample_params(2, np.random.default_rng(99)), 3, 4)
     assert a == b
 
 
@@ -363,6 +363,10 @@ def test_reference_params_are_severity_averaged_midpoints():
 
 def test_incident_dataclass_shape():
     p = WORKED
-    inc = Incident(id="x", location=4, severity=2, report_time=1.5, params=p)
-    assert (inc.id, inc.location, inc.severity, inc.report_time, inc.params) == (
-        "x", 4, 2, 1.5, p)
+    inc = Incident(id="x", location=4, severity=2, report_time=1.5, params=p,
+                   hazard=5, sparsity=1)
+    assert (inc.id, inc.location, inc.severity, inc.report_time, inc.params,
+            inc.hazard, inc.sparsity) == ("x", 4, 2, 1.5, p, 5, 1)
+    assert [f.name for f in dataclasses.fields(Incident)] == [
+        "id", "location", "severity", "report_time", "params", "hazard",
+        "sparsity"]

@@ -19,7 +19,7 @@ from result_oracle import result_to_dict
 
 from timdcop import forecast, scenarios
 from timdcop.errors import CapExceededError, InputError
-from timdcop.incidents import expected_delay
+from timdcop.incidents import Incident, TrafficParams, expected_delay
 from timdcop.scenarios import (
     IncidentOutcome,
     RunResult,
@@ -40,6 +40,9 @@ from timdcop.solvers import MAX_ITERATIONS
 from timdcop.uav import AssimilationRecord
 
 POLICIES = ("conventional", "pdronetim", "opt")
+PARAMS = TrafficParams(
+    s=1800.0, s1_mean=1100.0, s1_sd=200.0, q=1500.0, r_var=0.04, clearance=0.3
+)
 
 
 def small(seed, schedule, **kw) -> Scenario:
@@ -105,7 +108,7 @@ def test_totals_are_plain_adds_in_outcome_order():
     # 3.12) gives 1.0; on 3.11 sum() is a plain loop too, so there the two
     # read alike
     outcomes = [
-        IncidentOutcome(incident_id=f"i{k}", cell=0, severity=1, report_h=0.0,
+        IncidentOutcome(incident=Incident(f"i{k}", 0, 1, 0.0, PARAMS, 1, 1),
                         erv_id="erv0", response_h=x, delay_veh_h=x,
                         delay_var=0.0, cooperating=False)
         for k, x in enumerate([1e16, 1.0, -1e16])
@@ -123,17 +126,15 @@ def test_every_request_is_served_exactly_once(policy, seed):
     sc = small(seed, (2, 2, 1), n_ervs=2)
     world = materialize(sc)
     res = run_policy(sc, policy, world)
-    assert sorted(o.incident_id for o in res.incidents) == sorted(
+    assert sorted(o.incident.id for o in res.incidents) == sorted(
         i.id for i in world.incidents
     )
     for o in res.incidents:
         assert o.response_h >= 0.0
         assert math.isfinite(o.delay_veh_h) and o.delay_veh_h >= 0.0
         assert math.isfinite(o.delay_var) and o.delay_var >= 0.0
-        # service can never precede the report
-        assert o.report_h == pytest.approx(
-            next(i.report_time for i in world.incidents if i.id == o.incident_id)
-        )
+        # an outcome carries the world's own incident
+        assert o.incident is next(i for i in world.incidents if i.id == o.incident.id)
 
 
 def test_busy_vehicle_leaves_later_requests_waiting():
@@ -144,8 +145,46 @@ def test_busy_vehicle_leaves_later_requests_waiting():
     assert res.stages[1].n_open == 1
     # the queue drains eventually and both requests are served
     assert len(res.incidents) == 2
-    second = next(o for o in res.incidents if o.incident_id == "i001")
+    second = next(o for o in res.incidents if o.incident.id == "i001")
     assert second.response_h > 0.5  # it provably waited past its stage
+
+
+@pytest.mark.parametrize("sc", [
+    # dispatch-dense sized: 10 stages of 10 on a 10x10 grid, 9 ERVs
+    Scenario(seed=1, schedule=(10,) * 10, n_ervs=9, n_uavs=4),
+    # past i999 with 12 ERVs: ids stop sorting like indices, for incidents
+    # and for vehicles
+    Scenario(seed=5, schedule=(10,) * 101, n_ervs=12, n_uavs=2),
+], ids=["dispatch-dense", "past-i999"])
+def test_the_stage_loop_hands_the_erv_stage_its_free_vehicles_in_world_order(sc):
+    open_keys, builds = [], []
+    build_erv_problem = scenarios.build_erv_problem
+
+    class Recorded(scenarios.StageContext):
+        def __post_init__(self):
+            # the open list as the context gets it (the loop appends later)
+            open_keys.append([(i.report_time, i.id) for i in self.open_incidents])
+            super().__post_init__()
+
+    def build(ctx, free):
+        # whether each vehicle is free now, before the stage commits
+        builds.append((ctx.stage_index, [e.id for e in free],
+                       [e.is_free(ctx.stage_time) for e in free]))
+        return build_erv_problem(ctx, free)
+
+    with mock.patch.object(scenarios, "StageContext", Recorded), \
+            mock.patch.object(scenarios, "build_erv_problem", build):
+        res = scenarios._run_proactive(sc, materialize(sc))
+    assert len(open_keys) == len(builds) > 0
+    for keys in open_keys:
+        assert keys == sorted(keys)
+    n_free = {s.stage: s.n_free_ervs for s in res.stages}
+    for stage, ids, is_free in builds:
+        assert all(is_free)
+        # every free vehicle, each once
+        assert len(set(ids)) == len(ids) == n_free[stage]
+    # some stage found a vehicle busy and left it out
+    assert min(len(ids) for _, ids, _ in builds) < sc.n_ervs
 
 
 # -------------------------------------------------------------- orderings
@@ -180,8 +219,8 @@ def test_route_scouting_cannot_hurt():
     assert not any(o.cooperating for o in off.incidents)
     assert on.total_delay_veh_h <= off.total_delay_veh_h + 1e-12
     # scouting changes the accounting, not the trajectories
-    assert [o.incident_id for o in on.incidents] == [
-        o.incident_id for o in off.incidents
+    assert [o.incident.id for o in on.incidents] == [
+        o.incident.id for o in off.incidents
     ]
     for a, b in zip(on.incidents, off.incidents):
         assert a.erv_id == b.erv_id
@@ -510,8 +549,8 @@ def test_materialized_world_matches_the_schedule():
         assert inc.report_time == pytest.approx(stage * 0.25)
         by_stage.setdefault(stage, []).append(inc)
         assert inc.severity in (1, 2, 3, 4)
-        assert w.hazard[inc.id] in (1, 2, 3, 4, 5)
-        assert w.sparsity[inc.id] in (1, 2, 3, 4, 5)
+        assert inc.hazard in (1, 2, 3, 4, 5)
+        assert inc.sparsity in (1, 2, 3, 4, 5)
     assert sorted(by_stage) == [0, 2]
     assert len(by_stage[0]) == 3 and len(by_stage[2]) == 2
     for stage, incs in by_stage.items():
@@ -533,8 +572,8 @@ def test_world_order_is_report_time_then_id_after_the_draws():
     # generation order
     rng = scenarios._rng(sc.seed, scenarios._ATTRS)
     for inc in generated:
-        assert w.hazard[inc.id] == int(rng.integers(1, 6))
-        assert w.sparsity[inc.id] == int(rng.integers(1, 6))
+        assert inc.hazard == int(rng.integers(1, 6))
+        assert inc.sparsity == int(rng.integers(1, 6))
 
 
 def assert_params_equal_the_oracle_redraw(sc):
@@ -580,7 +619,8 @@ def test_materialize_is_deterministic():
     assert [i.id for i in a.incidents] == [i.id for i in b.incidents]
     assert [i.location for i in a.incidents] == [i.location for i in b.incidents]
     assert a.erv_cells == b.erv_cells and a.uav_cells == b.uav_cells
-    assert a.hazard == b.hazard and a.sparsity == b.sparsity
+    assert ([(i.hazard, i.sparsity) for i in a.incidents]
+            == [(i.hazard, i.sparsity) for i in b.incidents])
 
 
 def test_scenario_validation():
@@ -654,6 +694,19 @@ def test_stage_bound_and_rounds_have_a_ceiling_at_load():
                 f"^stage gap {re.escape(str(gap))} h allows a stage loop "
                 "longer than 4,000,000 h on this grid and schedule$")):
             Scenario(seed=1, schedule=schedule, n_ervs=1, stage_gap=gap)
+    # a stage problem's domain: open cells plus max(relocation_k, ERVs)
+    # candidates, within the grid; checked after every other rule
+    replace(big, relocation_k=1000, schedule=(10,))  # 1,010 cells
+    replace(big, n_ervs=1000, schedule=(1,))  # 1,001 cells
+    replace(big, schedule=(2990,))  # 3,000 cells
+    for schedule, domain in (((2991,), "3,001"), ((6000,), "6,010"),
+                             ((2000, 2000), "4,010")):
+        with pytest.raises(InputError, match=(
+                f"^a stage problem may hold {domain} candidate cells, more "
+                "than 3,000$")):
+            replace(big, schedule=schedule)
+    with pytest.raises(InputError, match="^stage gap 4000000.0 h allows"):
+        replace(big, schedule=(6000,), stage_gap=4e6)
     # a world of more than 1e5 incidents, even on a short horizon
     Scenario(seed=1, schedule=(4,) * 25_000, rows=2, cols=2,
              edge_time_range=(0.001, 0.001), stage_gap=1.0)
@@ -790,8 +843,8 @@ def test_result_json_equals_the_oracle_on_generated_runs(
 
 def test_result_json_equals_the_oracle_on_odd_values():
     nan, inf = math.nan, math.inf
-    outcome = dict(cell=3, severity=2, report_h=0.1, erv_id="erv\"0",
-                   response_h=inf, delay_veh_h=nan, delay_var=-inf)
+    outcome = dict(erv_id="erv\"0", response_h=inf, delay_veh_h=nan,
+                   delay_var=-inf)
     res = RunResult(
         policy="pdronetim", seed=7,
         stages=[
@@ -808,8 +861,10 @@ def test_result_json_equals_the_oracle_on_odd_values():
                          erv_cost=nan, uav_utility=-0.0),
         ],
         incidents=[
-            IncidentOutcome(incident_id="i\"000", cooperating=True, **outcome),
-            IncidentOutcome(incident_id="i\u00fc01", cooperating=False,
+            IncidentOutcome(incident=Incident("i\"000", 3, 2, 0.1, PARAMS, 1, 1),
+                            cooperating=True, **outcome),
+            IncidentOutcome(incident=Incident("i\u00fc01", 3, 2, 0.1, PARAMS, 1, 1),
+                            cooperating=False,
                             **{**outcome, "response_h": 1e-300,
                                "delay_veh_h": 1e16, "delay_var": 0.0}),
         ],
@@ -869,7 +924,7 @@ def test_incident_csv_schema_and_exact_floats(tmp_path):
     ]
     assert len(rows) == len(res.incidents) + 1
     for row, o in zip(rows[1:], res.incidents):
-        assert row[0] == o.incident_id
+        assert row[0] == o.incident.id
         assert float(row[5]) == o.response_h
         assert float(row[6]) == o.delay_veh_h
         assert int(row[8]) == int(o.cooperating)

@@ -342,11 +342,13 @@ def small_world(seed: int):
 def erv_problems(draw) -> DcopProblem:
     w = small_world(draw(st.integers(0, 3)))
     cell = st.integers(0, w.net.n_cells - 1)
+    open_ids = {i.id for i in draw(st.lists(st.sampled_from(w.incidents),
+                                            max_size=4, unique_by=lambda i: i.id))}
     ctx = StageContext(
         net=w.net, forecast=w.forecast, stage_time=0.0,
         stage_index=draw(st.integers(0, 1)),
-        open_incidents=draw(st.lists(st.sampled_from(w.incidents), max_size=4,
-                                     unique_by=lambda i: i.id)),
+        # in the world's order, as the stage loop keeps it
+        open_incidents=[i for i in w.incidents if i.id in open_ids],
         lookahead=draw(st.integers(0, 2)), relocation_k=draw(st.integers(0, 4)),
     )
     fleet = [Vehicle(id=f"erv{i}", cell=c)
