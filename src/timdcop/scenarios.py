@@ -27,7 +27,11 @@ every incident is served, so totals always cover the full request set.
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -108,11 +112,33 @@ _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 _NET, _INC, _FIELD, _ATTRS, _POS, _SOLVER, _UAVSOLVER, _OBS = range(8)
 
 
+# scipy's compiled LSAP module, the one scipy.optimize re-exports it from
+_LSAP = "scipy.optimize._lsap"
+
+
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's LSAP, imported on first use: only opt's floor refinement needs
-    scipy.optimize (about 15 MiB and 0.3 s of import)."""
-    from scipy.optimize import linear_sum_assignment as lsap
-    return lsap(cost)
+    """scipy's LSAP; only opt's floor refinement calls it. The first call
+    loads the module that holds it, and later calls find that module in
+    sys.modules."""
+    lsap = sys.modules.get(_LSAP) or sys.modules.get("scipy.optimize") or _load_lsap()
+    return lsap.linear_sum_assignment(cost)
+
+
+def _load_lsap():
+    """scipy's compiled LSAP module alone, by the standard importlib recipe,
+    so the scipy.optimize package (about 16 MiB and 0.2 s of import) never
+    runs. Where that module is missing or is Python source (which imports its
+    own package), the public import instead."""
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(
+        _LSAP, [os.path.join(p, "optimize") for p in scipy.__path__])
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        import scipy.optimize
+        return scipy.optimize
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_LSAP] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _rng(master: int, *key: int) -> np.random.Generator:

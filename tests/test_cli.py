@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -1092,14 +1093,13 @@ def test_a_sweep_manifest_refuses_the_flags_it_states(
 
 
 def test_only_opt_imports_scipy_optimize(tmp_path):
-    """A fresh interpreter runs conventional and pdronetim without loading
-    scipy.optimize; opt loads it when its floor first reaches the LSAP."""
+    """A fresh interpreter runs conventional and pdronetim without calling
+    the LSAP, and opt calls it when its floor first reaches the refinement;
+    no run loads the scipy.optimize package."""
     # the bench traces the solver through this module-level function
     assert inspect.isfunction(scenarios.linear_sum_assignment)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**TINY, "schedule": [2, 1]}))
-    src = str(Path(timdcop.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     args = ["run", "--scenario", str(path), "--out"]
     code = (
         "import json, sys\n"
@@ -1115,12 +1115,106 @@ def test_only_opt_imports_scipy_optimize(tmp_path):
         "seen += ['scipy.optimize' in sys.modules, len(calls) > 0]\n"
         "print(json.dumps([codes, seen]))\n"
     )
+    codes, seen = fresh_python(code)
+    assert codes == [0, 0]
+    assert seen == [False, 0, False, True]
+
+
+def fresh_python(code: str) -> list:
+    """The last stdout line of `code` run by a fresh interpreter on this
+    checkout's package, read as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(timdcop.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    codes, seen = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
-    assert seen == [False, 0, True, True]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_opt_loads_scipys_compiled_lsap_module_alone(tmp_path):
+    """All three policies run without the scipy.optimize package; the LSAP
+    module opt loaded is the one scipy.optimize re-exports from when it is
+    imported later, and later calls do not search for it again."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**TINY, "schedule": [2, 1]}))
+    out = str(tmp_path / "out")
+    code = (
+        "import importlib.machinery, json, sys\n"
+        "import numpy as np\n"
+        "import timdcop.scenarios as scenarios\n"
+        "from timdcop.cli import main\n"
+        f"code = main(['run', '--scenario', {str(path)!r}, '--policy',"
+        f" 'conventional,pdronetim,opt', '--out', {out!r}])\n"
+        "lsap = sys.modules.get('scipy.optimize._lsap')\n"
+        "seen = [code, 'scipy.optimize' in sys.modules, lsap is not None,\n"
+        "        isinstance(getattr(lsap, '__loader__', None),\n"
+        "                   importlib.machinery.ExtensionFileLoader)]\n"
+        "find = importlib.machinery.PathFinder.find_spec\n"
+        "importlib.machinery.PathFinder.find_spec = None\n"
+        "rows, cols = scenarios.linear_sum_assignment(np.array([[2.0, 1.0], [1.0, 3.0]]))\n"
+        "importlib.machinery.PathFinder.find_spec = find\n"
+        "seen.append([rows.tolist(), cols.tolist()])\n"
+        "import scipy.optimize, scipy.stats\n"
+        "seen.append(scipy.optimize.linear_sum_assignment\n"
+        "            is sys.modules['scipy.optimize._lsap'].linear_sum_assignment)\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert fresh_python(code) == [0, False, True, True, [[0, 1], [1, 0]], True]
+
+
+def refinement_shaped_costs() -> list[list]:
+    """Cost matrices shaped like the floor refinement's, incidents x
+    (vehicle, rank) slots, as lists; half of them are drawn from few values,
+    so ties are common."""
+    rng = np.random.default_rng(3003)
+    costs = []
+    for k in range(2, 13):
+        for n_erv in range(1, 5):
+            shape = (k, n_erv * k)
+            costs += [(rng.random(shape) * 100.0).tolist(),
+                      rng.integers(0, 3, size=shape).astype(float).tolist()]
+    return costs
+
+
+@pytest.mark.parametrize("found", ["compiled", "missing", "source"])
+def test_the_lsap_wrapper_answers_as_scipy_optimize(tmp_path, found):
+    """A fresh interpreter's wrapper answers as scipy.optimize does here,
+    whether it loads scipy's compiled LSAP module alone or falls back: where
+    that module is missing, or is a Python source file (which would import
+    its own package), the first call imports scipy.optimize and runs none of
+    that file. Either way only the first call loads a module."""
+    source = tmp_path / "_lsap.py"
+    source.write_text("raise AssertionError('the source LSAP module ran')\n")
+    costs = refinement_shaped_costs()
+    (tmp_path / "costs.json").write_text(json.dumps(costs))
+    code = (
+        "import importlib.machinery, importlib.util, json, sys\n"
+        "import numpy as np\n"
+        "import timdcop.scenarios as scenarios\n"
+        "finder = importlib.machinery.PathFinder\n"
+        "real, asked = finder.find_spec, []\n"
+        "def find_once(name, path=None, target=None):\n"
+        "    finder.find_spec = real\n"
+        "    asked.append(name)\n"
+        f"    if {found!r} == 'source':\n"
+        f"        return importlib.util.spec_from_file_location(name, {str(source)!r})\n"
+        f"if {found!r} != 'compiled':\n"
+        "    finder.find_spec = staticmethod(find_once)\n"
+        "load, loads = scenarios._load_lsap, []\n"
+        "scenarios._load_lsap = lambda: loads.append(1) or load()\n"
+        f"costs = json.loads(open({str(tmp_path / 'costs.json')!r}).read())\n"
+        "answers = [[a.tolist() for a in scenarios.linear_sum_assignment(np.array(c))]"
+        " for c in costs]\n"
+        "print(json.dumps([asked, len(loads), 'scipy.optimize' in sys.modules, answers]))\n"
+    )
+    asked, loads, loaded, answers = fresh_python(code)
+    fell_back = found != "compiled"
+    assert asked == (["scipy.optimize._lsap"] if fell_back else [])
+    assert loads == 1
+    assert loaded == fell_back
+    from scipy.optimize import linear_sum_assignment
+
+    assert answers == [[a.tolist() for a in linear_sum_assignment(np.array(c))]
+                       for c in costs]
 
 
 def test_cli_entry_point_is_installed():
