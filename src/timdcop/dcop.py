@@ -1,11 +1,10 @@
 """Constraint-optimization problem container.
 
 A problem holds one variable per agent, each with a finite domain of distinct
-values, plus cost tables indexed by domain position: a unary vector per agent
-(one cost per value of its own domain; an agent without one costs 0) and
-binary tables of shape (len(domains[a]), len(domains[b])). math.inf (or -inf
-under maximize) is the hard-conflict sentinel; float arithmetic makes it
-absorbing for free.
+values, plus float arrays of costs indexed by domain position: a unary row per
+agent (one cost per value of its own domain) and binary tables of shape
+(len(domains[a]), len(domains[b])). math.inf (or -inf under maximize) is the
+hard-conflict sentinel; float arithmetic makes it absorbing for free.
 """
 from __future__ import annotations
 
@@ -31,18 +30,17 @@ class BinaryConstraint:
 class DcopProblem:
     agents: list
     domains: dict            # AgentId -> list[Value]
-    unary: dict = field(default_factory=dict)   # AgentId -> np.ndarray
+    unary: dict = field(default_factory=dict)   # AgentId -> float row
     binary: list[BinaryConstraint] = field(default_factory=list)
     sense: str = "min"       # "min" or "max"
     # AgentId -> {value: position in its domain}
     index: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # builders make every problem well formed, so nothing is checked
-        # here. One value -> position map per distinct domain list, shared by
-        # every agent that holds it (builders pass one domain list to all);
-        # a float64 table, like the builders' shared all-different table,
-        # stays the one object every pair holds
+        # builders make every problem well formed (a float row per agent,
+        # float tables), so nothing is checked here. One value -> position
+        # map per distinct domain list, shared by every agent that holds it
+        # (builders pass one domain list to all)
         self.index = {}
         by_list: dict[int, dict] = {}
         for a in self.agents:
@@ -51,10 +49,6 @@ class DcopProblem:
             if index is None:
                 index = by_list[id(dom)] = {v: i for i, v in enumerate(dom)}
             self.index[a] = index
-        self.unary = {a: np.asarray(vec, dtype=float)
-                      for a, vec in self.unary.items()}
-        for c in self.binary:
-            c.table = np.asarray(c.table, dtype=float)
 
 
 def all_different_table(domain: list, sense: str = "min") -> np.ndarray:

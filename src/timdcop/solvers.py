@@ -33,15 +33,16 @@ the result is an anytime one: MGM's sequence never worsens, DSA's current
 assignment may oscillate but the reported best cannot.
 
 A round runs over agent indices with tables prepared once per solve: unary
-vectors and binary tables are multiplied by the sense sign once (IEEE
-negation is exact and commutes with addition, so -(u + c) == (-u) + (-c)),
-each table is laid out in both orientations so that a neighbour's current
-position selects a contiguous row (a table several pairs share, like the
-builders' all-different table, is laid out once), and neighbours come from
-one pass over the binary constraints. The move rules, the random stream
-(one draw per agent per DSA round, in agent order) and every trace field are
-those of the plain dict-per-round loop in tests/solver_oracle.py, which fills
-a stopped trace out to `iterations` rounds with the best cost and 0 moves.
+rows and binary tables are multiplied by the sense sign once (IEEE negation
+is exact and commutes with addition, so -(u + c) == (-u) + (-c)), each table
+is laid out in both orientations so that a neighbour's current position
+selects a contiguous row (a table several pairs share, like the builders'
+all-different table, is laid out once), and the same pass collects each
+agent's distinct neighbours in order of first appearance. The move rules,
+the random stream (one draw per agent per DSA round, in agent order) and
+every trace field are those of the plain dict-per-round loop in
+tests/solver_oracle.py, which fills a stopped trace out to `iterations`
+rounds with the best cost and 0 moves.
 
 The settings come from a Scenario, which has checked them, and the seed is
 the stage's own stream, so a solve checks neither.
@@ -106,16 +107,14 @@ def solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
     at = {a: i for i, a in enumerate(order)}
     domains = [p.domains[a] for a in order]
     # costs carry the sense sign, so every agent minimizes
-    unary = []
-    for a, dom in zip(order, domains):
-        vec = p.unary.get(a)
-        unary.append(np.zeros(len(dom)) if vec is None else flip * vec)
+    unary = [flip * p.unary[a] for a in order]
     # per agent: (rows, neighbour index) for every binary table it is in, in
     # declaration order, where rows[k] is its cost vector with the neighbour
     # at position k; a table shared by several pairs is laid out once
     layouts: dict[int, tuple[list, list]] = {}
     tables: list[list] = [[] for _ in order]
-    neighbors: list[list[int]] = [[] for _ in order]
+    # per agent: distinct neighbours (dict keys) in order of first appearance
+    neighbors: list[dict] = [{} for _ in order]
     for c in p.binary:
         i, j = at[c.a], at[c.b]
         laid = layouts.get(id(c.table))
@@ -126,9 +125,7 @@ def solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
                 list(np.ascontiguousarray(signed)))
         tables[i].append((laid[0], j))
         tables[j].append((laid[1], i))
-        if j not in neighbors[i]:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
+        neighbors[i][j] = neighbors[j][i] = None
 
     current = _initial_assignment(p, rng)
     pos = [p.index[a][current[a]] for a in order]

@@ -34,7 +34,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+import criterion_05
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -52,13 +52,10 @@ SWEPT = {"seed": 4, "schedule": [3, 3, 3], "grid": {"rows": 8, "cols": 8},
 
 
 def criterion_05_docs():
-    """test_criterion_05's instances as scenario files, by its generator, but
-    for seed 5011, whose exact search alone takes most of that test's time."""
-    rng = np.random.default_rng(2205)
-    counts = [1] * 8 + [2] * 13 + [3] * 9 + [4] * 2 + [5] * 3
-    schedules = [[int(c) for c in rng.choice(counts, size=5)] for _ in range(20)]
+    """test_criterion_05's instances as scenario files, but for seed 5011,
+    whose exact search alone takes most of that test's time."""
     return {5000 + k: {"seed": 5000 + k, "schedule": s, "fleet": {"ervs": 3, "uavs": 0}}
-            for k, s in enumerate(schedules) if k != 11}
+            for k, s in enumerate(criterion_05.schedules()) if k != 11}
 
 
 # sweep axis -> two values it takes

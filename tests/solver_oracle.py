@@ -58,9 +58,8 @@ def reference_solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
     # agents sorted by id, so this is "lowest agent id")
     rank = {a: i for i, a in enumerate(order)}
     nbrs = {a: neighbors(p, a) for a in order}
-    # per agent: its unary vector, then (table with its values on the rows,
-    # other agent) for every binary constraint it is in, in declaration order
-    unary = {a: p.unary.get(a, np.zeros(len(p.domains[a]))) for a in order}
+    # per agent: (table with its values on the rows, other agent) for every
+    # binary constraint it is in, in declaration order
     tables: dict[AgentId, list] = {a: [] for a in order}
     for c in p.binary:
         tables[c.a].append((c.table, c.b))
@@ -84,7 +83,7 @@ def reference_solve(p: DcopProblem, sc: Scenario, seed: int) -> SolveTrace:
         proposals: dict[AgentId, Value] = {}
         gains: dict[AgentId, float] = {}
         for a in order:
-            local = unary[a]
+            local = p.unary[a]
             for table, other in tables[a]:
                 local = local + table[:, pos[other]]
             local = flip * local

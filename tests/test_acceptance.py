@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import criterion_05
 from conftest import report
 from dcop_oracle import brute_force_optimum
 
@@ -54,7 +55,7 @@ def small_dcop(seed: int) -> DcopProblem:
         for a in agents
     }
     uc = {(a, v): float(rng.uniform(0, 10)) for a in agents for v in domains[a]}
-    unary = {a: [uc[(a, v)] for v in domains[a]] for a in agents}
+    unary = {a: np.array([uc[(a, v)] for v in domains[a]]) for a in agents}
     binary = []
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
@@ -223,15 +224,10 @@ def test_criterion_04_thresholds_order_by_mean_delay(dispatch_batch):
 
 
 def test_criterion_05_policy_ordering_on_generated_sequences():
-    rng = np.random.default_rng(2205)
-    counts = [1] * 8 + [2] * 13 + [3] * 9 + [4] * 2 + [5] * 3
-    schedules = [
-        tuple(int(c) for c in rng.choice(counts, size=5)) for _ in range(20)
-    ]
     improvements = []
     violations = []
     max_nodes = 0
-    for k, schedule in enumerate(schedules):
+    for k, schedule in enumerate(criterion_05.schedules()):
         sc = Scenario(seed=5000 + k, schedule=schedule, n_ervs=3, n_uavs=0)
         world = materialize(sc)
         conv = run_conventional(sc, world).total_delay_veh_h

@@ -35,20 +35,20 @@ def random_table_problem(seed: int, n_agents=3, n_values=4) -> DcopProblem:
     binary = []
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
-            table = [
+            table = np.array([
                 [math.inf if va == vb else costs[(a, va)] + costs[(b, vb)]
                  for vb in range(n_values)]
                 for va in range(n_values)
-            ]
+            ])
             binary.append(BinaryConstraint(a=a, b=b, table=table))
+    # a lone agent's costs are its unary row; pairs carry them otherwise
+    unary = {a: np.zeros(n_values) for a in agents}
     if n_agents == 1:
-        return DcopProblem(
-            agents=agents, domains={agents[0]: list(range(n_values))},
-            unary={agents[0]: [costs[(agents[0], v)] for v in range(n_values)]},
-        )
+        unary[agents[0]] = np.array([costs[(agents[0], v)] for v in range(n_values)])
     return DcopProblem(
         agents=agents,
         domains={a: list(range(n_values)) for a in agents},
+        unary=unary,
         binary=binary,
     )
 
@@ -72,7 +72,8 @@ def forced_collision_problem() -> DcopProblem:
     return DcopProblem(
         agents=["b", "a"],
         domains={"b": ["c1", "c2"], "a": ["c1"]},
-        binary=[BinaryConstraint(a="b", b="a", table=[[math.inf], [1.0]])],
+        unary={"b": np.zeros(2), "a": np.zeros(1)},
+        binary=[BinaryConstraint(a="b", b="a", table=np.array([[math.inf], [1.0]]))],
     )
 
 
@@ -96,7 +97,7 @@ def test_conflict_escape(algorithm, seed):
 @pytest.mark.parametrize("algorithm", ["mgm", "dsa"])
 def test_lone_agent_moves_to_the_first_cheapest_value(algorithm):
     p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
-                    unary={"a": [3.0, 1.0, 2.0, 1.0]})
+                    unary={"a": np.array([3.0, 1.0, 2.0, 1.0])})
     # seed 4 starts at "y"; the tied best values are "x" and "z"
     trace = solve(p, scenario(algorithm, 3, 1.0), 4)
     assert trace.moves == [1, 0]  # the trace ends at the fixed-point round
@@ -169,10 +170,11 @@ def test_maximize_problems_are_searched_uphill():
     p = DcopProblem(
         agents=["u", "v"],
         domains={"u": [0, 1, 2], "v": [0, 1, 2]},
-        binary=[BinaryConstraint(a="u", b="v", table=[
+        unary={"u": np.zeros(3), "v": np.zeros(3)},
+        binary=[BinaryConstraint(a="u", b="v", table=np.array([
             [-math.inf if a == b else float(a + 2 * b) for b in range(3)]
             for a in range(3)
-        ])],
+        ]))],
         sense="max",
     )
     trace = solve(p, scenario("dsa", 25), 4)
@@ -239,7 +241,7 @@ def test_lone_agent_stops_at_its_fixed_point(algorithm, monkeypatch):
 
     monkeypatch.setattr(solvers, "total_cost", counted)
     p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
-                    unary={"a": [3.0, 1.0, 2.0, 1.0]})
+                    unary={"a": np.array([3.0, 1.0, 2.0, 1.0])})
     # seed 4 starts at "y": one move to "x", then a fixed point
     trace = solve(p, scenario(algorithm, 45, 1.0), 4)
     assert len(calls) <= 3
@@ -250,7 +252,7 @@ def test_lone_agent_stops_at_its_fixed_point(algorithm, monkeypatch):
 
 def test_a_huge_round_budget_costs_only_the_rounds_run():
     p = DcopProblem(agents=["a"], domains={"a": list("wxyz")},
-                    unary={"a": [3.0, 1.0, 2.0, 1.0]})
+                    unary={"a": np.array([3.0, 1.0, 2.0, 1.0])})
     t0 = time.perf_counter()
     trace = solve(p, scenario("dsa", MAX_ITERATIONS, 1.0), 4)
     elapsed = time.perf_counter() - t0
@@ -277,8 +279,9 @@ costs = st.one_of(st.integers(0, 3).map(float),
 @st.composite
 def table_problems(draw) -> DcopProblem:
     """1-9 agents, either one domain list and one table shared by every pair
-    or a domain and a table of their own; min or max; unary vectors on some
-    agents only; the hard sentinel is +inf under min and -inf under max."""
+    or a domain and a table of their own; min or max; drawn unary vectors on
+    some agents, zero rows on the rest; sometimes one pair joined twice; the
+    hard sentinel is +inf under min and -inf under max."""
     sense = draw(st.sampled_from(["min", "max"]))
     hard = math.inf if sense == "min" else -math.inf
     agents = [f"a{i}" for i in range(draw(st.integers(1, 9)))]
@@ -298,7 +301,8 @@ def table_problems(draw) -> DcopProblem:
         return draw(st.lists(st.one_of(costs, st.just(hard)),
                              min_size=n, max_size=n))
 
-    unary = {a: vector(len(domains[a])) for a in agents if draw(st.booleans())}
+    unary = {a: np.array(vector(len(domains[a]))) if draw(st.booleans())
+             else np.zeros(len(domains[a])) for a in agents}
     binary = []
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
@@ -306,7 +310,12 @@ def table_problems(draw) -> DcopProblem:
                 binary.append(BinaryConstraint(a=a, b=b, table=table))
             elif draw(st.booleans()):
                 rows = [vector(len(domains[b])) for _ in domains[a]]
-                binary.append(BinaryConstraint(a=a, b=b, table=rows))
+                binary.append(BinaryConstraint(a=a, b=b, table=np.array(rows)))
+    if binary and draw(st.booleans()):
+        # a second constraint on one joined pair, declared the other way round
+        c = draw(st.sampled_from(binary))
+        rows = [vector(len(domains[c.a])) for _ in domains[c.b]]
+        binary.append(BinaryConstraint(a=c.b, b=c.a, table=np.array(rows)))
     return DcopProblem(agents=agents, domains=domains, unary=unary,
                        binary=binary, sense=sense)
 
@@ -324,7 +333,8 @@ def crowded_problems(draw) -> DcopProblem:
     domains = {a: draw(st.lists(st.sampled_from(cells), min_size=1,
                                 max_size=len(cells), unique=True))
                for a in agents}
-    unary = {a: draw(st.lists(costs, min_size=len(dom), max_size=len(dom)))
+    unary = {a: np.array(draw(st.lists(costs, min_size=len(dom),
+                                       max_size=len(dom))))
              for a, dom in domains.items()}
     binary = [BinaryConstraint(a=a, b=b, table=dcop_oracle.all_different_table(
                   domains[a], domains[b], sense))
