@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .errors import CapExceededError, InputError, ModelDomainError
 from .scenarios import (
+    MAX_SWEEP_POINTS,
     POLICIES,
     READERS,
     SCENARIO_FIELDS,
@@ -279,6 +280,9 @@ def cmd_sweep(args) -> int:
     trials = whole_number(trials, "trials")
     if trials < 1:
         raise InputError("--trials must be >= 1")
+    if len(values) * trials > MAX_SWEEP_POINTS:
+        raise InputError(f"the sweep holds {len(values) * trials:,} points "
+                         f"(axis values x trials), more than {MAX_SWEEP_POINTS:,}")
     policies = _parse_policies(policies)
     if len(policies) > 1:
         raise InputError(f"a sweep takes one policy, got {', '.join(policies)}")

@@ -96,7 +96,10 @@ OPT_EVAL_CAP = 10**6
 #   horizons at a severity's worst corner): far from overflow;
 # - an ERV stage problem's domain, open cells plus relocation candidates:
 #   its all-different table holds domain^2 floats, 72 MB at the ceiling,
-#   and solve holds two more copies of it (a UAV domain is smaller)
+#   and solve holds two more copies of it (a UAV domain is smaller);
+# - a sweep's points, axis values x trials: every point's Scenario is built
+#   and checked before the first one runs, and 1e5 of them take about 4 s
+#   and 42 MiB to build
 MAX_STAGES = 10**7
 MAX_CELLS = 100 * 100
 MAX_FIELD = 10**7
@@ -106,6 +109,7 @@ MAX_FLEET = 1000
 MAX_RELOCATION_K = 1000
 MAX_KAPPA = 1e6
 MAX_DOMAIN = 3000
+MAX_SWEEP_POINTS = 10**5
 _MAX_CLEARANCE = max(r["clearance"][1] for r in SEVERITY_RANGES.values())
 
 # sub-seed purpose codes (SeedSequence([master, code, ...]))
@@ -120,7 +124,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """scipy's LSAP; only opt's floor refinement calls it. The first call
     loads the module that holds it, and later calls find that module in
     sys.modules."""
-    lsap = sys.modules.get(_LSAP) or sys.modules.get("scipy.optimize") or _load_lsap()
+    lsap = sys.modules.get(_LSAP) or _load_lsap()
     return lsap.linear_sum_assignment(cost)
 
 
@@ -673,9 +677,9 @@ class _ExactSearch:
     each schedule exactly once, and prunes a state by `floor`.
 
     Each piece of pricing and proof work is done once per search: `leg`
-    extends a memoized prefix by one service, `polish` records every
-    descent's local optimum for the descents that follow, and `floor` stops
-    as soon as its prune verdict is settled.
+    extends a memoized prefix by one service, `polish` moves one incident
+    at a time and records every descent's local optimum for the descents
+    that follow, and `floor` stops as soon as its prune verdict is settled.
 
     A delay is max(0, coef * ((response + clearance)^2 + r_var)) with
     coef = bracket / twice_gap, the delay model's constants per incident.
@@ -858,19 +862,17 @@ class _ExactSearch:
 
     def polish(self, cost: float, seqs) -> tuple[float, list[tuple[int, ...]]]:
         """Steepest descent from schedule `seqs` of cost `cost` over
-        single-incident relocations (any vehicle, any position) and pairwise
-        exchanges until no move improves; returns the final cost and
-        schedule.
+        single-incident relocations (any vehicle, any position) until no move
+        improves; returns the final cost and schedule.
 
         After its first step a descent's state is just its schedule, so each
         schedule it steps to is recorded with the local optimum it ends at,
         and a later descent that steps onto a recorded schedule returns that
         optimum. A sweep prices each neighbour once: a same-vehicle move one
-        place back, and a same-vehicle adjacent exchange, are the move one
-        place forward it has already priced. A repeat could not win anyway,
-        since the best trial cost so far only falls. A trial is priced from
-        the legs of the one or two vehicles it changes, and a schedule list
-        is built only for the step taken."""
+        place back is the move one place forward it has already priced. A
+        repeat could not win anyway, since the best trial cost so far only
+        falls. A trial is priced from the legs of the one or two vehicles it
+        changes, and a schedule list is built only for the step taken."""
         n_erv, stepped = self.n_erv, []
         while True:
             step_cost, step = cost, None
@@ -909,23 +911,6 @@ class _ExactSearch:
                             c = price(a, out_a, b, self.leg(b, seq_b))
                             if c < step_cost - 1e-9:
                                 step_cost, step = c, (a, rest_a, b, seq_b)
-            slots = [(e, p) for e in range(n_erv) for p in range(len(seqs[e]))]
-            for x in range(len(slots)):
-                for y in range(x + 1, len(slots)):
-                    (a, p), (b, q) = slots[x], slots[y]
-                    u, v = seqs[a][p], seqs[b][q]
-                    if a == b:
-                        if q == p + 1:
-                            continue
-                        s = seqs[a]
-                        seq_a = seq_b = s[:p] + (v,) + s[p + 1:q] + (u,) + s[q + 1:]
-                        c = price(a, None, b, self.leg(b, seq_b))
-                    else:
-                        seq_a = seqs[a][:p] + (v,) + seqs[a][p + 1:]
-                        seq_b = seqs[b][:q] + (u,) + seqs[b][q + 1:]
-                        c = price(a, self.leg(a, seq_a), b, self.leg(b, seq_b))
-                    if c < step_cost - 1e-9:
-                        step_cost, step = c, (a, seq_a, b, seq_b)
             if step is None:
                 found = cost, seqs
                 break

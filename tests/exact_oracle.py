@@ -1,9 +1,9 @@
 """Reference pricing and polish for scenarios._ExactSearch.
 
 `price_legs` prices one vehicle's service order from its depot, with no
-memo; `steepest_descent` is the plain polish: every relocation and exchange
-is priced in full, in the search's sweep order, and no descent is shared.
-The search's own `leg` and `polish` must match them bit for bit.
+memo; `steepest_descent` is the plain polish: every single-incident
+relocation is priced in full, in the search's sweep order, and no descent is
+shared. The search's own `leg` and `polish` must match them bit for bit.
 """
 from timdcop.incidents import expected_delay
 
@@ -49,17 +49,6 @@ def steepest_descent(search, cost, seqs):
                         c = price(search, trial)
                         if c < step_cost - 1e-9:
                             step_cost, step = c, trial
-        slots = [(e, p) for e in range(n_erv) for p in range(len(seqs[e]))]
-        for x in range(len(slots)):
-            for y in range(x + 1, len(slots)):
-                (a, p), (b, q) = slots[x], slots[y]
-                u, v = seqs[a][p], seqs[b][q]
-                trial = list(seqs)
-                trial[a] = trial[a][:p] + (v,) + trial[a][p + 1:]
-                trial[b] = trial[b][:q] + (u,) + trial[b][q + 1:]
-                c = price(search, trial)
-                if c < step_cost - 1e-9:
-                    step_cost, step = c, trial
         if step is None:
             return cost, seqs
         cost, seqs = step_cost, step

@@ -16,7 +16,7 @@ yet:
 - a two-value, two-trial sweep on each sweep axis, run serially, with
   TIMDCOP_WORKERS=2, and from its manifest;
 - criterion 05's generated instances other than seed 5011 (3 ERVs, no UAVs)
-  under opt, which reach the exact floor's LSAP refinement about 84,000
+  under opt, which reach the exact floor's LSAP refinement about 86,000
   times (about 15 s).
 
 Prints ``sha256  relative/path`` for every file written, sorted by path. A

@@ -1049,6 +1049,37 @@ def test_a_world_the_builders_refuse_exits_2_before_any_sweep_point(
     assert points == []
 
 
+@pytest.mark.parametrize("source, points_held", [
+    ("flags", 100_002),  # two values x 50,001 trials: just past the ceiling
+    ("flags", 200_000_000),
+    ("manifest", 200_000_000),
+])
+def test_a_sweep_past_the_point_ceiling_exits_2_before_any_point(
+        tmp_path, capsys, monkeypatch, source, points_held):
+    monkeypatch.delenv("TIMDCOP_WORKERS", raising=False)
+    points = []
+    monkeypatch.setattr(cli, "_sweep_point", points.append)
+    trials = points_held // 2
+    if source == "flags":
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"seed": 1, "schedule": [1]}))
+        args = ["--scenario", str(path), "--axis", "dsa_threshold=0.5,0.9",
+                "--trials", str(trials)]
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            **SWEEP_BASE, "trials": trials,
+            "axis": {"name": "dsa_threshold", "values": [0.5, 0.9]}}))
+        args = ["--manifest", str(path)]
+    out = tmp_path / "o"
+    assert main(["sweep", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the sweep holds {points_held:,} points (axis values x trials), "
+        f"more than {scenarios.MAX_SWEEP_POINTS:,}\n")
+    assert not out.exists()
+    assert points == []
+
+
 def test_checked_sweep_manifest_runs(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**SWEEP_BASE, "trials": 2.0,
